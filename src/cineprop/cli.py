@@ -12,7 +12,8 @@ Subcommands::
 Exit codes: 0 success, 2 usage error, 3 I/O or file-format error,
 4 algorithmic degeneracy (constant images, empty masks where forbidden).
 The ``CINEPROP_WORKERS`` environment variable sets the default worker count;
-the ``--workers`` flag overrides it.
+the ``--workers`` flag overrides it.  A ``CINEPROP_WORKERS`` that is not an
+integer >= 1 is a usage error (exit code 2).
 """
 
 from __future__ import annotations
@@ -48,10 +49,14 @@ EXIT_DEGENERATE = 4
 
 def _default_workers() -> int:
     raw = os.environ.get("CINEPROP_WORKERS", "1")
+    invalid = InvalidParameterError(f"CINEPROP_WORKERS must be an integer >= 1, got {raw!r}")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        raise invalid from None
+    if workers < 1:
+        raise invalid
+    return workers
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -154,10 +159,10 @@ def _registration_params(args) -> RegistrationParams:
 
 
 def _cmd_propagate(args) -> int:
+    workers = args.workers if args.workers is not None else _default_workers()
     manifest = io.read_manifest(args.manifest)
     series = io.load_series(manifest)
     params = _registration_params(args)
-    workers = args.workers if args.workers is not None else _default_workers()
     results = propagate_series(series, params, workers=workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -67,7 +67,7 @@ class AffineTransform:
     def apply(self, points_mm: np.ndarray) -> np.ndarray:
         """Map an (N, 3) array of physical points."""
         pts = np.asarray(points_mm, dtype=np.float64)
-        return pts @ self.matrix.T + self.translation
+        return np.stack(_affine_columns(self.matrix, self.translation, *pts.T), axis=1)
 
     def is_rigid(self, tol: float = 1e-6) -> bool:
         return bool(np.max(np.abs(self.matrix.T @ self.matrix - np.eye(3))) <= tol)
@@ -126,21 +126,46 @@ class RegistrationParams:
         object.__setattr__(self, "iterations_per_level", iters)
 
 
-def _similarity_flat(a: np.ndarray, b: np.ndarray, kind: str) -> float:
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
+def _affine_columns(m: np.ndarray, t: np.ndarray, x, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``m @ p + t`` for point coordinates x, y, z, as explicit multiply-adds.
+
+    A BLAS ``(N,3) @ (3,3)`` product would start BLAS threads inside each
+    worker thread and make the rounding depend on the BLAS thread count.
+    x, y, z may be the broadcastable axes of a grid (``_grid_axes``): the
+    products are then taken per axis and only the sums are full size.
+    """
+    return tuple(m[r, 0] * x + m[r, 1] * y + m[r, 2] * z + t[r] for r in range(3))
+
+
+def _dissimilarity_to(fixed: np.ndarray, kind: str):
+    """Returns ``score(warped) -> float``, lower is better, against one fixed sample.
+
+    The fixed side's float64 cast, centring and sum of squares are computed
+    here once.  Sums are numpy's pairwise ``np.sum``, not BLAS dot products,
+    so they run on the calling thread and round the same way every time.
+    """
+    a = np.asarray(fixed, dtype=np.float64).ravel()
     if kind == "mse":
-        d = a - b
-        return float(np.mean(d * d))
-    if kind == "ncc":
+
+        def score(warped) -> float:
+            d = a - np.asarray(warped, dtype=np.float64).ravel()
+            return float(np.mean(d * d))
+
+    elif kind == "ncc":
         ac = a - a.mean()
-        bc = b - b.mean()
-        va = float(np.dot(ac, ac))
-        vb = float(np.dot(bc, bc))
-        if va == 0.0 or vb == 0.0:
-            return 0.0
-        return -float(np.dot(ac, bc) / math.sqrt(va * vb))
-    raise InvalidParameterError(f"similarity must be one of {SIMILARITY_KINDS}")
+        va = float(np.sum(ac * ac))
+
+        def score(warped) -> float:
+            b = np.asarray(warped, dtype=np.float64).ravel()
+            bc = b - b.mean()
+            vb = float(np.sum(bc * bc))
+            if va == 0.0 or vb == 0.0:
+                return 0.0
+            return -float(np.sum(ac * bc)) / math.sqrt(va * vb)
+
+    else:
+        raise InvalidParameterError(f"similarity must be one of {SIMILARITY_KINDS}")
+    return score
 
 
 def similarity(fixed: ScalarVolume, warped: ScalarVolume, kind: str) -> float:
@@ -152,34 +177,33 @@ def similarity(fixed: ScalarVolume, warped: ScalarVolume, kind: str) -> float:
     """
     if fixed.dims != warped.dims:
         raise InvalidParameterError(f"dims mismatch: {fixed.dims} vs {warped.dims}")
-    return _similarity_flat(fixed.data, warped.data, kind)
+    return _dissimilarity_to(fixed.data, kind)(warped.data)
 
 
-def _grid_mm(dims, spacing) -> np.ndarray:
-    """(N, 3) physical coordinates of all voxel centers, C-index order."""
-    axes = [np.arange(n, dtype=np.float64) * s for n, s in zip(dims, spacing)]
-    ii, jj, kk = np.meshgrid(*axes, indexing="ij")
-    return np.stack([ii.ravel(), jj.ravel(), kk.ravel()], axis=1)
+def _grid_axes(dims, spacing, stride: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Physical x, y, z coordinates of every ``stride``-th voxel center, as broadcastable axes."""
+    axes = [np.arange(0, n, stride, dtype=np.float64) * s for n, s in zip(dims, spacing)]
+    return tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
 
 
-def _resample_affine_data(moving: ScalarVolume, matrix, translation, dims, spacing) -> np.ndarray:
-    pts = _grid_mm(dims, spacing) @ np.asarray(matrix, dtype=np.float64).T + translation
+def _sample_affine(moving: ScalarVolume, transform: AffineTransform, grid) -> np.ndarray:
+    """Moving intensities at the affine images of fixed-grid mm points, flat in C-index order."""
     ms = moving.spacing
-    vals = trilinear_sample_many(moving, pts[:, 0] / ms[0], pts[:, 1] / ms[1], pts[:, 2] / ms[2])
-    return vals.reshape(dims)
+    x, y, z = _affine_columns(transform.matrix, transform.translation, *grid)
+    return trilinear_sample_many(moving, (x / ms[0]).ravel(), (y / ms[1]).ravel(), (z / ms[2]).ravel())
 
 
 def resample_affine(moving: ScalarVolume, transform: AffineTransform, like: ScalarVolume) -> ScalarVolume:
     """Pull-back resampling of ``moving`` through an affine onto ``like``'s grid."""
-    data = _resample_affine_data(moving, transform.matrix, transform.translation, like.dims, like.spacing)
+    data = _sample_affine(moving, transform, _grid_axes(like.dims, like.spacing)).reshape(like.dims)
     return ScalarVolume(data.astype(np.float32), like.spacing)
 
 
 def affine_to_field(transform: AffineTransform, dims, spacing) -> DisplacementField:
     """The displacement field realizing an affine on a given fixed grid."""
-    grid = _grid_mm(dims, spacing)
-    disp = transform.apply(grid) - grid
-    return DisplacementField(disp.reshape(*dims, 3), tuple(spacing))
+    grid = _grid_axes(dims, spacing)
+    moved = _affine_columns(transform.matrix, transform.translation, *grid)
+    return DisplacementField(np.stack([p - g for p, g in zip(moved, grid)], axis=-1), tuple(spacing))
 
 
 def warp_image(moving: ScalarVolume, field: DisplacementField) -> ScalarVolume:
@@ -338,27 +362,24 @@ def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, kind
     dims, spacing = fixed_level.dims, fixed_level.spacing
     n_total = dims[0] * dims[1] * dims[2]
     stride = max(1, round(np.cbrt(n_total / _MAX_OBJECTIVE_SAMPLES) + 0.49999))
-    axes = [np.arange(0, n, stride, dtype=np.float64) * s for n, s in zip(dims, spacing)]
-    ii, jj, kk = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([ii.ravel(), jj.ravel(), kk.ravel()], axis=1)
-    fsample = fixed_level.data[::stride, ::stride, ::stride].ravel()
-    ms = moving_level.spacing
+    grid = _grid_axes(dims, spacing, stride)
+    score = _dissimilarity_to(fixed_level.data[::stride, ::stride, ::stride], kind)
 
     def objective(theta) -> float:
         try:
             tf = to_transform(theta)
         except InvalidParameterError:
             return math.inf  # singular candidate: reject, the line search backs off
-        pts = grid @ tf.matrix.T + tf.translation
-        warped = trilinear_sample_many(moving_level, pts[:, 0] / ms[0], pts[:, 1] / ms[1], pts[:, 2] / ms[2])
-        return _similarity_flat(fsample, warped, kind)
+        return score(_sample_affine(moving_level, tf, grid))
 
     return objective
 
 
-def _full_res_objective(fixed, moving, kind, transform) -> float:
-    warped = _resample_affine_data(moving, transform.matrix, transform.translation, fixed.dims, fixed.spacing)
-    return _similarity_flat(fixed.data, warped, kind)
+def _full_res_objective(fixed: ScalarVolume, moving: ScalarVolume, kind: str):
+    """Returns ``transform -> dissimilarity`` of the full-resolution resampling."""
+    score = _dissimilarity_to(fixed.data, kind)
+    grid = _grid_axes(fixed.dims, fixed.spacing)
+    return lambda transform: score(_sample_affine(moving, transform, grid))
 
 
 def register_rigid(fixed: ScalarVolume, moving: ScalarVolume, params: RegistrationParams) -> AffineTransform:
@@ -380,11 +401,8 @@ def register_rigid(fixed: ScalarVolume, moving: ScalarVolume, params: Registrati
         theta, _ = _descend(obj, theta, units, n_iter, params.step_size, params.convergence_tol)
     result = _pose_to_transform(theta, center)
     identity = AffineTransform.identity()
-    if _full_res_objective(fixed, moving, params.similarity, result) > _full_res_objective(
-        fixed, moving, params.similarity, identity
-    ):
-        return identity
-    return result
+    full = _full_res_objective(fixed, moving, params.similarity)
+    return identity if full(result) > full(identity) else result
 
 
 def register_affine(
@@ -405,11 +423,8 @@ def register_affine(
         obj = _level_objective(f_l, m_l, params.similarity, lambda th: _affine_params_to_transform(th, center))
         theta, _ = _descend(obj, theta, units, n_iter, params.step_size, params.convergence_tol)
     result = _affine_params_to_transform(theta, center)
-    if _full_res_objective(fixed, moving, params.similarity, result) > _full_res_objective(
-        fixed, moving, params.similarity, init
-    ):
-        return init
-    return result
+    full = _full_res_objective(fixed, moving, params.similarity)
+    return init if full(result) > full(init) else result
 
 
 def _sample_field_component(comp: np.ndarray, xs, ys, zs) -> np.ndarray:
@@ -471,8 +486,10 @@ def _demons_level(
     g2 = grads[0] ** 2 + grads[1] ** 2 + grads[2] ** 2
     mean_sq_spacing = float(np.mean(np.square(spacing)))
 
+    dissimilarity = _dissimilarity_to(fdata, params.similarity)
+
     def score(candidate: np.ndarray) -> float:
-        return _similarity_flat(fdata, _warp_data(mdata, candidate, spacing), params.similarity)
+        return dissimilarity(_warp_data(mdata, candidate, spacing))
 
     grad_stack = np.stack(grads, axis=-1)
     f_cur = score(u)
@@ -529,14 +546,12 @@ def register_deformable(
         u = _demons_level(f_l, m_l, u, n_iter, params)
 
     # total(v) = A(v_mm + u(v)) + b - v_mm : exact composition with the affine
-    grid = _grid_mm(fixed.dims, fixed.spacing)
-    total = (grid + u.reshape(-1, 3)) @ init.matrix.T + init.translation - grid
-    total_field = DisplacementField(total.reshape(*fixed.dims, 3), fixed.spacing)
+    grid = _grid_axes(fixed.dims, fixed.spacing)
+    moved = _affine_columns(init.matrix, init.translation, *(g + u[..., c] for c, g in enumerate(grid)))
+    total_field = DisplacementField(np.stack([p - g for p, g in zip(moved, grid)], axis=-1), fixed.spacing)
 
     affine_field = affine_to_field(init, fixed.dims, fixed.spacing)
-    kind = params.similarity
-    f_total = _similarity_flat(fixed.data, warp_image(moving, total_field).data, kind)
-    f_affine = _similarity_flat(fixed.data, warp_image(moving, affine_field).data, kind)
-    if f_total > f_affine:
+    score = _dissimilarity_to(fixed.data, params.similarity)
+    if score(warp_image(moving, total_field).data) > score(warp_image(moving, affine_field).data):
         return affine_field
     return total_field

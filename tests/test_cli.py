@@ -1,11 +1,20 @@
 """CLI subcommands: artifacts on disk, exit codes, determinism."""
 
-import numpy as np
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+import cineprop
 from cineprop import io
 from cineprop.cli import EXIT_DEGENERATE, EXIT_IO, EXIT_OK, EXIT_USAGE, run
 from cineprop.phantom import PhantomSpec
 from cineprop.volume import ScalarVolume
+from helpers import TINY_CINE_SPEC
 from helpers import write_cine_dir as _write_cine_dir
 
 
@@ -76,6 +85,37 @@ class TestPropagateCommand:
         )
         assert code == EXIT_OK
         assert len(list(out.glob("pseudo_label_*.mvol"))) == 2
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2"])
+    def test_invalid_env_var_workers_is_usage_error(self, tmp_path, monkeypatch, capsys, raw):
+        mpath, _ = _write_cine_dir(tmp_path / "cine")
+        monkeypatch.setenv("CINEPROP_WORKERS", raw)
+        out = tmp_path / "prop_bad_env"
+        code = run(["propagate", "--manifest", str(mpath), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "CINEPROP_WORKERS" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_outputs_independent_of_blas_threads(self, tmp_path):
+        # 24^3 voxels: NCC sums run over 13.8k samples, above the size where BLAS dot products thread
+        mpath, _ = _write_cine_dir(tmp_path / "cine", dataclasses.replace(TINY_CINE_SPEC, dims=(24, 24, 24)))
+        src = str(Path(cineprop.__file__).resolve().parents[1])
+        inherited = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        pinned = dict(inherited, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        trees = []
+        for name, env in (("inherited", inherited), ("pinned", pinned)):
+            out = tmp_path / name
+            argv = ["propagate", "--manifest", str(mpath), "--out", str(out), "--workers", "2"]
+            argv += ["--pyramid-levels", "2", "--iters", "2,2"]
+            subprocess.run([sys.executable, "-m", "cineprop.cli", *argv], env=env, check=True, timeout=300)
+            trees.append(_tree_bytes(out))
+        assert sorted(trees[0]) == [
+            "propagation_report.txt",
+            "pseudo_label_001.mvol",
+            "pseudo_label_002.mvol",
+            "summary.txt",
+        ]
+        assert [name for name in trees[0] if trees[0][name] != trees[1].get(name)] == []
 
     def test_constant_frames_degenerate(self, tmp_path):
         out = tmp_path / "flat"

@@ -1,5 +1,7 @@
 """Similarity measures, warping, and the three registration stages."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,12 @@ from cineprop.registration import (
     AffineTransform,
     DisplacementField,
     RegistrationParams,
+    _affine_columns,
+    _affine_params_to_transform,
     _center_mm,
     _descend,
+    _dissimilarity_to,
+    _level_objective,
     affine_to_field,
     register_affine,
     register_deformable,
@@ -20,7 +26,7 @@ from cineprop.registration import (
     warp_image,
     warp_label,
 )
-from cineprop.volume import LV, LabelMap, ScalarVolume, gaussian_smooth
+from cineprop.volume import LV, LabelMap, ScalarVolume, gaussian_smooth, trilinear_sample_many
 from helpers import shift_volume, trilinear_oracle
 
 SMALL_SPEC = PhantomSpec(
@@ -184,6 +190,73 @@ class TestDescend:
         theta, trace = _descend(objective, np.zeros(3), np.ones(3), 100, 0.5, 1e-8)
         assert all(b <= a for a, b in zip(trace, trace[1:]))
         assert np.allclose(theta, target, atol=0.05)
+
+
+def _ncc_by_dot(a, b) -> float:
+    """Reference: negative NCC in its BLAS form, as ``np.dot`` reductions."""
+    ac = np.asarray(a, dtype=np.float64).ravel()
+    bc = np.asarray(b, dtype=np.float64).ravel()
+    ac, bc = ac - ac.mean(), bc - bc.mean()
+    va, vb = float(np.dot(ac, ac)), float(np.dot(bc, bc))
+    if va == 0.0 or vb == 0.0:
+        return 0.0
+    return -float(np.dot(ac, bc) / math.sqrt(va * vb))
+
+
+class TestBlasFreeArithmetic:
+    """The multiply-add point transform and pairwise-sum NCC against the BLAS forms they replaced.
+
+    Inputs have 96*96*12 = 110,592 points, the thick-slice grid size, where
+    BLAS would thread.  The summation order differs, so results agree to a
+    float64 tolerance fixed beforehand, not bit for bit.
+    """
+
+    N = 96 * 96 * 12
+    RTOL = 1e-12
+
+    def test_point_transform_matches_matmul(self):
+        rng = np.random.default_rng(0)
+        pts = rng.uniform(-150.0, 150.0, size=(self.N, 3))
+        m = rng.normal(size=(3, 3))
+        t = rng.normal(scale=20.0, size=3)
+        ref = pts @ m.T + t
+        # relative to the magnitude of the summed terms, so cancellation near 0 is allowed for
+        bound = self.RTOL * (np.abs(pts) @ np.abs(m).T + np.abs(t))
+        cols = np.stack(_affine_columns(m, t, pts[:, 0], pts[:, 1], pts[:, 2]), axis=1)
+        assert np.all(np.abs(cols - ref) <= bound)
+        assert np.all(np.abs(AffineTransform(m, t).apply(pts) - ref) <= bound)
+
+    def test_similarity_matches_dot_forms(self):
+        rng = np.random.default_rng(1)
+        fixed = rng.normal(100.0, 30.0, size=self.N).astype(np.float32)
+        score_ncc = _dissimilarity_to(fixed, "ncc")
+        score_mse = _dissimilarity_to(fixed, "mse")
+        for sign in (1.0, -1.0):  # the fixed-side terms are reused across calls
+            warped = sign * fixed + rng.normal(0.0, 20.0, size=self.N)
+            ref = _ncc_by_dot(fixed, warped)
+            assert abs(ref) > 0.5
+            assert math.isclose(score_ncc(warped), ref, rel_tol=self.RTOL, abs_tol=0.0)
+            d = fixed.astype(np.float64) - warped
+            assert score_mse(warped) == float(np.mean(d * d))
+
+    def test_level_objective_matches_matmul_form(self):
+        rng = np.random.default_rng(2)
+        spacing = (1.5, 1.5, 8.0)
+        fixed = gaussian_smooth(ScalarVolume(rng.normal(100, 30, size=(96, 96, 12)).astype(np.float32), spacing), 3.0)
+        moving = fixed  # a near-identity affine of itself keeps |NCC| well away from 0
+        center = _center_mm(fixed)
+        objective = _level_objective(fixed, moving, "ncc", lambda th: _affine_params_to_transform(th, center))
+        theta = np.concatenate([(np.eye(3) + rng.normal(scale=0.005, size=(3, 3))).ravel(), [0.5, -0.4, 1.0]])
+        tf = _affine_params_to_transform(theta, center)
+        # the reference strides the 110k-voxel grid exactly as the objective does (stride 2)
+        axes = [np.arange(0, n, 2, dtype=np.float64) * s for n, s in zip(fixed.dims, spacing)]
+        grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        pts = grid @ tf.matrix.T + tf.translation
+        warped = trilinear_sample_many(moving, pts[:, 0] / 1.5, pts[:, 1] / 1.5, pts[:, 2] / 8.0)
+        ref = _ncc_by_dot(fixed.data[::2, ::2, ::2], warped)
+        assert abs(ref) > 0.5
+        assert math.isclose(objective(theta), ref, rel_tol=self.RTOL, abs_tol=0.0)
+        assert objective(np.zeros(12)) == math.inf  # singular candidate: the line search must back off
 
 
 class TestRigid:
