@@ -22,7 +22,6 @@ from .phantom import PhantomCine, PhantomSpec, generate_cine, generate_frame
 from .propagation import (
     PropagationResult,
     Template,
-    WarpCandidate,
     field_norm,
     propagate_frame,
     propagate_series,

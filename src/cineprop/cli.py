@@ -12,8 +12,8 @@ Subcommands::
 Exit codes: 0 success, 2 usage error, 3 I/O or file-format error,
 4 algorithmic degeneracy (constant images, empty masks where forbidden).
 The ``CINEPROP_WORKERS`` environment variable sets the default worker count;
-the ``--workers`` flag overrides it.  A ``CINEPROP_WORKERS`` that is not an
-integer >= 1 is a usage error (exit code 2).
+the ``--workers`` flag overrides it.  A worker count from either that is not
+an integer >= 1 is a usage error (exit code 2), found before any input is read.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ EXIT_IO = 3
 EXIT_DEGENERATE = 4
 
 
-def _default_workers() -> int:
-    raw = os.environ.get("CINEPROP_WORKERS", "1")
-    invalid = InvalidParameterError(f"CINEPROP_WORKERS must be an integer >= 1, got {raw!r}")
+def _worker_count(raw, source: str) -> int:
+    """``raw`` as a worker count; ``source`` names the flag or variable it came from."""
+    invalid = InvalidParameterError(f"{source} must be an integer >= 1, got {raw!r}")
     try:
         workers = int(raw)
     except ValueError:
@@ -159,7 +159,10 @@ def _registration_params(args) -> RegistrationParams:
 
 
 def _cmd_propagate(args) -> int:
-    workers = args.workers if args.workers is not None else _default_workers()
+    if args.workers is not None:
+        workers = _worker_count(args.workers, "--workers")
+    else:
+        workers = _worker_count(os.environ.get("CINEPROP_WORKERS", "1"), "CINEPROP_WORKERS")
     manifest = io.read_manifest(args.manifest)
     series = io.load_series(manifest)
     params = _registration_params(args)

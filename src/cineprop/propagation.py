@@ -38,22 +38,6 @@ def field_norm(field: DisplacementField) -> float:
 
 
 @dataclass(frozen=True)
-class WarpCandidate:
-    """One template's registration toward a target frame."""
-
-    template: Template
-    field: DisplacementField
-    norm: float
-
-    def __post_init__(self):
-        recomputed = field_norm(self.field)
-        if abs(recomputed - self.norm) > 1e-9:
-            raise InvalidParameterError(
-                f"norm {self.norm} does not match the field (recomputed {recomputed})"
-            )
-
-
-@dataclass(frozen=True)
 class PropagationResult:
     frame_index: int
     pseudo_label: LabelMap
@@ -71,14 +55,13 @@ class PropagationResult:
             )
 
 
-def _register_template(series: CineSeries, template: Template, target: int, params) -> WarpCandidate:
+def _register_template(series: CineSeries, template_index: int, target: int, params) -> DisplacementField:
+    """Total field of the three-stage registration of one template frame to the target."""
     fixed = series.frames[target]
-    index = series.es_index if template is Template.ES else series.ed_index
-    moving = series.frames[index]
+    moving = series.frames[template_index]
     rigid = register_rigid(fixed, moving, params)
     affine = register_affine(fixed, moving, rigid, params)
-    field = register_deformable(fixed, moving, affine, params)
-    return WarpCandidate(template=template, field=field, norm=field_norm(field))
+    return register_deformable(fixed, moving, affine, params)
 
 
 def propagate_frame(series: CineSeries, target: int, params: RegistrationParams | None = None) -> PropagationResult:
@@ -93,17 +76,17 @@ def propagate_frame(series: CineSeries, target: int, params: RegistrationParams 
     if target in (series.es_index, series.ed_index):
         raise InvalidTargetError(f"frame {target} is a template frame and already has a manual label")
 
-    es = _register_template(series, Template.ES, target, params)
-    ed = _register_template(series, Template.ED, target, params)
-    chosen = es if es.norm <= ed.norm else ed
-    label = series.es_label if chosen.template is Template.ES else series.ed_label
-    pseudo = warp_label(label, chosen.field)
+    es_field = _register_template(series, series.es_index, target, params)
+    ed_field = _register_template(series, series.ed_index, target, params)
+    es_norm, ed_norm = field_norm(es_field), field_norm(ed_field)
+    chosen = Template.ES if es_norm <= ed_norm else Template.ED
+    label, field = (series.es_label, es_field) if chosen is Template.ES else (series.ed_label, ed_field)
     return PropagationResult(
         frame_index=target,
-        pseudo_label=pseudo,
-        chosen_template=chosen.template,
-        es_norm=es.norm,
-        ed_norm=ed.norm,
+        pseudo_label=warp_label(label, field),
+        chosen_template=chosen,
+        es_norm=es_norm,
+        ed_norm=ed_norm,
         provenance=params,
     )
 
@@ -113,7 +96,7 @@ def propagate_series(
 ) -> list[PropagationResult]:
     """Propagate to every non-template frame, in frame order.
 
-    Frames are independent; with ``workers > 1`` they run on a thread pool.
+    Frames are independent and run on a thread pool of ``workers`` threads.
     Per-frame failures are collected and raised together with their indices.
     """
     params = params or RegistrationParams()
@@ -123,20 +106,13 @@ def propagate_series(
 
     results: dict[int, PropagationResult] = {}
     failures: list[tuple[int, Exception]] = []
-    if workers == 1:
-        for t in targets:
-            try:
-                results[t] = propagate_frame(series, t, params)
-            except Exception as exc:  # noqa: BLE001 - aggregated and re-raised below
-                failures.append((t, exc))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {t: pool.submit(propagate_frame, series, t, params) for t in targets}
-        for t in targets:
-            try:
-                results[t] = futures[t].result()
-            except Exception as exc:  # noqa: BLE001
-                failures.append((t, exc))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = {t: pool.submit(propagate_frame, series, t, params) for t in targets}
+    for t in targets:
+        try:
+            results[t] = futures[t].result()
+        except Exception as exc:  # noqa: BLE001 - aggregated and re-raised below
+            failures.append((t, exc))
     if failures:
         raise SeriesPropagationError(failures)
     return [results[t] for t in targets]

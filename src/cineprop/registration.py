@@ -1,11 +1,16 @@
 """Three-stage intra-subject registration: rigid, affine, then deformable.
 
-All stages share one optimizer contract: multi-resolution coarse-to-fine,
-central finite-difference gradients over normalized parameters, step halving
-on non-improvement, and a stop on small relative improvement.  The deformable
-stage is an intensity-difference-driven displacement-field optimizer with
-Gaussian field regularization; its output folds the affine initialization
-into one total field.
+The rigid and affine stages run one linear driver over different
+parametrizations: coarse-to-fine over Gaussian pyramids, conjugate-gradient
+descent on central finite-difference gradients over unit-normalized
+parameters, step halving on non-improvement, and a stop on small relative
+improvement.  Its result never scores worse at full resolution than the
+stage's fallback (the identity for rigid, the initial transform for affine).
+The deformable stage is demons-style: on each pyramid level it moves a dense
+displacement field along the fixed-image gradient, scaled by the intensity
+difference, smooths the field with a Gaussian, and keeps the step only if
+the similarity improves.  Its output folds the affine initialization into one
+total field.
 
 Conventions:
 
@@ -27,6 +32,7 @@ from .errors import DegenerateInputError, InvalidParameterError
 from .volume import (
     LabelMap,
     ScalarVolume,
+    _trilinear,
     downsample2x,
     gaussian_smooth_array,
     nearest_sample_many,
@@ -181,7 +187,7 @@ def similarity(fixed: ScalarVolume, warped: ScalarVolume, kind: str) -> float:
 
 
 def _grid_axes(dims, spacing, stride: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Physical x, y, z coordinates of every ``stride``-th voxel center, as broadcastable axes."""
+    """x, y, z coordinates of every ``stride``-th voxel center at ``spacing``, as broadcastable axes."""
     axes = [np.arange(0, n, stride, dtype=np.float64) * s for n, s in zip(dims, spacing)]
     return tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
 
@@ -206,36 +212,30 @@ def affine_to_field(transform: AffineTransform, dims, spacing) -> DisplacementFi
     return DisplacementField(np.stack([p - g for p, g in zip(moved, grid)], axis=-1), tuple(spacing))
 
 
+def _warp_positions(u: np.ndarray, spacing) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat voxel-unit sample positions: every voxel of ``u``'s grid moved by its mm offset.
+
+    ``spacing`` is the sampled image's, which converts the offsets to voxels.
+    """
+    grid = _grid_axes(u.shape[:3], (1.0, 1.0, 1.0))
+    return tuple((g + u[..., c] / spacing[c]).ravel() for c, g in enumerate(grid))
+
+
 def warp_image(moving: ScalarVolume, field: DisplacementField) -> ScalarVolume:
     """Sample the moving image at each fixed-grid point offset by the field."""
-    dims = field.dims
-    ms = moving.spacing
-    idx = [np.arange(n, dtype=np.float64) for n in dims]
-    ii, jj, kk = np.meshgrid(*idx, indexing="ij")
-    u = field.vectors
-    vals = trilinear_sample_many(
-        moving,
-        (ii + u[..., 0] / ms[0]).ravel(),
-        (jj + u[..., 1] / ms[1]).ravel(),
-        (kk + u[..., 2] / ms[2]).ravel(),
-    )
-    return ScalarVolume(vals.reshape(dims).astype(np.float32), field.spacing)
+    vals = trilinear_sample_many(moving, *_warp_positions(field.vectors, moving.spacing))
+    return ScalarVolume(vals.reshape(field.dims).astype(np.float32), field.spacing)
 
 
 def warp_label(moving: LabelMap, field: DisplacementField) -> LabelMap:
     """As warp_image but with nearest-neighbor lookup, so class codes never blend."""
-    dims = field.dims
-    ms = moving.spacing
-    idx = [np.arange(n, dtype=np.float64) for n in dims]
-    ii, jj, kk = np.meshgrid(*idx, indexing="ij")
-    u = field.vectors
-    labels = nearest_sample_many(
-        moving,
-        (ii + u[..., 0] / ms[0]).ravel(),
-        (jj + u[..., 1] / ms[1]).ravel(),
-        (kk + u[..., 2] / ms[2]).ravel(),
-    )
-    return LabelMap(labels.reshape(dims), field.spacing)
+    labels = nearest_sample_many(moving, *_warp_positions(field.vectors, moving.spacing))
+    return LabelMap(labels.reshape(field.dims), field.spacing)
+
+
+def _warp_data(moving_data: np.ndarray, u: np.ndarray, spacing) -> np.ndarray:
+    """warp_image on raw float64 arrays, for the demons iterations."""
+    return _trilinear(moving_data, *_warp_positions(u, spacing)).reshape(u.shape[:3])
 
 
 def _check_pair(fixed: ScalarVolume, moving: ScalarVolume) -> None:
@@ -247,12 +247,15 @@ def _check_pair(fixed: ScalarVolume, moving: ScalarVolume) -> None:
         raise DegenerateInputError("moving image is constant; no gradient signal")
 
 
-def _build_pyramid(vol: ScalarVolume, levels: int) -> list[ScalarVolume]:
-    """Coarse-to-fine pyramid; extra levels stop once the grid is too small to halve."""
-    pyramid = [vol]
-    while len(pyramid) < levels and max(pyramid[-1].dims) >= 4:
-        pyramid.append(downsample2x(pyramid[-1]))
-    return pyramid[::-1]
+def _pyramid_levels(fixed: ScalarVolume, moving: ScalarVolume, params: RegistrationParams) -> list:
+    """Coarse-to-fine (fixed, moving, iterations) levels; a pyramid stops once its grid is too small to halve."""
+    pyramids = []
+    for vol in (fixed, moving):
+        pyramid = [vol]
+        while len(pyramid) < params.pyramid_levels and max(pyramid[-1].dims) >= 4:
+            pyramid.append(downsample2x(pyramid[-1]))
+        pyramids.append(pyramid[::-1])
+    return list(zip(*pyramids, params.iterations_per_level[-len(pyramids[0]) :]))
 
 
 def _descend(objective, theta0, units, iterations, step_size, tol):
@@ -382,95 +385,63 @@ def _full_res_objective(fixed: ScalarVolume, moving: ScalarVolume, kind: str):
     return lambda transform: score(_sample_affine(moving, transform, grid))
 
 
+def _register_linear(fixed, moving, params, theta, to_transform, level_units, fallback) -> AffineTransform:
+    """Coarse-to-fine descent of ``theta``, shared by the rigid and affine stages.
+
+    ``to_transform(theta)`` builds the candidate transform and
+    ``level_units(spacing)`` gives the parameter units of one pyramid level.
+    Returns ``fallback`` itself when the result scores worse at full resolution.
+    """
+    _check_pair(fixed, moving)
+    for f_l, m_l, n_iter in _pyramid_levels(fixed, moving, params):
+        obj = _level_objective(f_l, m_l, params.similarity, to_transform)
+        theta, _ = _descend(obj, theta, level_units(f_l.spacing), n_iter, params.step_size, params.convergence_tol)
+    result = to_transform(theta)
+    full = _full_res_objective(fixed, moving, params.similarity)
+    return fallback if full(result) > full(fallback) else result
+
+
 def register_rigid(fixed: ScalarVolume, moving: ScalarVolume, params: RegistrationParams) -> AffineTransform:
     """Recover a 6-DOF rigid transform (rotation about the fixed center + translation).
 
     The result never scores worse than the identity transform at full
     resolution; the rotation block is orthonormal by parametrization.
     """
-    _check_pair(fixed, moving)
     center = _center_mm(fixed)
-    pyr_f = _build_pyramid(fixed, params.pyramid_levels)
-    pyr_m = _build_pyramid(moving, params.pyramid_levels)
-    iters = params.iterations_per_level[-len(pyr_f) :]
-    theta = np.zeros(6)
     deg = math.pi / 180.0
-    for f_l, m_l, n_iter in zip(pyr_f, pyr_m, iters):
-        units = np.array([deg, deg, deg, *f_l.spacing])
-        obj = _level_objective(f_l, m_l, params.similarity, lambda th: _pose_to_transform(th, center))
-        theta, _ = _descend(obj, theta, units, n_iter, params.step_size, params.convergence_tol)
-    result = _pose_to_transform(theta, center)
-    identity = AffineTransform.identity()
-    full = _full_res_objective(fixed, moving, params.similarity)
-    return identity if full(result) > full(identity) else result
+    return _register_linear(
+        fixed,
+        moving,
+        params,
+        np.zeros(6),
+        lambda th: _pose_to_transform(th, center),
+        lambda spacing: np.array([deg, deg, deg, *spacing]),
+        AffineTransform.identity(),
+    )
 
 
 def register_affine(
     fixed: ScalarVolume, moving: ScalarVolume, init: AffineTransform, params: RegistrationParams
 ) -> AffineTransform:
     """12-DOF refinement of an initial transform; never scores worse than it."""
-    _check_pair(fixed, moving)
     center = _center_mm(fixed)
-    pyr_f = _build_pyramid(fixed, params.pyramid_levels)
-    pyr_m = _build_pyramid(moving, params.pyramid_levels)
-    iters = params.iterations_per_level[-len(pyr_f) :]
-    theta = _transform_to_affine_params(init, center)
-    half_diag = float(np.linalg.norm(_center_mm(fixed))) or 1.0
-    for f_l, m_l, n_iter in zip(pyr_f, pyr_m, iters):
+    half_diag = float(np.linalg.norm(center)) or 1.0
+    return _register_linear(
+        fixed,
+        moving,
+        params,
+        _transform_to_affine_params(init, center),
+        lambda th: _affine_params_to_transform(th, center),
         # a unit step of a matrix entry displaces the half-radius shell by ~1 voxel
-        matrix_unit = min(f_l.spacing) / half_diag
-        units = np.array([matrix_unit] * 9 + list(f_l.spacing))
-        obj = _level_objective(f_l, m_l, params.similarity, lambda th: _affine_params_to_transform(th, center))
-        theta, _ = _descend(obj, theta, units, n_iter, params.step_size, params.convergence_tol)
-    result = _affine_params_to_transform(theta, center)
-    full = _full_res_objective(fixed, moving, params.similarity)
-    return init if full(result) > full(init) else result
-
-
-def _sample_field_component(comp: np.ndarray, xs, ys, zs) -> np.ndarray:
-    """Trilinear interpolation of one raw field component with clamping."""
-    nx, ny, nz = comp.shape
-    xs = np.clip(xs, 0.0, nx - 1.0)
-    ys = np.clip(ys, 0.0, ny - 1.0)
-    zs = np.clip(zs, 0.0, nz - 1.0)
-    x0 = np.minimum(np.floor(xs), nx - 2 if nx > 1 else 0).astype(np.intp)
-    y0 = np.minimum(np.floor(ys), ny - 2 if ny > 1 else 0).astype(np.intp)
-    z0 = np.minimum(np.floor(zs), nz - 2 if nz > 1 else 0).astype(np.intp)
-    x1 = np.minimum(x0 + 1, nx - 1)
-    y1 = np.minimum(y0 + 1, ny - 1)
-    z1 = np.minimum(z0 + 1, nz - 1)
-    fx, fy, fz = xs - x0, ys - y0, zs - z0
-    c000 = comp[x0, y0, z0].astype(np.float64)
-    c00 = c000 + fx * (comp[x1, y0, z0] - c000)
-    c10_base = comp[x0, y1, z0].astype(np.float64)
-    c10 = c10_base + fx * (comp[x1, y1, z0] - c10_base)
-    c01_base = comp[x0, y0, z1].astype(np.float64)
-    c01 = c01_base + fx * (comp[x1, y0, z1] - c01_base)
-    c11_base = comp[x0, y1, z1].astype(np.float64)
-    c11 = c11_base + fx * (comp[x1, y1, z1] - c11_base)
-    c0 = c00 + fy * (c10 - c00)
-    c1 = c01 + fy * (c11 - c01)
-    return c0 + fz * (c1 - c0)
+        lambda spacing: np.array([min(spacing) / half_diag] * 9 + list(spacing)),
+        init,
+    )
 
 
 def _upsample_field(u: np.ndarray, new_dims) -> np.ndarray:
     """Resample a (nx,ny,nz,3) mm-valued field onto a finer grid (fine = coarse*2)."""
-    idx = [np.arange(n, dtype=np.float64) / 2.0 for n in new_dims]
-    ii, jj, kk = np.meshgrid(*idx, indexing="ij")
-    out = np.empty((*new_dims, 3), dtype=np.float64)
-    for c in range(3):
-        out[..., c] = _sample_field_component(u[..., c], ii, jj, kk).reshape(new_dims)
-    return out
-
-
-def _warp_data(moving_data: np.ndarray, u: np.ndarray, spacing) -> np.ndarray:
-    dims = moving_data.shape
-    idx = [np.arange(n, dtype=np.float64) for n in dims]
-    ii, jj, kk = np.meshgrid(*idx, indexing="ij")
-    xs = (ii + u[..., 0] / spacing[0]).ravel()
-    ys = (jj + u[..., 1] / spacing[1]).ravel()
-    zs = (kk + u[..., 2] / spacing[2]).ravel()
-    return _sample_field_component(moving_data.astype(np.float64), xs, ys, zs).reshape(dims)
+    grid = _grid_axes(new_dims, (0.5, 0.5, 0.5))
+    return np.stack([_trilinear(u[..., c], *grid) for c in range(3)], axis=-1)
 
 
 def _demons_level(
@@ -486,17 +457,14 @@ def _demons_level(
     g2 = grads[0] ** 2 + grads[1] ** 2 + grads[2] ** 2
     mean_sq_spacing = float(np.mean(np.square(spacing)))
 
-    dissimilarity = _dissimilarity_to(fdata, params.similarity)
-
-    def score(candidate: np.ndarray) -> float:
-        return dissimilarity(_warp_data(mdata, candidate, spacing))
-
+    score = _dissimilarity_to(fdata, params.similarity)
     grad_stack = np.stack(grads, axis=-1)
-    f_cur = score(u)
+    # the warp of the accepted field is carried into the next iteration, so no field is warped twice
+    warped = _warp_data(mdata, u, spacing)
+    f_cur = score(warped)
     lam = 1.0
     window = [f_cur]
     for _ in range(n_iter):
-        warped = _warp_data(mdata, u, spacing)
         diff = warped - fdata
         denom = g2 + diff * diff / mean_sq_spacing
         scale = np.where(denom > 1e-12, -diff / np.maximum(denom, 1e-12), 0.0)
@@ -506,13 +474,14 @@ def _demons_level(
             if params.demons_sigma_vox > 0:
                 for c in range(3):
                     candidate[..., c] = gaussian_smooth_array(candidate[..., c], params.demons_sigma_vox)
-            f_cand = score(candidate)
+            warped_cand = _warp_data(mdata, candidate, spacing)
+            f_cand = score(warped_cand)
             if f_cand < f_cur:
-                u = candidate
-                f_cur = f_cand
+                u, warped, f_cur = candidate, warped_cand, f_cand
                 lam = min(lam * 1.5, 1.0)
                 accepted = True
                 break
+            del warped_cand  # free a rejected warp before the next candidate: it would raise peak memory
             lam *= 0.5
         if not accepted:
             break
@@ -537,11 +506,8 @@ def register_deformable(
     """
     _check_pair(fixed, moving)
     moving_affine = resample_affine(moving, init, fixed)
-    pyr_f = _build_pyramid(fixed, params.pyramid_levels)
-    pyr_m = _build_pyramid(moving_affine, params.pyramid_levels)
-    iters = params.iterations_per_level[-len(pyr_f) :]
     u: np.ndarray | None = None
-    for f_l, m_l, n_iter in zip(pyr_f, pyr_m, iters):
+    for f_l, m_l, n_iter in _pyramid_levels(fixed, moving_affine, params):
         u = np.zeros((*f_l.dims, 3)) if u is None else _upsample_field(u, f_l.dims)
         u = _demons_level(f_l, m_l, u, n_iter, params)
 

@@ -162,10 +162,14 @@ def _check_points(xs, ys, zs):
     return xs, ys, zs
 
 
-def trilinear_sample_many(vol: ScalarVolume, xs, ys, zs) -> np.ndarray:
-    """Trilinear interpolation at arrays of positions (voxel units, clamped)."""
-    xs, ys, zs = _check_points(xs, ys, zs)
-    nx, ny, nz = vol.dims
+def _trilinear(data: np.ndarray, xs, ys, zs) -> np.ndarray:
+    """Trilinear interpolation of a raw 3D array at float64 positions (voxel units, clamped).
+
+    The one lerp kernel behind volume and field sampling.  Only ``c000`` is
+    cast to float64, so on float32 data the other corner differences are taken
+    in float32; byte-identical outputs depend on that rounding.
+    """
+    nx, ny, nz = data.shape
     xs = np.clip(xs, 0.0, nx - 1.0)
     ys = np.clip(ys, 0.0, ny - 1.0)
     zs = np.clip(zs, 0.0, nz - 1.0)
@@ -178,16 +182,16 @@ def trilinear_sample_many(vol: ScalarVolume, xs, ys, zs) -> np.ndarray:
     fx = xs - x0
     fy = ys - y0
     fz = zs - z0
+    del xs, ys, zs  # callers still hold the unclipped positions: free the clipped copies before the lerps
 
-    d = vol.data
-    c000 = d[x0, y0, z0].astype(np.float64)
-    c100 = d[x1, y0, z0]
-    c010 = d[x0, y1, z0]
-    c110 = d[x1, y1, z0]
-    c001 = d[x0, y0, z1]
-    c101 = d[x1, y0, z1]
-    c011 = d[x0, y1, z1]
-    c111 = d[x1, y1, z1]
+    c000 = data[x0, y0, z0].astype(np.float64)
+    c100 = data[x1, y0, z0]
+    c010 = data[x0, y1, z0]
+    c110 = data[x1, y1, z0]
+    c001 = data[x0, y0, z1]
+    c101 = data[x1, y0, z1]
+    c011 = data[x0, y1, z1]
+    c111 = data[x1, y1, z1]
 
     # nested lerps: exact on lattice points and on constant volumes
     c00 = c000 + fx * (c100 - c000)
@@ -197,6 +201,11 @@ def trilinear_sample_many(vol: ScalarVolume, xs, ys, zs) -> np.ndarray:
     c0 = c00 + fy * (c10 - c00)
     c1 = c01 + fy * (c11 - c01)
     return c0 + fz * (c1 - c0)
+
+
+def trilinear_sample_many(vol: ScalarVolume, xs, ys, zs) -> np.ndarray:
+    """Trilinear interpolation at arrays of positions (voxel units, clamped)."""
+    return _trilinear(vol.data, *_check_points(xs, ys, zs))
 
 
 def trilinear_sample(vol: ScalarVolume, p: GridPoint) -> float:
@@ -245,8 +254,12 @@ def _convolve1d_replicate(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.
     return out
 
 
-def gaussian_smooth_array(arr: np.ndarray, sigma_vox: float) -> np.ndarray:
-    """Separable Gaussian smoothing of a raw 3D array (float64 result)."""
+def _separable_smooth(arr: np.ndarray, sigma_vox: float) -> np.ndarray:
+    """Gaussian convolution along every axis longer than 1 (float64 result).
+
+    The one smoothing loop and sigma check behind gaussian_smooth,
+    gaussian_smooth_array and downsample2x; sigma 0 returns a float64 copy.
+    """
     if sigma_vox < 0:
         raise InvalidParameterError(f"sigma_vox must be >= 0, got {sigma_vox}")
     if sigma_vox == 0:
@@ -259,16 +272,19 @@ def gaussian_smooth_array(arr: np.ndarray, sigma_vox: float) -> np.ndarray:
     return out
 
 
+def gaussian_smooth_array(arr: np.ndarray, sigma_vox: float) -> np.ndarray:
+    """Separable Gaussian smoothing of a raw 3D array (float64 result)."""
+    return _separable_smooth(arr, sigma_vox)
+
+
 def gaussian_smooth(vol: ScalarVolume, sigma_vox: float) -> ScalarVolume:
     """Separable Gaussian convolution with edge replication.
 
     Kernel radius is ceil(3*sigma_vox); sigma 0 returns the input unchanged.
     """
-    if sigma_vox < 0:
-        raise InvalidParameterError(f"sigma_vox must be >= 0, got {sigma_vox}")
     if sigma_vox == 0:
         return vol
-    return ScalarVolume(gaussian_smooth_array(vol.data, sigma_vox), vol.spacing)
+    return ScalarVolume(_separable_smooth(vol.data, sigma_vox), vol.spacing)
 
 
 def downsample2x(vol: ScalarVolume) -> ScalarVolume:
@@ -280,11 +296,8 @@ def downsample2x(vol: ScalarVolume) -> ScalarVolume:
     dims = vol.dims
     if all(n < 2 for n in dims):
         raise InvalidParameterError(f"nothing to decimate: dims {dims}")
-    kernel = gaussian_kernel(1.0)
-    out = np.asarray(vol.data, dtype=np.float64)
-    for axis in range(3):
-        if dims[axis] >= 2:
-            out = _convolve1d_replicate(out, kernel, axis)
+    # not gaussian_smooth_array: wrappers of that public name (perfbench/tracing.py) count it as field smoothing
+    out = _separable_smooth(vol.data, 1.0)
     slices = tuple(slice(None, None, 2) if n >= 2 else slice(None) for n in dims)
     spacing = tuple(s * 2 if n >= 2 else s for s, n in zip(vol.spacing, dims))
     return ScalarVolume(out[slices], spacing)

@@ -86,14 +86,22 @@ class TestPropagateCommand:
         assert code == EXIT_OK
         assert len(list(out.glob("pseudo_label_*.mvol"))) == 2
 
-    @pytest.mark.parametrize("raw", ["abc", "0", "-2"])
-    def test_invalid_env_var_workers_is_usage_error(self, tmp_path, monkeypatch, capsys, raw):
+    @pytest.mark.parametrize(
+        "raw, flag",
+        [("abc", None), ("0", None), ("-2", None), ("1", "0"), ("1", "-2")],
+        ids=["abc", "0", "-2", "flag-0", "flag--2"],
+    )
+    def test_invalid_env_var_workers_is_usage_error(self, tmp_path, monkeypatch, capsys, raw, flag):
         mpath, _ = _write_cine_dir(tmp_path / "cine")
         monkeypatch.setenv("CINEPROP_WORKERS", raw)
         out = tmp_path / "prop_bad_env"
-        code = run(["propagate", "--manifest", str(mpath), "--out", str(out)])
+        argv = ["propagate", "--manifest", str(mpath), "--out", str(out)]
+        if flag is not None:
+            # a missing manifest: the flag must be rejected before the manifest is read
+            argv = ["propagate", "--manifest", str(tmp_path / "nope.txt"), "--out", str(out), "--workers", flag]
+        code = run(argv)
         assert code == EXIT_USAGE
-        assert "CINEPROP_WORKERS" in capsys.readouterr().err
+        assert ("CINEPROP_WORKERS" if flag is None else "--workers") in capsys.readouterr().err
         assert not out.exists()
 
     def test_outputs_independent_of_blas_threads(self, tmp_path):

@@ -9,7 +9,6 @@ from cineprop.phantom import PhantomSpec, generate_cine, generate_frame
 from cineprop.propagation import (
     PropagationResult,
     Template,
-    WarpCandidate,
     field_norm,
     propagate_frame,
     propagate_series,
@@ -66,12 +65,6 @@ class TestFieldNorm:
 
 
 class TestCandidateInvariants:
-    def test_warp_candidate_checks_norm(self):
-        field = DisplacementField(np.zeros((2, 2, 2, 3)), (1, 1, 1))
-        WarpCandidate(Template.ES, field, 0.0)
-        with pytest.raises(InvalidParameterError):
-            WarpCandidate(Template.ES, field, 1.0)
-
     def test_result_checks_selection(self):
         lab = LabelMap(np.zeros((2, 2, 2), dtype=np.uint8))
         params = RegistrationParams()

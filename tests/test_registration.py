@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cineprop import registration
 from cineprop.errors import DegenerateInputError, InvalidParameterError
 from cineprop.phantom import PhantomSpec, generate_cine, generate_frame
 from cineprop.registration import (
@@ -17,6 +18,7 @@ from cineprop.registration import (
     _descend,
     _dissimilarity_to,
     _level_objective,
+    _upsample_field,
     affine_to_field,
     register_affine,
     register_deformable,
@@ -356,6 +358,34 @@ class TestDeformable:
         assert f_affine <= f_rigid
         assert f_deform <= f_affine
 
+    def test_no_field_warped_twice(self, monkeypatch):
+        # the demons loop carries the warp of each accepted field into its next iteration
+        spec = PhantomSpec(
+            dims=(20, 20, 20),
+            lv_radius_es=5.0,
+            lv_radius_ed=4.2,
+            myo_thickness=2.0,
+            rv_offset=(-6.0, 0.0, 0.0),
+            rv_radius=3.0,
+            frames=3,
+            es_index=0,
+            ed_index=2,
+        )
+        cine = generate_cine(spec)
+        fixed, moving = cine.series.frames[2], cine.series.frames[0]
+        warped = []
+        warp_data = registration._warp_data
+
+        def recording(moving_data, u, spacing):
+            warped.append((u.shape, u.tobytes()))
+            return warp_data(moving_data, u, spacing)
+
+        monkeypatch.setattr(registration, "_warp_data", recording)
+        params = RegistrationParams(pyramid_levels=2, iterations_per_level=(10, 10))
+        register_deformable(fixed, moving, AffineTransform.identity(), params)
+        assert len(warped) > 2
+        assert len(set(warped)) == len(warped)
+
     def test_contraction_boundary_accuracy(self):
         # LV radius 12 -> 10 contraction: the propagated contour must stay
         # within 1 voxel of the analytic boundary for at least 95% of points
@@ -402,3 +432,23 @@ class TestAffineToField:
         field = affine_to_field(tf, (3, 3, 3), (1.0, 1.0, 1.0))
         assert np.all(field.vectors[..., 0] == 1.5)
         assert np.all(field.vectors[..., 2] == -2.0)
+
+
+class TestUpsampleField:
+    @pytest.mark.parametrize("fine_dims", [(10, 8, 6), (9, 7, 5)])
+    def test_linear_field_reproduced_and_clamped(self, fine_dims):
+        coarse_dims = (5, 4, 3)
+        rng = np.random.default_rng(4)
+        offset, slope = rng.normal(size=3), rng.normal(size=(3, 3))
+
+        def linear(positions):
+            grid = np.meshgrid(*positions, indexing="ij")
+            return offset + sum(slope[:, a] * grid[a][..., None] for a in range(3))
+
+        u = linear([np.arange(n, dtype=np.float64) for n in coarse_dims])
+        out = _upsample_field(u, fine_dims)
+        # fine index i sits at coarse position i/2; positions past the last coarse voxel clamp to it
+        coarse_pos = [np.minimum(np.arange(n) / 2.0, c - 1.0) for n, c in zip(fine_dims, coarse_dims)]
+        assert out.shape == (*fine_dims, 3)
+        np.testing.assert_allclose(out, linear(coarse_pos), rtol=0, atol=1e-12)
+        assert np.array_equal(out[-1, -1, -1], u[-1, -1, -1])
