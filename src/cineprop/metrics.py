@@ -5,6 +5,26 @@ measured in physical millimeters.  Distances are computed in spacing units
 normalized by the smallest spacing component and scaled back at the end, so
 scaling all spacing components by a common factor scales the result by exactly
 that factor.
+
+Each directed distance comes from a separable squared Euclidean distance
+transform (Saito & Toriwaki 1994; Felzenszwalb & Huttenlocher 2012) of the
+other mask, read at the query voxels; it equals the pairwise brute force
+``((p - g) ** 2).sum(axis=-1)`` bit for bit at any spacing:
+
+* the per-axis term is ``(c[i] - c[j]) ** 2`` with ``c = arange(lo, hi) *
+  ratio[k]`` over absolute voxel indices, the same floats the brute force
+  subtracts;
+* the min-plus passes run in axis order 0, 1, 2, so every candidate is summed
+  as ``(d0² + d1²) + d2²``, the grouping of numpy's sum over the last axis;
+* rounded addition is monotone, so ``min(a) + b == min(a + b)`` and taking
+  the minimum after each pass loses nothing.
+
+The first pass takes the nearest site before and after each voxel of a line
+(linear time); the second runs only on the site-holding lines and the
+query-holding columns, the third only at the query voxels.  All passes work on
+the bounding box of P∪G.  Apart from the first pass's result (one float per
+voxel of the box) and its table of squared gaps, each temporary holds at most
+``_BLOCK`` floats or one cross-section of the box.
 """
 
 from __future__ import annotations
@@ -16,7 +36,7 @@ import numpy as np
 from .errors import EmptyMaskError, InvalidParameterError
 from .volume import CLASS_NAMES, FOREGROUND_CLASSES, LabelMap
 
-_CHUNK = 4096  # pred points per block when forming pairwise distance tiles
+_BLOCK = 1 << 18  # float64 elements in one min-plus temporary (2 MiB)
 
 
 def _check_grids(pred: LabelMap, gt: LabelMap) -> None:
@@ -40,28 +60,79 @@ def dice(pred: LabelMap, gt: LabelMap, label: int) -> float:
     return 2.0 * int(np.logical_and(p, g).sum()) / (np_ + ng)
 
 
-def _directed_sq_max(points_a: np.ndarray, points_b: np.ndarray) -> float:
-    """max over a of min over b of squared distance, chunked to bound memory."""
+def _nearest_along_first(sites: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Squared gap from each voxel to the nearest site on its line along axis 0.
+
+    ``c`` holds the scaled position of every index along that axis; a line
+    without sites gives ``inf``.  The nearest site is the last one at or before
+    the voxel or the first one at or after it, because ``c`` is sorted and
+    rounding keeps ``(c[i] - c[j])**2`` monotone in ``|i - j|``.
+    """
+    n = len(sites)
+    idx = np.arange(n)[:, None]
+    gaps = np.full((n, n + 1), np.inf)  # column n, also reached as -1, means "no site"
+    gaps[:, :n] = (c[:, None] - c[None, :]) ** 2
+    lines = sites.reshape(n, -1)
+    out = np.empty(lines.shape)
+    step = max(1, _BLOCK // n)
+    for s in range(0, lines.shape[1], step):
+        block = lines[:, s : s + step]
+        before = np.maximum.accumulate(np.where(block, idx, -1), axis=0)
+        after = np.minimum.accumulate(np.where(block, idx, n)[::-1], axis=0)[::-1]
+        np.minimum(gaps[idx, before], gaps[idx, after], out=out[:, s : s + step])
+    return out.reshape(sites.shape)
+
+
+def _farthest_sq(queries: np.ndarray, sites: np.ndarray, coords: list[np.ndarray]) -> float:
+    """Max over the ``queries`` voxels of the squared distance to the nearest ``sites`` voxel.
+
+    ``coords[k]`` holds the scaled absolute position of every index along axis k.
+    """
+    c0, c1, c2 = coords
+    cols = np.flatnonzero(sites.any(axis=(0, 2)))
+    slices = np.flatnonzero(sites.any(axis=(0, 1)))
+    near = _nearest_along_first(sites[:, cols][:, :, slices], c0)  # d0²
+
+    # axis 1, only at the (i0, i1) columns that hold a query: d0² + d1²
+    row0, row1 = np.nonzero(queries.any(axis=2))
+    through = np.empty((len(row0), len(slices)))
+    step = max(1, _BLOCK // near[0].size)
+    for s in range(0, len(row0), step):
+        block = near[row0[s : s + step]]
+        block += ((c1[row1[s : s + step]][:, None] - c1[cols][None, :]) ** 2)[:, :, None]
+        through[s : s + step] = block.min(axis=1)
+
+    # axis 2, at each query voxel: (d0² + d1²) + d2²
+    column = np.zeros(queries.shape[:2], dtype=np.intp)
+    column[row0, row1] = np.arange(len(row0))
+    flat = np.flatnonzero(queries)
     worst = 0.0
-    for start in range(0, len(points_a), _CHUNK):
-        block = points_a[start : start + _CHUNK]
-        d2 = ((block[:, None, :] - points_b[None, :, :]) ** 2).sum(axis=2)
-        worst = max(worst, float(d2.min(axis=1).max()))
+    step = max(1, _BLOCK // len(slices))
+    for s in range(0, len(flat), step):
+        q0, q1, q2 = np.unravel_index(flat[s : s + step], queries.shape)
+        block = through[column[q0, q1]]
+        block += (c2[q2][:, None] - c2[slices][None, :]) ** 2
+        worst = max(worst, float(block.min(axis=1).max()))
     return worst
 
 
 def hausdorff(pred: LabelMap, gt: LabelMap, label: int) -> float:
     """Symmetric Hausdorff distance between class-voxel centers, in mm."""
     _check_grids(pred, gt)
-    p_idx = np.argwhere(pred.data == label)
-    g_idx = np.argwhere(gt.data == label)
-    if len(p_idx) == 0 or len(g_idx) == 0:
-        raise EmptyMaskError(f"class {label} empty in {'pred' if len(p_idx) == 0 else 'gt'}")
+    p = pred.data == label
+    g = gt.data == label
+    if not p.any() or not g.any():
+        raise EmptyMaskError(f"class {label} empty in {'pred' if not p.any() else 'gt'}")
+    both = p | g
+    box = []
+    for axis in range(3):
+        hit = np.flatnonzero(both.any(axis=tuple(a for a in range(3) if a != axis)))
+        box.append(slice(hit[0], hit[-1] + 1))
+    p, g = p[tuple(box)], g[tuple(box)]
     base = min(pred.spacing)
     ratio = np.asarray(pred.spacing, dtype=np.float64) / base
-    p_pts = p_idx.astype(np.float64) * ratio
-    g_pts = g_idx.astype(np.float64) * ratio
-    worst_sq = max(_directed_sq_max(p_pts, g_pts), _directed_sq_max(g_pts, p_pts))
+    coords = [np.arange(b.start, b.stop, dtype=np.float64) * r for b, r in zip(box, ratio)]
+    worst_sq = max(_farthest_sq(p, g, coords), _farthest_sq(g, p, coords))
     return base * float(np.sqrt(worst_sq))
 
 

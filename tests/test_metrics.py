@@ -1,5 +1,8 @@
 """Dice and Hausdorff against brute-force oracles and closed forms."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -117,6 +120,97 @@ class TestHausdorff:
         a2, b2 = LabelMap(a_data, scaled), LabelMap(b_data, scaled)
         assert hausdorff(a2, b2, 1) == scale * hausdorff(a1, b1, 1)
         assert dice(a2, b2, 1) == dice(a1, b1, 1)
+
+
+class TestHausdorffExactness:
+    """Exact agreement with the brute-force oracle beyond dyadic spacings."""
+
+    @pytest.mark.parametrize("kind", ["float-spacing", "clinical-spacing", "thin-grid"])
+    def test_matches_brute_force_exactly(self, kind):
+        rng = np.random.default_rng({"float-spacing": 20, "clinical-spacing": 21, "thin-grid": 22}[kind])
+        checked = 0
+        while checked < 600:
+            dims = [int(rng.integers(1, 11)) for _ in range(3)]
+            spacing = (1.25, 1.25, 8.0)
+            if kind == "float-spacing":
+                spacing = tuple(float(s) for s in rng.uniform(0.2, 10.0, size=3))
+            elif kind == "thin-grid":
+                for axis in rng.choice(3, size=int(rng.integers(1, 3)), replace=False):
+                    dims[axis] = 1
+                spacing = tuple(float(s) for s in rng.uniform(0.2, 10.0, size=3))
+            a = LabelMap(rng.integers(0, 4, size=dims).astype(np.uint8), spacing)
+            b = LabelMap(rng.integers(0, 4, size=dims).astype(np.uint8), spacing)
+            for label in (1, 2, 3):
+                if (a.data == label).any() and (b.data == label).any():
+                    assert hausdorff(a, b, label) == hausdorff_oracle(a, b, label)
+                    checked += 1
+
+    def test_sum_grouping_follows_oracle(self):
+        # one pair of voxels, where (d0² + d1²) + d2² and d0² + (d1² + d2²)
+        # round to different distances: the oracle's grouping must win
+        spacing = (1.0, 1.3, 2.9)
+        a = np.zeros((2, 2, 2), dtype=bool)
+        b = np.zeros((2, 2, 2), dtype=bool)
+        a[0, 0, 0] = True
+        b[1, 1, 1] = True
+        pred, gt = _mask_map(a, spacing=spacing), _mask_map(b, spacing=spacing)
+        d0, d1, d2 = 1.0, 1.3**2, 2.9**2
+        assert math.sqrt((d0 + d1) + d2) != math.sqrt(d0 + (d1 + d2))
+        assert hausdorff(pred, gt, 1) == hausdorff_oracle(pred, gt, 1) == math.sqrt((d0 + d1) + d2)
+
+    @pytest.mark.parametrize("seed", [30, 31, 32])
+    def test_far_islands_spanning_grid(self, seed):
+        # false positives in two opposite corners stretch the bounding box of
+        # P∪G over the whole grid while the masks stay small
+        rng = np.random.default_rng(seed)
+        dims, spacing = (40, 48, 6), (1.25, 1.25, 8.0)
+        gt = np.zeros(dims, dtype=bool)
+        gt[14:24, 18:30, 2:5] = rng.random((10, 12, 3)) < 0.7
+        pred = np.roll(gt, 1, axis=0) | (rng.random(dims) < 0.002)
+        pred[0, 0, 0] = pred[-1, -1, -1] = True
+        p, g = _mask_map(pred, label=2, spacing=spacing), _mask_map(gt, label=2, spacing=spacing)
+        assert hausdorff(p, g, 2) == hausdorff_oracle(p, g, 2)
+        assert hausdorff(g, p, 2) == hausdorff_oracle(g, p, 2)
+
+
+class TestHausdorffClinicalGrid:
+    """256×256×12 masks at 1.25×1.25×8 mm: closed forms in bounded memory."""
+
+    SPACING = (1.25, 1.25, 8.0)
+    PEAK_LIMIT = 64 * 2**20  # bytes; the pairwise brute force peaked near 900 MiB on this grid
+
+    @classmethod
+    def _myocardium(cls, shift: int) -> LabelMap:
+        x, y = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+        r = np.hypot(x - 120 - shift, y - 130)
+        data = np.zeros((256, 256, 12), dtype=np.uint8)
+        data[:, :, 2:10] = ((r >= 20) & (r < 26))[:, :, None] * MYO
+        return LabelMap(data, cls.SPACING)
+
+    def _traced(self, pred: LabelMap, gt: LabelMap, label: int) -> float:
+        tracemalloc.start()
+        try:
+            hd = hausdorff(pred, gt, label)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK_LIMIT
+        return hd
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_shifted_myocardium(self, k):
+        # every voxel is k voxels from its own preimage, and the outermost one
+        # along the shift is at least k from all of them
+        assert self._traced(self._myocardium(k), self._myocardium(0), MYO) == k * 1.25
+
+    def test_opposite_corners(self):
+        a = np.zeros((256, 256, 12), dtype=bool)
+        b = np.zeros((256, 256, 12), dtype=bool)
+        a[0, 0, 0] = True
+        b[255, 255, 11] = True
+        pred, gt = _mask_map(a, spacing=self.SPACING), _mask_map(b, spacing=self.SPACING)
+        expected = 1.25 * math.sqrt((255.0**2 + 255.0**2) + (11 * (8.0 / 1.25)) ** 2)
+        assert self._traced(pred, gt, 1) == expected
 
 
 class TestEvaluateCase:
