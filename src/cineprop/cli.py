@@ -13,7 +13,9 @@ Exit codes: 0 success, 2 usage error, 3 I/O or file-format error,
 4 algorithmic degeneracy (constant images, empty masks where forbidden).
 The ``CINEPROP_WORKERS`` environment variable sets the default worker count;
 the ``--workers`` flag overrides it.  A worker count from either that is not
-an integer >= 1 is a usage error (exit code 2), found before any input is read.
+an integer >= 1, and a registration flag out of its range (non-finite
+``--step`` or ``--sigma``, a malformed ``--iters``), are usage errors (exit
+code 2), found before any input is read.
 """
 
 from __future__ import annotations
@@ -148,7 +150,10 @@ def _cmd_phantom(args) -> int:
 
 
 def _registration_params(args) -> RegistrationParams:
-    iters = tuple(int(x) for x in str(args.iters).split(",") if x.strip())
+    try:
+        iters = tuple(int(x) for x in str(args.iters).split(",") if x.strip())
+    except ValueError:
+        raise InvalidParameterError(f"--iters must be a comma list of integers, got {args.iters!r}") from None
     return RegistrationParams(
         pyramid_levels=args.pyramid_levels,
         iterations_per_level=iters,
@@ -163,9 +168,9 @@ def _cmd_propagate(args) -> int:
         workers = _worker_count(args.workers, "--workers")
     else:
         workers = _worker_count(os.environ.get("CINEPROP_WORKERS", "1"), "CINEPROP_WORKERS")
+    params = _registration_params(args)
     manifest = io.read_manifest(args.manifest)
     series = io.load_series(manifest)
-    params = _registration_params(args)
     results = propagate_series(series, params, workers=workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -2,10 +2,14 @@
 
 The rigid and affine stages run one linear driver over different
 parametrizations: coarse-to-fine over Gaussian pyramids, conjugate-gradient
-descent on central finite-difference gradients over unit-normalized
-parameters, step halving on non-improvement, and a stop on small relative
-improvement.  Its result never scores worse at full resolution than the
-stage's fallback (the identity for rigid, the initial transform for affine).
+descent over unit-normalized parameters, step halving on non-improvement,
+and a stop on small relative improvement.  Gradients are analytic: the
+similarity's derivative with respect to each warped sample, times the
+moving image's central-difference gradient sampled at the warped point,
+times the derivative of that point with respect to the parameters
+(dS/dw . grad M(T(x)) . dT/dtheta, as in elastix).  The result never scores
+worse at full resolution than the stage's fallback (the identity for rigid,
+the initial transform for affine).
 The deformable stage is demons-style: on each pyramid level it moves a dense
 displacement field along the fixed-image gradient, scaled by the intensity
 difference, smooths the field with a Gaussian, and keeps the step only if
@@ -42,7 +46,6 @@ from .volume import (
 SIMILARITY_KINDS = ("mse", "ncc")
 
 _MIN_STEP_FRACTION = 1e-3  # line search gives up below this fraction of step_size
-_FD_FRACTION = 0.1  # finite-difference probe: one tenth of a parameter unit
 _CONVERGENCE_WINDOW = 5  # iterations over which relative improvement is measured
 _MAX_OBJECTIVE_SAMPLES = 48_000  # rigid/affine objectives subsample above this
 
@@ -123,12 +126,13 @@ class RegistrationParams:
             raise InvalidParameterError("iteration counts must be >= 1")
         if self.similarity not in SIMILARITY_KINDS:
             raise InvalidParameterError(f"similarity must be one of {SIMILARITY_KINDS}")
-        if self.step_size <= 0:
-            raise InvalidParameterError("step_size must be > 0")
-        if self.demons_sigma_vox < 0:
-            raise InvalidParameterError("demons_sigma_vox must be >= 0")
-        if self.convergence_tol <= 0:
-            raise InvalidParameterError("convergence_tol must be > 0")
+        # written so that NaN fails too: every comparison with NaN is false
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise InvalidParameterError(f"step_size must be finite and > 0, got {self.step_size}")
+        if not (math.isfinite(self.demons_sigma_vox) and self.demons_sigma_vox >= 0):
+            raise InvalidParameterError(f"demons_sigma_vox must be finite and >= 0, got {self.demons_sigma_vox}")
+        if not (math.isfinite(self.convergence_tol) and self.convergence_tol > 0):
+            raise InvalidParameterError(f"convergence_tol must be finite and > 0, got {self.convergence_tol}")
         object.__setattr__(self, "iterations_per_level", iters)
 
 
@@ -172,6 +176,30 @@ def _dissimilarity_to(fixed: np.ndarray, kind: str):
     else:
         raise InvalidParameterError(f"similarity must be one of {SIMILARITY_KINDS}")
     return score
+
+
+def _dissimilarity_derivative(fixed: np.ndarray, kind: str):
+    """Returns ``d_score(warped) -> array``: the gradient of ``_dissimilarity_to``'s score per warped sample."""
+    a = np.asarray(fixed, dtype=np.float64).ravel()
+    if kind == "mse":
+
+        def d_score(warped) -> np.ndarray:
+            return (-2.0 / a.size) * (a - warped)
+
+    elif kind == "ncc":
+        ac = a - a.mean()
+        va = float(np.sum(ac * ac))
+
+        def d_score(warped) -> np.ndarray:
+            bc = warped - warped.mean()
+            vb = float(np.sum(bc * bc))
+            if va == 0.0 or vb == 0.0:
+                return np.zeros_like(bc)  # the score is the constant 0 here
+            return (-ac + (float(np.sum(ac * bc)) / vb) * bc) / math.sqrt(va * vb)
+
+    else:
+        raise InvalidParameterError(f"similarity must be one of {SIMILARITY_KINDS}")
+    return d_score
 
 
 def similarity(fixed: ScalarVolume, warped: ScalarVolume, kind: str) -> float:
@@ -258,19 +286,20 @@ def _pyramid_levels(fixed: ScalarVolume, moving: ScalarVolume, params: Registrat
     return list(zip(*pyramids, params.iterations_per_level[-len(pyramids[0]) :]))
 
 
-def _descend(objective, theta0, units, iterations, step_size, tol):
+def _descend(objective, gradient, theta0, units, iterations, step_size, tol):
     """Descent over unit-normalized parameters with step halving on non-improvement.
 
-    Search directions are conjugate-gradient (Polak-Ribiere) combinations of
-    central finite-difference gradients, which follow the curved valleys that
-    couple rotation/scale with translation far better than raw steepest
-    descent.  Failed line searches restart from the plain gradient direction.
-    Returns (theta, trace); trace holds the accepted objective values and is
-    non-increasing by construction.
+    ``gradient(theta)`` is the objective's gradient with respect to theta; it
+    is called once per iteration, and ``objective`` only at the start and in
+    the line search.  Search directions are conjugate-gradient
+    (Polak-Ribiere) combinations of the gradients per parameter unit, which
+    follow the curved valleys that couple rotation/scale with translation far
+    better than raw steepest descent.  Failed line searches restart from the
+    plain gradient direction.  Returns (theta, trace); trace holds the
+    accepted objective values and is non-increasing by construction.
     """
     theta = np.asarray(theta0, dtype=np.float64).copy()
     units = np.asarray(units, dtype=np.float64)
-    probes = _FD_FRACTION * units
     f_cur = objective(theta)
     trace = [f_cur]
     lam = step_size
@@ -278,14 +307,7 @@ def _descend(objective, theta0, units, iterations, step_size, tol):
     d_prev = None
     window: list[float] = [f_cur]
     for _ in range(iterations):
-        grad_units = np.zeros_like(theta)
-        for i in range(len(theta)):
-            plus = theta.copy()
-            plus[i] += probes[i]
-            minus = theta.copy()
-            minus[i] -= probes[i]
-            # directional change per unit step of parameter i
-            grad_units[i] = (objective(plus) - objective(minus)) / (2.0 * _FD_FRACTION)
+        grad_units = gradient(theta) * units  # change per unit step of each parameter
         if g_prev is not None:
             beta = max(0.0, float(grad_units @ (grad_units - g_prev)) / float(g_prev @ g_prev))
             d = -grad_units + beta * d_prev
@@ -327,14 +349,20 @@ def _center_mm(vol: ScalarVolume) -> np.ndarray:
     return (np.asarray(vol.dims, dtype=np.float64) - 1.0) / 2.0 * np.asarray(vol.spacing)
 
 
+def _axis_rotation(axis: int, angle: float, derivative: bool = False) -> np.ndarray:
+    """Right-handed rotation by ``angle`` about coordinate ``axis``, or its derivative in ``angle``."""
+    c, s = math.cos(angle), math.sin(angle)
+    m = np.eye(3)
+    if derivative:
+        m[axis, axis] = 0.0
+        c, s = -s, c
+    j, k = (axis + 1) % 3, (axis + 2) % 3
+    m[j, j], m[j, k], m[k, j], m[k, k] = c, -s, s, c
+    return m
+
+
 def _rotation_matrix(rx: float, ry: float, rz: float) -> np.ndarray:
-    cx, sx = math.cos(rx), math.sin(rx)
-    cy, sy = math.cos(ry), math.sin(ry)
-    cz, sz = math.cos(rz), math.sin(rz)
-    mx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]], dtype=np.float64)
-    my = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]], dtype=np.float64)
-    mz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]], dtype=np.float64)
-    return mz @ my @ mx
+    return _axis_rotation(2, rz) @ _axis_rotation(1, ry) @ _axis_rotation(0, rx)
 
 
 def _pose_to_transform(theta, center) -> AffineTransform:
@@ -344,10 +372,31 @@ def _pose_to_transform(theta, center) -> AffineTransform:
     return AffineTransform(rot, translation)
 
 
+def _pose_jacobian(theta, center) -> np.ndarray:
+    """12x6 derivative of ``_pose_to_transform``'s (matrix entries, translation) with respect to theta."""
+    jac = np.zeros((12, 6))
+    for axis in range(3):
+        # R = Rz Ry Rx, differentiated in one factor: dR/drx = Rz Ry dRx, and so on
+        mx, my, mz = (_axis_rotation(a, theta[a], derivative=a == axis) for a in range(3))
+        d_rot = mz @ my @ mx
+        jac[:9, axis] = d_rot.ravel()
+        jac[9:, axis] = -(d_rot @ center)  # t = c - R c + theta_t
+    jac[9:, 3:] = np.eye(3)
+    return jac
+
+
 def _affine_params_to_transform(theta, center) -> AffineTransform:
     matrix = np.asarray(theta[:9], dtype=np.float64).reshape(3, 3)
     t_center = np.asarray(theta[9:12], dtype=np.float64)
     return AffineTransform(matrix, t_center + center - matrix @ center)
+
+
+def _affine_params_jacobian(center) -> np.ndarray:
+    """12x12 derivative of ``_affine_params_to_transform``'s (matrix entries, translation); constant."""
+    jac = np.eye(12)
+    for r in range(3):
+        jac[9 + r, 3 * r : 3 * r + 3] = -center  # t = t_center + c - A c
+    return jac
 
 
 def _transform_to_affine_params(transform: AffineTransform, center) -> np.ndarray:
@@ -355,18 +404,39 @@ def _transform_to_affine_params(transform: AffineTransform, center) -> np.ndarra
     return np.concatenate([transform.matrix.ravel(), t_center])
 
 
-def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, kind: str, to_transform):
-    """Objective over a deterministic sample of the fixed grid.
+def _value_and_gradient_images(data: np.ndarray) -> np.ndarray:
+    """``data`` and its central-difference gradient along each axis (voxel units), as 4 trailing channels.
+
+    The gradient along an axis of length 1 is zero.
+    """
+    grads = [np.gradient(data, axis=a) if n > 1 else np.zeros_like(data) for a, n in enumerate(data.shape)]
+    return np.stack([data, *grads], axis=-1)
+
+
+def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, kind: str, to_transform, jacobian):
+    """``(objective, gradient)`` over a deterministic sample of the fixed grid.
 
     Above _MAX_OBJECTIVE_SAMPLES voxels the grid is strided, which keeps one
-    gradient evaluation cheap at fine pyramid levels without giving up
-    determinism.
+    evaluation cheap at fine pyramid levels without giving up determinism.
+    ``jacobian(theta)`` is the 12xP derivative of ``to_transform(theta)``'s
+    (row-major matrix entries, translation) with respect to theta.
+
+    The gradient samples the moving image and its gradient images at the
+    warped points with one trilinear pass.  A point clamped along an axis
+    does not move with the transform along that axis, so its gradient
+    component there is zero.  The sums over the sparse grid are taken per
+    axis: ``sum(v * x)`` over the grid is ``sum(x * (v summed over y, z))``.
     """
     dims, spacing = fixed_level.dims, fixed_level.spacing
     n_total = dims[0] * dims[1] * dims[2]
     stride = max(1, round(np.cbrt(n_total / _MAX_OBJECTIVE_SAMPLES) + 0.49999))
     grid = _grid_axes(dims, spacing, stride)
-    score = _dissimilarity_to(fixed_level.data[::stride, ::stride, ::stride], kind)
+    fixed_sample = fixed_level.data[::stride, ::stride, ::stride]
+    score = _dissimilarity_to(fixed_sample, kind)
+    d_score = _dissimilarity_derivative(fixed_sample, kind)
+    channels = _value_and_gradient_images(moving_level.data)
+    axes = [g.ravel() for g in grid]
+    ms, m_dims = moving_level.spacing, moving_level.dims
 
     def objective(theta) -> float:
         try:
@@ -375,7 +445,25 @@ def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, kind
             return math.inf  # singular candidate: reject, the line search backs off
         return score(_sample_affine(moving_level, tf, grid))
 
-    return objective
+    def gradient(theta) -> np.ndarray:
+        tf = to_transform(theta)
+        points = _affine_columns(tf.matrix, tf.translation, *grid)
+        pos = [(p / s).ravel() for p, s in zip(points, ms)]
+        samples = _trilinear(channels, *pos)
+        dw = d_score(samples[:, 0])
+        d_affine = np.empty(12)  # d score / d (matrix entries, translation)
+        for r in range(3):
+            inside = (pos[r] >= 0.0) & (pos[r] <= m_dims[r] - 1.0)
+            # d score / d point_r (mm) per sample, on the sample grid
+            v = ((dw * samples[:, 1 + r]) * inside).reshape(fixed_sample.shape) / ms[r]
+            v_xy = np.sum(v, axis=2)
+            d_affine[3 * r] = np.sum(np.sum(v_xy, axis=1) * axes[0])
+            d_affine[3 * r + 1] = np.sum(np.sum(v_xy, axis=0) * axes[1])
+            d_affine[3 * r + 2] = np.sum(np.sum(v, axis=(0, 1)) * axes[2])
+            d_affine[9 + r] = np.sum(v_xy)
+        return np.sum(d_affine[:, None] * jacobian(theta), axis=0)
+
+    return objective, gradient
 
 
 def _full_res_objective(fixed: ScalarVolume, moving: ScalarVolume, kind: str):
@@ -385,17 +473,19 @@ def _full_res_objective(fixed: ScalarVolume, moving: ScalarVolume, kind: str):
     return lambda transform: score(_sample_affine(moving, transform, grid))
 
 
-def _register_linear(fixed, moving, params, theta, to_transform, level_units, fallback) -> AffineTransform:
+def _register_linear(fixed, moving, params, theta, to_transform, jacobian, level_units, fallback) -> AffineTransform:
     """Coarse-to-fine descent of ``theta``, shared by the rigid and affine stages.
 
-    ``to_transform(theta)`` builds the candidate transform and
-    ``level_units(spacing)`` gives the parameter units of one pyramid level.
-    Returns ``fallback`` itself when the result scores worse at full resolution.
+    ``to_transform(theta)`` builds the candidate transform, ``jacobian(theta)``
+    its derivative (see ``_level_objective``), and ``level_units(spacing)``
+    gives the parameter units of one pyramid level.  Returns ``fallback``
+    itself when the result scores worse at full resolution.
     """
     _check_pair(fixed, moving)
     for f_l, m_l, n_iter in _pyramid_levels(fixed, moving, params):
-        obj = _level_objective(f_l, m_l, params.similarity, to_transform)
-        theta, _ = _descend(obj, theta, level_units(f_l.spacing), n_iter, params.step_size, params.convergence_tol)
+        obj, grad = _level_objective(f_l, m_l, params.similarity, to_transform, jacobian)
+        units = level_units(f_l.spacing)
+        theta, _ = _descend(obj, grad, theta, units, n_iter, params.step_size, params.convergence_tol)
     result = to_transform(theta)
     full = _full_res_objective(fixed, moving, params.similarity)
     return fallback if full(result) > full(fallback) else result
@@ -415,6 +505,7 @@ def register_rigid(fixed: ScalarVolume, moving: ScalarVolume, params: Registrati
         params,
         np.zeros(6),
         lambda th: _pose_to_transform(th, center),
+        lambda th: _pose_jacobian(th, center),
         lambda spacing: np.array([deg, deg, deg, *spacing]),
         AffineTransform.identity(),
     )
@@ -426,12 +517,14 @@ def register_affine(
     """12-DOF refinement of an initial transform; never scores worse than it."""
     center = _center_mm(fixed)
     half_diag = float(np.linalg.norm(center)) or 1.0
+    jacobian = _affine_params_jacobian(center)
     return _register_linear(
         fixed,
         moving,
         params,
         _transform_to_affine_params(init, center),
         lambda th: _affine_params_to_transform(th, center),
+        lambda th: jacobian,
         # a unit step of a matrix entry displaces the half-radius shell by ~1 voxel
         lambda spacing: np.array([min(spacing) / half_diag] * 9 + list(spacing)),
         init,

@@ -167,9 +167,12 @@ def _trilinear(data: np.ndarray, xs, ys, zs) -> np.ndarray:
 
     The one lerp kernel behind volume and field sampling.  Only ``c000`` is
     cast to float64, so on float32 data the other corner differences are taken
-    in float32; byte-identical outputs depend on that rounding.
+    in float32; byte-identical outputs depend on that rounding.  ``data`` may
+    carry trailing channel axes, ``(nx, ny, nz, ...)``: every channel is then
+    sampled with one set of cell indices and weights, and the result gains
+    those axes after the positions' shape.
     """
-    nx, ny, nz = data.shape
+    nx, ny, nz = data.shape[:3]
     xs = np.clip(xs, 0.0, nx - 1.0)
     ys = np.clip(ys, 0.0, ny - 1.0)
     zs = np.clip(zs, 0.0, nz - 1.0)
@@ -179,9 +182,10 @@ def _trilinear(data: np.ndarray, xs, ys, zs) -> np.ndarray:
     x1 = np.minimum(x0 + 1, nx - 1)
     y1 = np.minimum(y0 + 1, ny - 1)
     z1 = np.minimum(z0 + 1, nz - 1)
-    fx = xs - x0
-    fy = ys - y0
-    fz = zs - z0
+    channels = (..., *(None,) * (data.ndim - 3))  # broadcast the weights over channel axes
+    fx = (xs - x0)[channels]
+    fy = (ys - y0)[channels]
+    fz = (zs - z0)[channels]
     del xs, ys, zs  # callers still hold the unclipped positions: free the clipped copies before the lerps
 
     c000 = data[x0, y0, z0].astype(np.float64)

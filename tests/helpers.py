@@ -179,3 +179,18 @@ def shift_volume(vol: ScalarVolume, shift: tuple[int, int, int]) -> ScalarVolume
     jj = np.clip(np.arange(ny) - shift[1], 0, ny - 1)
     kk = np.clip(np.arange(nz) - shift[2], 0, nz - 1)
     return ScalarVolume(vol.data[np.ix_(ii, jj, kk)], vol.spacing)
+
+
+def fd_gradient(objective, theta, units, fraction: float = 0.1) -> np.ndarray:
+    """Central finite-difference gradient of ``objective`` at ``theta``, probing ``fraction`` of each unit.
+
+    The oracle for the analytic registration gradients: one pair of
+    objective evaluations per parameter, at theta +/- fraction * units[i].
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    grad = np.zeros_like(theta)
+    for i, probe in enumerate(fraction * np.asarray(units, dtype=np.float64)):
+        step = np.zeros_like(theta)
+        step[i] = probe
+        grad[i] = (objective(theta + step) - objective(theta - step)) / (2.0 * probe)
+    return grad

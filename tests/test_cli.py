@@ -104,6 +104,26 @@ class TestPropagateCommand:
         assert ("CINEPROP_WORKERS" if flag is None else "--workers") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--sigma", "nan"], "demons_sigma_vox"),
+            (["--sigma", "inf"], "demons_sigma_vox"),
+            (["--step", "nan"], "step_size"),
+            (["--step", "inf"], "step_size"),
+            (["--pyramid-levels", "0"], "pyramid_levels"),
+            (["--iters", "5,x,5"], "--iters"),
+        ],
+        ids=["sigma-nan", "sigma-inf", "step-nan", "step-inf", "levels-0", "iters-malformed"],
+    )
+    def test_invalid_registration_flag_is_usage_error(self, tmp_path, capsys, flags, named):
+        # a missing manifest: the flag must be rejected before the manifest is read
+        out = tmp_path / "prop_bad_flag"
+        code = run(["propagate", "--manifest", str(tmp_path / "nope.txt"), "--out", str(out), *flags])
+        assert code == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_outputs_independent_of_blas_threads(self, tmp_path):
         # 24^3 voxels: NCC sums run over 13.8k samples, above the size where BLAS dot products thread
         mpath, _ = _write_cine_dir(tmp_path / "cine", dataclasses.replace(TINY_CINE_SPEC, dims=(24, 24, 24)))

@@ -13,12 +13,16 @@ from cineprop.registration import (
     DisplacementField,
     RegistrationParams,
     _affine_columns,
+    _affine_params_jacobian,
     _affine_params_to_transform,
     _center_mm,
     _descend,
     _dissimilarity_to,
     _level_objective,
+    _pose_jacobian,
+    _pose_to_transform,
     _upsample_field,
+    _value_and_gradient_images,
     affine_to_field,
     register_affine,
     register_deformable,
@@ -29,7 +33,7 @@ from cineprop.registration import (
     warp_label,
 )
 from cineprop.volume import LV, LabelMap, ScalarVolume, gaussian_smooth, trilinear_sample_many
-from helpers import shift_volume, trilinear_oracle
+from helpers import fd_gradient, shift_volume, trilinear_oracle
 
 SMALL_SPEC = PhantomSpec(
     dims=(32, 32, 32),
@@ -127,6 +131,12 @@ class TestParams:
         with pytest.raises(InvalidParameterError):
             RegistrationParams(step_size=0.0)
 
+    @pytest.mark.parametrize("field", ["step_size", "demons_sigma_vox", "convergence_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(InvalidParameterError, match=field):
+            RegistrationParams(**{field: value})
+
 
 class TestWarpImage:
     def test_zero_field_identity(self):
@@ -189,9 +199,31 @@ class TestDescend:
             d = theta - target
             return float(d @ d)
 
-        theta, trace = _descend(objective, np.zeros(3), np.ones(3), 100, 0.5, 1e-8)
+        def gradient(theta):
+            return 2.0 * (theta - target)
+
+        theta, trace = _descend(objective, gradient, np.zeros(3), np.ones(3), 100, 0.5, 1e-8)
         assert all(b <= a for a, b in zip(trace, trace[1:]))
         assert np.allclose(theta, target, atol=0.05)
+
+    def test_one_gradient_per_iteration(self):
+        # far from the target every first candidate of 0.5 is accepted: the
+        # start value, then per iteration one gradient and one line-search value
+        target = np.array([6.0, -3.0, 2.0])
+        calls = []
+
+        def objective(theta):
+            calls.append("f")
+            d = theta - target
+            return float(d @ d)
+
+        def gradient(theta):
+            calls.append("g")
+            return 2.0 * (theta - target)
+
+        _, trace = _descend(objective, gradient, np.zeros(3), np.ones(3), 7, 0.5, 1e-8)
+        assert len(trace) == 8
+        assert calls == ["f"] + ["g", "f"] * 7
 
 
 def _ncc_by_dot(a, b) -> float:
@@ -247,7 +279,10 @@ class TestBlasFreeArithmetic:
         fixed = gaussian_smooth(ScalarVolume(rng.normal(100, 30, size=(96, 96, 12)).astype(np.float32), spacing), 3.0)
         moving = fixed  # a near-identity affine of itself keeps |NCC| well away from 0
         center = _center_mm(fixed)
-        objective = _level_objective(fixed, moving, "ncc", lambda th: _affine_params_to_transform(th, center))
+        jacobian = _affine_params_jacobian(center)
+        objective, _ = _level_objective(
+            fixed, moving, "ncc", lambda th: _affine_params_to_transform(th, center), lambda th: jacobian
+        )
         theta = np.concatenate([(np.eye(3) + rng.normal(scale=0.005, size=(3, 3))).ravel(), [0.5, -0.4, 1.0]])
         tf = _affine_params_to_transform(theta, center)
         # the reference strides the 110k-voxel grid exactly as the objective does (stride 2)
@@ -259,6 +294,97 @@ class TestBlasFreeArithmetic:
         assert abs(ref) > 0.5
         assert math.isclose(objective(theta), ref, rel_tol=self.RTOL, abs_tol=0.0)
         assert objective(np.zeros(12)) == math.inf  # singular candidate: the line search must back off
+
+
+def _ramped_blob(shape, spacing, offset=(0.0, 0.0)):
+    """Gaussian blob in x-y whose brightness ramps linearly along z, on a thick-slice grid.
+
+    Linear along z, so trilinear interpolation across 8 mm slices is exact
+    in z, and the finite-difference chord slope and the sampled
+    central-difference image agree there.  On a Gaussian z profile
+    (sigma 30 mm) the two differ by up to 7% of the largest component, an
+    interpolation difference that would hide errors in the chain rule.
+    """
+    axes = [np.arange(n) * s for n, s in zip(shape, spacing)]
+    x, y, z = np.meshgrid(*axes, indexing="ij")
+    cx, cy, cz = ((n - 1) / 2.0 * s for n, s in zip(shape, spacing))
+    x, y = x - cx - offset[0], y - cy - offset[1]
+    in_plane = np.exp(-(x**2) / (2 * 18.0**2) - y**2 / (2 * 14.0**2))
+    return ScalarVolume((100.0 + 200.0 * in_plane * (1.0 + (z - cz) / 60.0)).astype(np.float32), spacing)
+
+
+class TestAnalyticGradient:
+    """The level objective's analytic gradient against central finite differences of the objective.
+
+    96x96x12 voxels at 1.5x1.5x8 mm: the full-resolution level of the
+    thick-slice workload, whose objective strides its grid by 2.  Gradients
+    are compared per parameter unit, the scale the descent steps in; the
+    probe is 0.1 unit.
+    """
+
+    SHAPE, SPACING = (96, 96, 12), (1.5, 1.5, 8.0)
+    DEG = math.pi / 180.0
+
+    def _setup(self, stage, moving_offset):
+        fixed = _ramped_blob(self.SHAPE, self.SPACING)
+        moving = _ramped_blob(self.SHAPE, self.SPACING, moving_offset)
+        center = _center_mm(fixed)
+        if stage == "rigid":
+            to_transform, jacobian = (lambda th: _pose_to_transform(th, center)), (lambda th: _pose_jacobian(th, center))
+            units = np.array([self.DEG] * 3 + list(self.SPACING))
+        else:
+            jac = _affine_params_jacobian(center)
+            to_transform, jacobian = (lambda th: _affine_params_to_transform(th, center)), (lambda th: jac)
+            units = np.array([min(self.SPACING) / float(np.linalg.norm(center))] * 9 + list(self.SPACING))
+        return fixed, moving, to_transform, jacobian, units
+
+    def _errors(self, kind, stage, theta, moving_offset):
+        """Cosine and largest error relative to the largest oracle component; ``moving_offset`` is in mm."""
+        fixed, moving, to_transform, jacobian, units = self._setup(stage, moving_offset)
+        objective, gradient = _level_objective(fixed, moving, kind, to_transform, jacobian)
+        analytic = gradient(theta) * units
+        oracle = fd_gradient(objective, theta, units) * units
+        cosine = float(analytic @ oracle) / float(np.linalg.norm(analytic) * np.linalg.norm(oracle))
+        return cosine, float(np.max(np.abs(analytic - oracle)) / np.max(np.abs(oracle)))
+
+    def test_gradient_images_zero_along_single_slice(self):
+        data = np.arange(20, dtype=np.float32).reshape(5, 4, 1) ** 2
+        channels = _value_and_gradient_images(data)
+        assert channels.shape == (5, 4, 1, 4)
+        assert np.array_equal(channels[..., 0], data)
+        assert np.array_equal(channels[..., 1], np.gradient(data, axis=0))
+        assert np.array_equal(channels[..., 2], np.gradient(data, axis=1))
+        assert not np.any(channels[..., 3])
+
+    @pytest.mark.parametrize("kind", ["ncc", "mse"])
+    @pytest.mark.parametrize("stage", ["rigid", "affine"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_finite_differences_at_random_theta(self, kind, stage, seed):
+        rng = np.random.default_rng(seed)
+        if stage == "rigid":
+            theta = np.concatenate([rng.uniform(-3.0, 3.0, 3) * self.DEG, rng.uniform(-3.0, 3.0, 3)])
+        else:
+            theta = np.concatenate([(np.eye(3) + rng.normal(scale=0.02, size=(3, 3))).ravel(), rng.uniform(-3, 3, 3)])
+        cosine, rel = self._errors(kind, stage, theta, (2.0, -3.0))
+        # z translations up to 3 mm clamp part of the bottom sampled slice;
+        # the probes straddling that kink read cosine down to 0.99990 on seed 1
+        assert cosine >= 0.9995
+        assert rel <= 0.04
+
+    @pytest.mark.parametrize("kind", ["ncc", "mse"])
+    @pytest.mark.parametrize("stage", ["rigid", "affine"])
+    def test_z_clamped_samples_do_not_move(self, kind, stage):
+        # a 9 mm z shift plus a tilt pushes part of the top sampled slice
+        # (z = 80 mm) past the last slice (z = 88 mm), where sampling clamps
+        if stage == "rigid":
+            theta = np.array([6.0 * self.DEG, 0.0, 0.0, 0.0, 0.0, 9.0])
+        else:
+            theta = np.concatenate([np.eye(3).ravel(), [0.0, 0.0, 9.0]])
+            theta[7] = 0.1  # z moves with y
+        cosine, rel = self._errors(kind, stage, theta, (0.0, 0.0))
+        # read 0.99990-1 and 0.003-0.016; without the clamp mask 0.9950-0.99985 and 0.063-0.29
+        assert cosine >= 0.9999
+        assert rel <= 0.03
 
 
 class TestRigid:

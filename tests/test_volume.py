@@ -8,6 +8,7 @@ from cineprop.volume import (
     CineSeries,
     LabelMap,
     ScalarVolume,
+    _trilinear,
     downsample2x,
     gaussian_kernel,
     gaussian_smooth,
@@ -106,6 +107,17 @@ class TestTrilinear:
         pts = rng.uniform(-1, 6, size=(200, 3))
         vals = trilinear_sample_many(vol, pts[:, 0], pts[:, 1], pts[:, 2])
         assert np.all(vals >= lo - 1e-9) and np.all(vals <= hi + 1e-9)
+
+    @pytest.mark.parametrize("shape", [(5, 4, 3), (5, 4, 1)])
+    def test_channels_match_per_channel_calls(self, shape):
+        # one call over trailing channels shares cell indices and weights, bit for bit
+        rng = np.random.default_rng(4)
+        data = rng.normal(size=(*shape, 4)).astype(np.float32)
+        pts = rng.uniform(-1.5, 6.5, size=(3, 300))
+        out = _trilinear(data, *pts)
+        assert out.shape == (300, 4)
+        for c in range(4):
+            assert np.array_equal(out[:, c], _trilinear(np.ascontiguousarray(data[..., c]), *pts))
 
     def test_rejects_non_finite_point(self):
         vol = ScalarVolume(np.zeros((2, 2, 2)))
