@@ -40,11 +40,9 @@ from .registration import (
     warp_label,
 )
 from .style import (
-    CdfMapping,
     HistogramReport,
     MatchResult,
     ReferenceHistogram,
-    build_cdf_mapping,
     build_reference,
     histogram_match,
     histogram_report,
@@ -57,12 +55,10 @@ from .volume import (
     MYO,
     RV,
     CineSeries,
-    GridPoint,
     LabelMap,
     ScalarVolume,
     downsample2x,
     gaussian_smooth,
-    nearest_sample,
     trilinear_sample,
 )
 

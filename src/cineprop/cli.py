@@ -40,7 +40,7 @@ from .errors import (
 from .metrics import evaluate_case
 from .phantom import PhantomSpec, generate_cine
 from .propagation import propagate_series
-from .registration import RegistrationParams
+from .registration import SIMILARITY_KINDS, RegistrationParams
 from .style import build_reference, histogram_match, histogram_report, vendor_transfer
 
 EXIT_OK = 0
@@ -70,15 +70,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_phantom.add_argument("--out", required=True)
     p_phantom.add_argument("--seed", type=int, default=0)
 
+    defaults = RegistrationParams()
     p_prop = sub.add_parser("propagate", help="propagate template labels to unlabeled frames")
     p_prop.add_argument("--manifest", required=True)
     p_prop.add_argument("--out", required=True)
     p_prop.add_argument("--workers", type=int, default=None)
-    p_prop.add_argument("--similarity", choices=("mse", "ncc"), default="ncc")
-    p_prop.add_argument("--pyramid-levels", type=int, default=3)
-    p_prop.add_argument("--iters", default="50,50,30", help="comma list, coarse to fine")
-    p_prop.add_argument("--sigma", type=float, default=1.5, help="field smoothing sigma (voxels)")
-    p_prop.add_argument("--step", type=float, default=0.5, help="optimizer step size (voxels)")
+    p_prop.add_argument("--similarity", choices=SIMILARITY_KINDS, default=defaults.similarity)
+    p_prop.add_argument("--pyramid-levels", type=int, default=defaults.pyramid_levels)
+    p_prop.add_argument(
+        "--iters", default=",".join(map(str, defaults.iterations_per_level)), help="comma list, coarse to fine"
+    )
+    p_prop.add_argument("--sigma", type=float, default=defaults.demons_sigma_vox, help="field smoothing sigma (voxels)")
+    p_prop.add_argument("--step", type=float, default=defaults.step_size, help="optimizer step size (voxels)")
 
     p_match = sub.add_parser("histmatch", help="match each frame to the series' pooled reference")
     p_match.add_argument("--manifest", required=True)

@@ -20,6 +20,7 @@ order).  Paths are taken relative to the manifest's directory.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -69,8 +70,8 @@ class MvolHeader:
             raise FormatError("kind", f"unknown kind {kind}")
         if min(nx, ny, nz) < 1:
             raise FormatError("dims", f"non-positive dims ({nx}, {ny}, {nz})")
-        if min(sx, sy, sz) <= 0:
-            raise FormatError("spacing", f"non-positive spacing ({sx}, {sy}, {sz})")
+        if not all(math.isfinite(s) and s > 0 for s in (sx, sy, sz)):
+            raise FormatError("spacing", f"spacing must be positive and finite, got ({sx}, {sy}, {sz})")
         return cls(kind, (nx, ny, nz), (sx, sy, sz))
 
 
@@ -178,10 +179,12 @@ def read_nifti1(path, *, as_labels: bool = False) -> ScalarVolume | LabelMap:
     values = np.frombuffer(body, dtype=dtype).astype(np.float64)
     if scl_slope != 0.0 and np.isfinite(scl_slope):
         values = values * np.float64(scl_slope) + np.float64(scl_inter)
+    if not np.all(np.isfinite(values)):
+        raise FormatError("payload", "non-finite voxel values")
     grid = values.reshape(dims, order="F")
     spacing = tuple(float(p) for p in pixdim[1:4])
-    if min(spacing) <= 0:
-        raise FormatError("pixdim", f"non-positive voxel spacing {spacing}")
+    if not all(math.isfinite(s) and s > 0 for s in spacing):
+        raise FormatError("pixdim", f"voxel spacing must be positive and finite, got {spacing}")
 
     if not as_labels:
         return ScalarVolume(grid.astype(np.float32), spacing)

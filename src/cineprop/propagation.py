@@ -44,7 +44,6 @@ class PropagationResult:
     chosen_template: Template
     es_norm: float
     ed_norm: float
-    provenance: RegistrationParams
 
     def __post_init__(self):
         expected = Template.ES if self.es_norm <= self.ed_norm else Template.ED
@@ -87,7 +86,6 @@ def propagate_frame(series: CineSeries, target: int, params: RegistrationParams 
         chosen_template=chosen,
         es_norm=es_norm,
         ed_norm=ed_norm,
-        provenance=params,
     )
 
 

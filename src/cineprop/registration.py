@@ -15,6 +15,10 @@ displacement field along the fixed-image gradient, scaled by the intensity
 difference, smooths the field with a Gaussian, and keeps the step only if
 the similarity improves.  Its output folds the affine initialization into one
 total field.
+Each pyramid level is the finer level's cached ``ScalarVolume.half``: the
+target's pyramid is built once per frame and each template's once per
+series; only the deformable stage's affine-resampled moving image gets a
+fresh pyramid.
 
 Conventions:
 
@@ -37,7 +41,6 @@ from .volume import (
     LabelMap,
     ScalarVolume,
     _trilinear,
-    downsample2x,
     gaussian_smooth_array,
     nearest_sample_many,
     trilinear_sample_many,
@@ -72,14 +75,6 @@ class AffineTransform:
     @classmethod
     def identity(cls) -> "AffineTransform":
         return cls(np.eye(3), np.zeros(3))
-
-    def apply(self, points_mm: np.ndarray) -> np.ndarray:
-        """Map an (N, 3) array of physical points."""
-        pts = np.asarray(points_mm, dtype=np.float64)
-        return np.stack(_affine_columns(self.matrix, self.translation, *pts.T), axis=1)
-
-    def is_rigid(self, tol: float = 1e-6) -> bool:
-        return bool(np.max(np.abs(self.matrix.T @ self.matrix - np.eye(3))) <= tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,12 +142,12 @@ def _affine_columns(m: np.ndarray, t: np.ndarray, x, y, z) -> tuple[np.ndarray, 
     return tuple(m[r, 0] * x + m[r, 1] * y + m[r, 2] * z + t[r] for r in range(3))
 
 
-def _dissimilarity_to(fixed: np.ndarray, kind: str):
-    """Returns ``score(warped) -> float``, lower is better, against one fixed sample.
+def _dissimilarity(fixed: np.ndarray, kind: str):
+    """``(score, d_score)`` against one fixed sample: ``score(warped)``, lower is better, and its gradient per sample.
 
     The fixed side's float64 cast, centring and sum of squares are computed
-    here once.  Sums are numpy's pairwise ``np.sum``, not BLAS dot products,
-    so they run on the calling thread and round the same way every time.
+    once.  Sums are numpy's pairwise ``np.sum``, not BLAS dot products, so
+    they run on the calling thread and round the same way every time.
     """
     a = np.asarray(fixed, dtype=np.float64).ravel()
     if kind == "mse":
@@ -161,45 +156,31 @@ def _dissimilarity_to(fixed: np.ndarray, kind: str):
             d = a - np.asarray(warped, dtype=np.float64).ravel()
             return float(np.mean(d * d))
 
-    elif kind == "ncc":
-        ac = a - a.mean()
-        va = float(np.sum(ac * ac))
-
-        def score(warped) -> float:
-            b = np.asarray(warped, dtype=np.float64).ravel()
-            bc = b - b.mean()
-            vb = float(np.sum(bc * bc))
-            if va == 0.0 or vb == 0.0:
-                return 0.0
-            return -float(np.sum(ac * bc)) / math.sqrt(va * vb)
-
-    else:
-        raise InvalidParameterError(f"similarity must be one of {SIMILARITY_KINDS}")
-    return score
-
-
-def _dissimilarity_derivative(fixed: np.ndarray, kind: str):
-    """Returns ``d_score(warped) -> array``: the gradient of ``_dissimilarity_to``'s score per warped sample."""
-    a = np.asarray(fixed, dtype=np.float64).ravel()
-    if kind == "mse":
-
         def d_score(warped) -> np.ndarray:
             return (-2.0 / a.size) * (a - warped)
 
-    elif kind == "ncc":
-        ac = a - a.mean()
-        va = float(np.sum(ac * ac))
-
-        def d_score(warped) -> np.ndarray:
-            bc = warped - warped.mean()
-            vb = float(np.sum(bc * bc))
-            if va == 0.0 or vb == 0.0:
-                return np.zeros_like(bc)  # the score is the constant 0 here
-            return (-ac + (float(np.sum(ac * bc)) / vb) * bc) / math.sqrt(va * vb)
-
-    else:
+        return score, d_score
+    if kind != "ncc":
         raise InvalidParameterError(f"similarity must be one of {SIMILARITY_KINDS}")
-    return d_score
+    ac = a - a.mean()
+    va = float(np.sum(ac * ac))
+
+    def score(warped) -> float:
+        b = np.asarray(warped, dtype=np.float64).ravel()
+        bc = b - b.mean()
+        vb = float(np.sum(bc * bc))
+        if va == 0.0 or vb == 0.0:
+            return 0.0
+        return -float(np.sum(ac * bc)) / math.sqrt(va * vb)
+
+    def d_score(warped) -> np.ndarray:
+        bc = warped - warped.mean()
+        vb = float(np.sum(bc * bc))
+        if va == 0.0 or vb == 0.0:
+            return np.zeros_like(bc)  # the score is the constant 0 here
+        return (-ac + (float(np.sum(ac * bc)) / vb) * bc) / math.sqrt(va * vb)
+
+    return score, d_score
 
 
 def similarity(fixed: ScalarVolume, warped: ScalarVolume, kind: str) -> float:
@@ -211,7 +192,7 @@ def similarity(fixed: ScalarVolume, warped: ScalarVolume, kind: str) -> float:
     """
     if fixed.dims != warped.dims:
         raise InvalidParameterError(f"dims mismatch: {fixed.dims} vs {warped.dims}")
-    return _dissimilarity_to(fixed.data, kind)(warped.data)
+    return _dissimilarity(fixed.data, kind)[0](warped.data)
 
 
 def _grid_axes(dims, spacing, stride: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -276,12 +257,12 @@ def _check_pair(fixed: ScalarVolume, moving: ScalarVolume) -> None:
 
 
 def _pyramid_levels(fixed: ScalarVolume, moving: ScalarVolume, params: RegistrationParams) -> list:
-    """Coarse-to-fine (fixed, moving, iterations) levels; a pyramid stops once its grid is too small to halve."""
+    """Coarse-to-fine (fixed, moving, iterations) levels of cached halves, stopping when too small to halve."""
     pyramids = []
     for vol in (fixed, moving):
         pyramid = [vol]
         while len(pyramid) < params.pyramid_levels and max(pyramid[-1].dims) >= 4:
-            pyramid.append(downsample2x(pyramid[-1]))
+            pyramid.append(pyramid[-1].half)
         pyramids.append(pyramid[::-1])
     return list(zip(*pyramids, params.iterations_per_level[-len(pyramids[0]) :]))
 
@@ -432,8 +413,7 @@ def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, kind
     stride = max(1, round(np.cbrt(n_total / _MAX_OBJECTIVE_SAMPLES) + 0.49999))
     grid = _grid_axes(dims, spacing, stride)
     fixed_sample = fixed_level.data[::stride, ::stride, ::stride]
-    score = _dissimilarity_to(fixed_sample, kind)
-    d_score = _dissimilarity_derivative(fixed_sample, kind)
+    score, d_score = _dissimilarity(fixed_sample, kind)
     channels = _value_and_gradient_images(moving_level.data)
     axes = [g.ravel() for g in grid]
     ms, m_dims = moving_level.spacing, moving_level.dims
@@ -468,7 +448,7 @@ def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, kind
 
 def _full_res_objective(fixed: ScalarVolume, moving: ScalarVolume, kind: str):
     """Returns ``transform -> dissimilarity`` of the full-resolution resampling."""
-    score = _dissimilarity_to(fixed.data, kind)
+    score = _dissimilarity(fixed.data, kind)[0]
     grid = _grid_axes(fixed.dims, fixed.spacing)
     return lambda transform: score(_sample_affine(moving, transform, grid))
 
@@ -550,7 +530,7 @@ def _demons_level(
     g2 = grads[0] ** 2 + grads[1] ** 2 + grads[2] ** 2
     mean_sq_spacing = float(np.mean(np.square(spacing)))
 
-    score = _dissimilarity_to(fdata, params.similarity)
+    score = _dissimilarity(fdata, params.similarity)[0]
     grad_stack = np.stack(grads, axis=-1)
     # the warp of the accepted field is carried into the next iteration, so no field is warped twice
     warped = _warp_data(mdata, u, spacing)
@@ -610,7 +590,7 @@ def register_deformable(
     total_field = DisplacementField(np.stack([p - g for p, g in zip(moved, grid)], axis=-1), fixed.spacing)
 
     affine_field = affine_to_field(init, fixed.dims, fixed.spacing)
-    score = _dissimilarity_to(fixed.data, params.similarity)
+    score = _dissimilarity(fixed.data, params.similarity)[0]
     if score(warp_image(moving, total_field).data) > score(warp_image(moving, affine_field).data):
         return affine_field
     return total_field

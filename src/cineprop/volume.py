@@ -1,5 +1,9 @@
 """Core 3D grid types plus interpolation, smoothing, and pyramid downsampling.
 
+Volumes are immutable.  A ``ScalarVolume`` keeps one lazily computed value,
+its ``half`` (``downsample2x`` of itself): registration walks that chain as
+its pyramid, so each volume is downsampled once per level, however often used.
+
 Conventions used throughout the package:
 
 * Grids are indexed ``(i, j, k)`` along ``(x, y, z)``; flat (on-disk) order is
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,10 +33,6 @@ RV = 3
 LABEL_CODES = (BACKGROUND, LV, MYO, RV)
 CLASS_NAMES = {LV: "LV", MYO: "MYO", RV: "RV"}
 FOREGROUND_CLASSES = (LV, MYO, RV)
-
-# A continuous sample position in voxel-index units.
-GridPoint = tuple[float, float, float]
-
 
 def _check_spacing(spacing) -> tuple[float, float, float]:
     spacing = tuple(float(s) for s in spacing)
@@ -73,6 +74,11 @@ class ScalarVolume:
 
     def is_constant(self) -> bool:
         return bool(self.data.max() == self.data.min())
+
+    @cached_property
+    def half(self) -> "ScalarVolume":
+        """``downsample2x(self)``, computed on first use and kept; racing threads may each compute it, equally."""
+        return downsample2x(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,13 +151,6 @@ class CineSeries:
     def n_frames(self) -> int:
         return len(self.frames)
 
-    def template_label(self, index: int) -> LabelMap:
-        if index == self.es_index:
-            return self.es_label
-        if index == self.ed_index:
-            return self.ed_label
-        raise InvalidParameterError(f"frame {index} is not a template frame")
-
 
 def _check_points(xs, ys, zs):
     xs = np.asarray(xs, dtype=np.float64)
@@ -212,7 +211,7 @@ def trilinear_sample_many(vol: ScalarVolume, xs, ys, zs) -> np.ndarray:
     return _trilinear(vol.data, *_check_points(xs, ys, zs))
 
 
-def trilinear_sample(vol: ScalarVolume, p: GridPoint) -> float:
+def trilinear_sample(vol: ScalarVolume, p: tuple[float, float, float]) -> float:
     """Trilinear interpolation of the 8 surrounding voxels at one position."""
     return float(trilinear_sample_many(vol, [p[0]], [p[1]], [p[2]])[0])
 
@@ -226,11 +225,6 @@ def nearest_sample_many(lm: LabelMap, xs, ys, zs) -> np.ndarray:
     iy = np.clip(np.ceil(ys - 0.5), 0, ny - 1).astype(np.intp)
     iz = np.clip(np.ceil(zs - 0.5), 0, nz - 1).astype(np.intp)
     return lm.data[ix, iy, iz]
-
-
-def nearest_sample(lm: LabelMap, p: GridPoint) -> int:
-    """Label of the voxel center nearest to ``p`` (clamped at the boundary)."""
-    return int(nearest_sample_many(lm, [p[0]], [p[1]], [p[2]])[0])
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:

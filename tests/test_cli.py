@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +12,12 @@ import pytest
 
 import cineprop
 from cineprop import io
+from cineprop import cli
 from cineprop.cli import EXIT_DEGENERATE, EXIT_IO, EXIT_OK, EXIT_USAGE, run
 from cineprop.phantom import PhantomSpec
+from cineprop.registration import RegistrationParams
 from cineprop.volume import ScalarVolume
-from helpers import TINY_CINE_SPEC
+from helpers import TINY_CINE_SPEC, build_nifti_bytes
 from helpers import write_cine_dir as _write_cine_dir
 
 
@@ -65,6 +68,18 @@ class TestPropagateCommand:
     def test_missing_manifest_is_io_error(self, tmp_path):
         code = run(["propagate", "--manifest", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o")])
         assert code == EXIT_IO
+
+    def test_default_flags_build_default_params(self, tmp_path, monkeypatch):
+        mpath, _ = _write_cine_dir(tmp_path / "cine")
+        seen = []
+
+        def capture(series, params, workers):
+            seen.append(params)
+            return []
+
+        monkeypatch.setattr(cli, "propagate_series", capture)
+        assert run(["propagate", "--manifest", str(mpath), "--out", str(tmp_path / "prop")]) == EXIT_OK
+        assert seen == [RegistrationParams()]
 
     def test_env_var_sets_default_workers(self, tmp_path, monkeypatch):
         mpath, _ = _write_cine_dir(tmp_path / "cine")
@@ -175,6 +190,19 @@ class TestHistmatchCommand:
         assert _tree_bytes(out1) == _tree_bytes(out2)
 
 
+    @pytest.mark.parametrize("what", ["voxel", "pixdim"])
+    def test_non_finite_nifti_is_io_error(self, tmp_path, what):
+        # one frame of the series is a NIfTI file with a NaN voxel or a NaN slice thickness
+        mpath, _ = _write_cine_dir(tmp_path / "cine")
+        data = np.ones((20, 20, 20), dtype=np.float32)
+        spacing = (1.0, 1.0, float("nan") if what == "pixdim" else 1.0)
+        if what == "voxel":
+            data[3, 4, 5] = np.nan
+        (tmp_path / "cine" / "frame_bad.nii").write_bytes(build_nifti_bytes(data, spacing=spacing))
+        mpath.write_text(mpath.read_text().replace("frame_001.mvol", "frame_bad.nii"))
+        assert run(["histmatch", "--manifest", str(mpath), "--out", str(tmp_path / "m")]) == EXIT_IO
+
+
 class TestTransferCommand:
     def test_transfer_between_vendors(self, tmp_path):
         spec_b = PhantomSpec(
@@ -267,6 +295,16 @@ class TestEvaluateCommand:
         empty.mkdir()
         code = run(["evaluate", "--pred", str(empty), "--gt", str(empty)])
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_corrupt_spacing_is_io_error(self, tmp_path, capsys, bad):
+        labels = tmp_path / "labels"
+        labels.mkdir()
+        header = struct.pack("<4sB3I3f", b"MVL1", 1, 2, 1, 1, 1.0, bad, 1.0)
+        (labels / "label_000.mvol").write_bytes(header + bytes([1, 2]))
+        code = run(["evaluate", "--pred", str(labels), "--gt", str(labels)])
+        assert code == EXIT_IO
+        assert "spacing" in capsys.readouterr().err
 
 
 class TestReportCommand:

@@ -85,6 +85,14 @@ class TestMvol:
         with pytest.raises(FormatError, match="kind"):
             io.read_mvol(path)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_bad_spacing_is_format_error(self, tmp_path, bad):
+        header = struct.pack("<4sB3I3f", b"MVL1", 1, 2, 1, 1, 1.0, bad, 1.0)
+        path = tmp_path / "bad_spacing.mvol"
+        path.write_bytes(header + bytes([1, 2]))
+        with pytest.raises(FormatError, match="spacing"):
+            io.read_mvol(path)
+
 
 class TestNifti:
     def test_float32_values_and_spacing(self, tmp_path):
@@ -116,6 +124,22 @@ class TestNifti:
         path.write_bytes(build_nifti_bytes(data))
         vol = io.read_nifti1(path)
         assert np.array_equal(vol.data, data.astype(np.float32))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_bad_pixdim_is_format_error(self, tmp_path, bad):
+        path = tmp_path / "v.nii"
+        path.write_bytes(build_nifti_bytes(np.zeros((2, 2, 2), dtype=np.float32), spacing=(1.0, 1.0, bad)))
+        with pytest.raises(FormatError, match="pixdim"):
+            io.read_nifti1(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_voxels_are_format_error(self, tmp_path, bad):
+        data = np.zeros((2, 2, 2), dtype=np.float32)
+        data[1, 0, 1] = bad
+        path = tmp_path / "v.nii"
+        path.write_bytes(build_nifti_bytes(data))
+        with pytest.raises(FormatError, match="non-finite"):
+            io.read_nifti1(path)
 
     def test_rgb_datatype_rejected(self, tmp_path):
         data = np.zeros((2, 2, 2), dtype=np.uint8)
@@ -278,11 +302,9 @@ class TestReports:
         from cineprop.propagation import PropagationResult, Template
 
         lab = LabelMap(np.zeros((2, 2, 2), dtype=np.uint8))
-        from cineprop.registration import RegistrationParams
-
         results = [
-            PropagationResult(1, lab, Template.ES, 0.25, 0.75, RegistrationParams()),
-            PropagationResult(2, lab, Template.ED, 0.8, 0.3, RegistrationParams()),
+            PropagationResult(1, lab, Template.ES, 0.25, 0.75),
+            PropagationResult(2, lab, Template.ED, 0.8, 0.3),
         ]
         path = tmp_path / "prop.txt"
         io.write_propagation_report(results, {"subject": "s", "frames": 4}, path)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cineprop import volume
 from cineprop.errors import InvalidParameterError, InvalidTargetError
 from cineprop.metrics import dice
 from cineprop.phantom import PhantomSpec, generate_cine, generate_frame
@@ -67,12 +68,11 @@ class TestFieldNorm:
 class TestCandidateInvariants:
     def test_result_checks_selection(self):
         lab = LabelMap(np.zeros((2, 2, 2), dtype=np.uint8))
-        params = RegistrationParams()
-        PropagationResult(1, lab, Template.ES, 0.5, 0.5, params)  # tie -> ES allowed
+        PropagationResult(1, lab, Template.ES, 0.5, 0.5)  # tie -> ES allowed
         with pytest.raises(InvalidParameterError):
-            PropagationResult(1, lab, Template.ED, 0.5, 0.5, params)
+            PropagationResult(1, lab, Template.ED, 0.5, 0.5)
         with pytest.raises(InvalidParameterError):
-            PropagationResult(1, lab, Template.ES, 2.0, 0.5, params)
+            PropagationResult(1, lab, Template.ES, 2.0, 0.5)
 
 
 class TestPropagateFrame:
@@ -148,6 +148,23 @@ class TestPropagateSeries:
             assert res.es_norm < 0.05
             assert res.ed_norm < 0.05
             assert dice(res.pseudo_label, lab, 1) == 1.0
+
+    def test_pyramids_built_once_per_volume(self, monkeypatch):
+        # fresh frames: the shared fixture's volumes may already hold their cached halves
+        calls = []
+        original = volume.downsample2x
+
+        def counting(vol):
+            calls.append(vol.dims)
+            return original(vol)
+
+        monkeypatch.setattr(volume, "downsample2x", counting)
+        params = RegistrationParams(pyramid_levels=2, iterations_per_level=(2, 2))
+        results = propagate_series(generate_cine(TINY_SPEC).series, params, workers=1)
+        assert [r.frame_index for r in results] == [1, 2]
+        # one half per target and per template, plus one per deformable stage's
+        # affine-resampled moving image (2 templates x 2 targets): 2 + 2 + 4
+        assert calls == [(20, 20, 20)] * 8
 
     def test_workers_do_not_change_results(self, tiny_cine, series_results):
         par = propagate_series(tiny_cine.series, FAST, workers=3)

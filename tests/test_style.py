@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cineprop import style
 from cineprop.errors import InvalidParameterError, MissingVendorError
 from cineprop.style import (
     SOURCE_BINS,
@@ -65,13 +66,6 @@ class TestBuildReference:
         with pytest.raises(InvalidParameterError):
             build_reference([vol], 2, seed=0)
 
-    def test_cdf_is_proper(self):
-        rng = np.random.default_rng(3)
-        ref = build_reference([_normal_volume(rng, 50, 5)], 1, seed=4)
-        cdf = ref.cdf
-        assert np.all(np.diff(cdf) >= 0)
-        assert cdf[-1] == 1.0
-
 
 class TestHistogramMatch:
     def test_self_match_within_one_quantization_step(self):
@@ -88,7 +82,7 @@ class TestHistogramMatch:
 
         src = np.zeros((4, 4, 2), dtype=np.float32)
         src[:, :, 1] = 10.0  # values {0, 10} equally frequent
-        ref = ReferenceHistogram(1, 0, np.array([100.0] * 8 + [200.0] * 8))
+        ref = ReferenceHistogram(np.array([100.0] * 8 + [200.0] * 8))
         matched, _ = histogram_match(ScalarVolume(src), ref)
         assert np.all(matched.data[src == 0.0] == 100.0)
         assert np.all(matched.data[src == 10.0] == 200.0)
@@ -137,15 +131,14 @@ class TestHistogramMatch:
         step = (float(once.data.max()) - float(once.data.min())) / SOURCE_BINS
         assert float(np.abs(twice.data - once.data).max()) <= step + 1e-5
 
-    def test_source_cdf_invariants(self):
+    def test_mapping_bins_cover_the_volume(self):
         rng = np.random.default_rng(17)
         vol = _normal_volume(rng, 100, 25)
         ref = build_reference([vol], 1, seed=18)
         mapping = build_cdf_mapping(vol, ref)
-        cdf = mapping.source_cdf
-        assert np.all(np.diff(cdf) >= 0)
-        assert cdf[-1] == 1.0
         assert mapping.bin_edges.shape == (SOURCE_BINS + 1,)
+        assert np.all(np.diff(mapping.bin_edges) > 0)
+        assert int(mapping.counts.sum()) == vol.data.size
 
 
 class TestVendorTransfer:
@@ -199,6 +192,20 @@ class TestKsStatistic:
         a = rng.normal(100, 10, size=100_000)
         b = rng.normal(200, 20, size=100_000)
         assert ks_statistic(a, b) >= 0.9
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_blocks_match_merged_oracle(self, monkeypatch, block):
+        # ties within and across pools, unequal sizes, pools not a multiple of the block
+        rng = np.random.default_rng(30)
+        a = np.round(rng.normal(0.0, 3.0, size=301))
+        b = np.round(rng.normal(1.0, 4.0, size=173))
+        points = np.concatenate([a, b])
+        want = max(
+            float(np.max(np.abs(np.mean(a[:, None] <= points, axis=0) - np.mean(b[:, None] <= points, axis=0)))),
+            float(np.max(np.abs(np.mean(a[:, None] < points, axis=0) - np.mean(b[:, None] < points, axis=0)))),
+        )
+        monkeypatch.setattr(style, "_KS_BLOCK", block)
+        assert ks_statistic(a, b) == ks_statistic(b, a) == want
 
 
 class TestHistogramReport:

@@ -1,5 +1,8 @@
 """Grid types, interpolation, smoothing, and downsampling."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from cineprop.volume import (
     downsample2x,
     gaussian_kernel,
     gaussian_smooth,
-    nearest_sample,
+    nearest_sample_many,
     trilinear_sample,
     trilinear_sample_many,
 )
@@ -128,25 +131,26 @@ class TestTrilinear:
 class TestNearest:
     def test_on_center(self):
         lm = LabelMap(np.array([[[0, 1], [2, 3]], [[3, 2], [1, 0]]], dtype=np.uint8))
-        assert nearest_sample(lm, (0, 1, 1)) == 3
-        assert nearest_sample(lm, (1, 0, 0)) == 3
+        assert nearest_sample_many(lm, [0, 1], [1, 0], [1, 0]).tolist() == [3, 3]
 
     def test_tie_breaks_toward_lower_index(self):
         lm = LabelMap(np.array([1, 3], dtype=np.uint8).reshape(2, 1, 1))
-        assert nearest_sample(lm, (0.5, 0, 0)) == 1
+        assert nearest_sample_many(lm, [0.5, 1.5], [0, 0], [0, 0]).tolist() == [1, 3]
 
     def test_out_of_bounds_clamps(self):
         lm = LabelMap(np.array([2, 3], dtype=np.uint8).reshape(2, 1, 1))
-        assert nearest_sample(lm, (-2.0, 0, 0)) == 2
-        assert nearest_sample(lm, (9.0, 0, 0)) == 3
+        assert nearest_sample_many(lm, [-2.0, 9.0], [0, 0], [0, 0]).tolist() == [2, 3]
 
     def test_output_in_label_set(self):
         rng = np.random.default_rng(4)
         lm = LabelMap(rng.integers(0, 3, size=(4, 4, 4)).astype(np.uint8))
-        present = set(np.unique(lm.data))
-        for _ in range(100):
-            p = tuple(rng.uniform(-2, 6, size=3))
-            assert nearest_sample(lm, p) in present
+        pts = rng.uniform(-2, 6, size=(3, 100))
+        assert set(nearest_sample_many(lm, *pts).tolist()) <= set(np.unique(lm.data).tolist())
+
+    def test_rejects_non_finite_point(self):
+        lm = LabelMap(np.zeros((2, 2, 2), dtype=np.uint8))
+        with pytest.raises(InvalidParameterError):
+            nearest_sample_many(lm, [0.0, np.inf], [0, 0], [0, 0])
 
 
 class TestGaussianSmooth:
@@ -228,6 +232,27 @@ class TestDownsample2x:
         padded = np.pad(ramp[:, 0, 0].astype(np.float64), radius, mode="edge")
         smoothed = np.array([float(np.dot(k, padded[i : i + len(k)])) for i in range(8)])
         assert np.allclose(out.data[:, 0, 0], smoothed[::2], atol=1e-6)
+
+    def test_half_is_cached_downsample(self):
+        vol = ScalarVolume(np.random.default_rng(9).normal(size=(6, 5, 3)).astype(np.float32), (1.0, 2.0, 0.5))
+        half = vol.half
+        assert half is vol.half
+        want = downsample2x(vol)
+        assert np.array_equal(half.data, want.data) and half.spacing == want.spacing
+
+    def test_half_under_concurrent_first_use(self):
+        # more threads than cores, switching often: every thread gets an equal half, and it then stays put
+        vol = ScalarVolume(np.random.default_rng(10).normal(size=(16, 12, 6)).astype(np.float32))
+        want = downsample2x(vol).data
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                halves = list(pool.map(lambda _: vol.half, range(32), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(h.data, want) for h in halves)
+        assert vol.half is vol.half
 
     def test_all_dims_one_rejected(self):
         with pytest.raises(InvalidParameterError):
