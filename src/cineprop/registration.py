@@ -513,8 +513,7 @@ def register_affine(
 
 def _upsample_field(u: np.ndarray, new_dims) -> np.ndarray:
     """Resample a (nx,ny,nz,3) mm-valued field onto a finer grid (fine = coarse*2)."""
-    grid = _grid_axes(new_dims, (0.5, 0.5, 0.5))
-    return np.stack([_trilinear(u[..., c], *grid) for c in range(3)], axis=-1)
+    return _trilinear(u, *_grid_axes(new_dims, (0.5, 0.5, 0.5)))
 
 
 def _demons_level(

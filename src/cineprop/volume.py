@@ -164,46 +164,47 @@ def _check_points(xs, ys, zs):
 def _trilinear(data: np.ndarray, xs, ys, zs) -> np.ndarray:
     """Trilinear interpolation of a raw 3D array at float64 positions (voxel units, clamped).
 
-    The one lerp kernel behind volume and field sampling.  Only ``c000`` is
-    cast to float64, so on float32 data the other corner differences are taken
-    in float32; byte-identical outputs depend on that rounding.  ``data`` may
-    carry trailing channel axes, ``(nx, ny, nz, ...)``: every channel is then
-    sampled with one set of cell indices and weights, and the result gains
-    those axes after the positions' shape.
+    The one lerp kernel behind volume and field sampling.  Trailing channel
+    axes of ``data``, ``(nx, ny, nz, ...)``, share one set of cell indices and
+    weights, and follow the positions' broadcast shape in the float64 result.
+    The 8 corners are taken from a flat ``(nx*ny*nz, ...)`` view at index
+    ``(x0*ny + y0)*nz + z0`` plus one offset per corner (0 along a length-1
+    axis), and the 7 lerps run in place.  Only ``c000`` is cast to float64, so
+    on float32 data ``c110-c010``, ``c101-c001`` and ``c111-c011`` are taken in
+    float32: byte-identical outputs depend on that rounding.  The positions
+    are never written (callers read them again).
     """
     nx, ny, nz = data.shape[:3]
-    xs = np.clip(xs, 0.0, nx - 1.0)
-    ys = np.clip(ys, 0.0, ny - 1.0)
-    zs = np.clip(zs, 0.0, nz - 1.0)
-    x0 = np.minimum(np.floor(xs), nx - 2 if nx > 1 else 0).astype(np.intp)
-    y0 = np.minimum(np.floor(ys), ny - 2 if ny > 1 else 0).astype(np.intp)
-    z0 = np.minimum(np.floor(zs), nz - 2 if nz > 1 else 0).astype(np.intp)
-    x1 = np.minimum(x0 + 1, nx - 1)
-    y1 = np.minimum(y0 + 1, ny - 1)
-    z1 = np.minimum(z0 + 1, nz - 1)
+    flat = data.reshape(nx * ny * nz, *data.shape[3:])
     channels = (..., *(None,) * (data.ndim - 3))  # broadcast the weights over channel axes
-    fx = (xs - x0)[channels]
-    fy = (ys - y0)[channels]
-    fz = (zs - z0)[channels]
-    del xs, ys, zs  # callers still hold the unclipped positions: free the clipped copies before the lerps
+    base, fracs = 0, []
+    for pos, n in zip((xs, ys, zs), (nx, ny, nz)):
+        frac = np.clip(pos, 0.0, n - 1.0)  # a fresh array, so the caller's positions stay as they are
+        cell = np.minimum(np.floor(frac), n - 2 if n > 1 else 0)
+        frac -= cell
+        base = base * n + cell  # whole numbers, exact in float64: cast to indices once, below
+        fracs.append(frac[channels])
+    base, (fx, fy, fz) = base.astype(np.intp), fracs
+    dx, dy, dz = (ny * nz if nx > 1 else 0), (nz if ny > 1 else 0), (1 if nz > 1 else 0)  # one step along each axis
+    lo, hi = (np.empty(base.shape + data.shape[3:], dtype=data.dtype) for _ in range(2))
 
-    c000 = data[x0, y0, z0].astype(np.float64)
-    c100 = data[x1, y0, z0]
-    c010 = data[x0, y1, z0]
-    c110 = data[x1, y1, z0]
-    c001 = data[x0, y0, z1]
-    c101 = data[x1, y0, z1]
-    c011 = data[x0, y1, z1]
-    c111 = data[x1, y1, z1]
+    def corner(offset, out):  # flat[offset:] adds offset to each index; all are in range, "clip" skips a buffer
+        return np.take(flat[offset:], base, axis=0, out=out, mode="clip")
 
-    # nested lerps: exact on lattice points and on constant volumes
-    c00 = c000 + fx * (c100 - c000)
-    c10 = c010 + fx * (c110 - c010)
-    c01 = c001 + fx * (c101 - c001)
-    c11 = c011 + fx * (c111 - c011)
-    c0 = c00 + fy * (c10 - c00)
-    c1 = c01 + fy * (c11 - c01)
-    return c0 + fz * (c1 - c0)
+    def x_lerp(offset, out):  # c + fx * (c' - c) into out, c at offset, c' at offset + dx, c' - c in data's dtype
+        np.multiply(fx, np.subtract(corner(offset + dx, hi), corner(offset, lo), out=hi), out=out)
+        return np.add(out, lo, out=out)
+
+    def lerp(a, b, f):  # a + f * (b - a) into a; nested lerps are exact on lattice points and on constant volumes
+        b -= a
+        b *= f
+        return np.add(a, b, out=a)
+
+    c0, c1 = corner(0, lo).astype(np.float64), corner(dx, hi).astype(np.float64)
+    lerp(c0, c1, fx)  # c00
+    lerp(c0, x_lerp(dy, c1), fy)  # c0, from c00 and c10
+    lerp(x_lerp(dz, c1), x_lerp(dy + dz, np.empty_like(c1)), fy)  # c1, from c01 and c11
+    return lerp(c0, c1, fz)
 
 
 def trilinear_sample_many(vol: ScalarVolume, xs, ys, zs) -> np.ndarray:

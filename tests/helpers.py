@@ -128,7 +128,7 @@ def hausdorff_oracle(pred: LabelMap, gt: LabelMap, label: int) -> float:
     return base * float(max(directed_pg, directed_gp))
 
 
-def trilinear_oracle(vol: ScalarVolume, x: float, y: float, z: float) -> float:
+def trilinear_long_hand(vol: ScalarVolume, x: float, y: float, z: float) -> float:
     """Scalar trilinear interpolation written out long-hand (clamped)."""
     nx, ny, nz = vol.dims
     x = min(max(x, 0.0), nx - 1.0)
@@ -146,6 +146,48 @@ def trilinear_oracle(vol: ScalarVolume, x: float, y: float, z: float) -> float:
             for ck, wk in ((z0, 1 - fz), (z1, fz)):
                 val += wi * wj * wk * float(d[ci, cj, ck])
     return val
+
+
+def trilinear_oracle(data: np.ndarray, xs, ys, zs) -> np.ndarray:
+    """The fancy-index trilinear kernel that ``volume._trilinear`` replaced, kept bit for bit as its oracle.
+
+    Same clamping, broadcasting, channel axes and rounding: only ``c000`` is
+    cast to float64, so on float32 data the other corner differences are taken
+    in float32.
+    """
+    nx, ny, nz = data.shape[:3]
+    xs = np.clip(xs, 0.0, nx - 1.0)
+    ys = np.clip(ys, 0.0, ny - 1.0)
+    zs = np.clip(zs, 0.0, nz - 1.0)
+    x0 = np.minimum(np.floor(xs), nx - 2 if nx > 1 else 0).astype(np.intp)
+    y0 = np.minimum(np.floor(ys), ny - 2 if ny > 1 else 0).astype(np.intp)
+    z0 = np.minimum(np.floor(zs), nz - 2 if nz > 1 else 0).astype(np.intp)
+    x1 = np.minimum(x0 + 1, nx - 1)
+    y1 = np.minimum(y0 + 1, ny - 1)
+    z1 = np.minimum(z0 + 1, nz - 1)
+    channels = (..., *(None,) * (data.ndim - 3))  # broadcast the weights over channel axes
+    fx = (xs - x0)[channels]
+    fy = (ys - y0)[channels]
+    fz = (zs - z0)[channels]
+    del xs, ys, zs  # callers still hold the unclipped positions: free the clipped copies before the lerps
+
+    c000 = data[x0, y0, z0].astype(np.float64)
+    c100 = data[x1, y0, z0]
+    c010 = data[x0, y1, z0]
+    c110 = data[x1, y1, z0]
+    c001 = data[x0, y0, z1]
+    c101 = data[x1, y0, z1]
+    c011 = data[x0, y1, z1]
+    c111 = data[x1, y1, z1]
+
+    # nested lerps: exact on lattice points and on constant volumes
+    c00 = c000 + fx * (c100 - c000)
+    c10 = c010 + fx * (c110 - c010)
+    c01 = c001 + fx * (c101 - c001)
+    c11 = c011 + fx * (c111 - c011)
+    c0 = c00 + fy * (c10 - c00)
+    c1 = c01 + fy * (c11 - c01)
+    return c0 + fz * (c1 - c0)
 
 
 def dense_gaussian_oracle(data: np.ndarray, sigma: float) -> np.ndarray:

@@ -33,7 +33,7 @@ from cineprop.registration import (
     warp_label,
 )
 from cineprop.volume import LV, LabelMap, ScalarVolume, gaussian_smooth, trilinear_sample_many
-from helpers import fd_gradient, shift_volume, trilinear_oracle
+from helpers import fd_gradient, shift_volume, trilinear_long_hand
 
 SMALL_SPEC = PhantomSpec(
     dims=(32, 32, 32),
@@ -154,7 +154,7 @@ class TestWarpImage:
         out = warp_image(vol, DisplacementField(u, vol.spacing))
         for _ in range(60):
             i, j, k = (int(rng.integers(0, n)) for n in vol.dims)
-            expected = trilinear_oracle(
+            expected = trilinear_long_hand(
                 vol,
                 i + u[i, j, k, 0] / vol.spacing[0],
                 j + u[i, j, k, 1] / vol.spacing[1],

@@ -19,7 +19,7 @@ from cineprop.volume import (
     trilinear_sample,
     trilinear_sample_many,
 )
-from helpers import dense_gaussian_oracle, random_volume, trilinear_oracle
+from helpers import dense_gaussian_oracle, random_volume, trilinear_long_hand, trilinear_oracle
 
 
 class TestScalarVolume:
@@ -100,7 +100,7 @@ class TestTrilinear:
         vol = random_volume(rng, max_dim=6)
         for _ in range(50):
             p = rng.uniform(-2, 8, size=3)
-            expected = trilinear_oracle(vol, *p)
+            expected = trilinear_long_hand(vol, *p)
             assert trilinear_sample(vol, tuple(p)) == pytest.approx(expected, abs=1e-9)
 
     def test_convex_bounds(self):
@@ -121,6 +121,38 @@ class TestTrilinear:
         assert out.shape == (300, 4)
         for c in range(4):
             assert np.array_equal(out[:, c], _trilinear(np.ascontiguousarray(data[..., c]), *pts))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_channels", [1, 3, 4])
+    @pytest.mark.parametrize("shape", [(5, 4, 3), (1, 4, 3), (5, 1, 3), (5, 4, 1)])
+    def test_matches_fancy_index_oracle(self, shape, n_channels, dtype):
+        # raw bits, not values: the float32 corner differences must round exactly as before
+        rng = np.random.default_rng(5)
+        # mixed signs: a float32 difference of two corners then rounds, so float64 differences would show
+        data = rng.normal(0.0, 100.0, size=shape if n_channels == 1 else (*shape, n_channels)).astype(dtype)
+        # inside and beyond every face, plus integers: lattice points, the faces and one voxel past them
+        scattered = [np.concatenate([rng.uniform(-2.0, n + 1.0, 250), rng.integers(-1, n + 1, 50)]) for n in shape]
+        # the sparse broadcast grid of registration._upsample_field: fine index i at coarse position i/2
+        sparse = np.meshgrid(*[np.arange(2 * n + 1) * 0.5 for n in shape], indexing="ij", sparse=True)
+        # one scalar position, past the upper face along a length-1 axis
+        single = [0.75 * n + 0.5 for n in shape]
+        for pts in (scattered, sparse, single):
+            out = _trilinear(data, *pts)
+            expected = trilinear_oracle(data, *pts)
+            assert out.shape == expected.shape and out.dtype == np.float64
+            assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+    def test_leaves_positions_unchanged(self):
+        # _level_objective's gradient reads its positions again after the call, for the clamp mask
+        rng = np.random.default_rng(6)
+        data = rng.normal(size=(5, 4, 3, 4)).astype(np.float32)
+        pts = [rng.uniform(-3.0, n + 3.0, 200) for n in data.shape[:3]]
+        before = [p.copy() for p in pts]
+        for p in pts:
+            p.flags.writeable = False  # an in-place write raises instead of passing unnoticed
+        _trilinear(data, *pts)
+        for p, b in zip(pts, before):
+            assert np.array_equal(p, b)
 
     def test_rejects_non_finite_point(self):
         vol = ScalarVolume(np.zeros((2, 2, 2)))
