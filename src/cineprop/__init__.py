@@ -17,49 +17,10 @@ from .errors import (
     MissingVendorError,
     SeriesPropagationError,
 )
-from .metrics import CaseReport, ClassReport, dice, evaluate_case, hausdorff
-from .phantom import PhantomCine, PhantomSpec, generate_cine, generate_frame
-from .propagation import (
-    PropagationResult,
-    Template,
-    field_norm,
-    propagate_frame,
-    propagate_series,
-)
-from .registration import (
-    AffineTransform,
-    DisplacementField,
-    RegistrationParams,
-    affine_to_field,
-    register_affine,
-    register_deformable,
-    register_rigid,
-    resample_affine,
-    similarity,
-    warp_image,
-    warp_label,
-)
-from .style import (
-    HistogramReport,
-    MatchResult,
-    ReferenceHistogram,
-    build_reference,
-    histogram_match,
-    histogram_report,
-    ks_statistic,
-    vendor_transfer,
-)
-from .volume import (
-    BACKGROUND,
-    LV,
-    MYO,
-    RV,
-    CineSeries,
-    LabelMap,
-    ScalarVolume,
-    downsample2x,
-    gaussian_smooth,
-    trilinear_sample,
-)
+from .metrics import evaluate_case
+from .phantom import PhantomSpec, generate_cine
+from .propagation import propagate_series
+from .registration import AffineTransform, DisplacementField, RegistrationParams
+from .volume import CineSeries, LabelMap, ScalarVolume
 
 __version__ = "0.1.0"

@@ -111,15 +111,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_phantom(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    spec = PhantomSpec(
+    spec = PhantomSpec(  # validated before the output directory is made
         frames=args.frames,
         es_index=0,
         ed_index=args.frames - 1,
         seed=args.seed,
         noise_sigma=10.0,
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     cine = generate_cine(spec)
     frame_paths = []
     for t, frame in enumerate(cine.series.frames):
@@ -352,10 +352,7 @@ def run(argv: list[str]) -> int:
     except (InvalidParameterError, InvalidTargetError, MissingVendorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except CinepropError as exc:
+    except (CinepropError, OSError) as exc:  # FormatError and any other package error: I/O exit
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

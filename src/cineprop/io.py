@@ -50,31 +50,6 @@ NIFTI_DTYPES = {
 }
 
 
-@dataclass(frozen=True)
-class MvolHeader:
-    kind: int
-    dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
-
-    def pack(self) -> bytes:
-        return MVOL_HEADER.pack(MVOL_MAGIC, self.kind, *self.dims, *self.spacing)
-
-    @classmethod
-    def unpack(cls, raw: bytes) -> "MvolHeader":
-        if len(raw) < MVOL_HEADER.size:
-            raise FormatError("header", f"file too short for header ({len(raw)} bytes)")
-        magic, kind, nx, ny, nz, sx, sy, sz = MVOL_HEADER.unpack_from(raw)
-        if magic != MVOL_MAGIC:
-            raise FormatError("magic", f"expected {MVOL_MAGIC!r}, got {magic!r}")
-        if kind not in (KIND_SCALAR, KIND_LABEL):
-            raise FormatError("kind", f"unknown kind {kind}")
-        if min(nx, ny, nz) < 1:
-            raise FormatError("dims", f"non-positive dims ({nx}, {ny}, {nz})")
-        if not all(math.isfinite(s) and s > 0 for s in (sx, sy, sz)):
-            raise FormatError("spacing", f"spacing must be positive and finite, got ({sx}, {sy}, {sz})")
-        return cls(kind, (nx, ny, nz), (sx, sy, sz))
-
-
 def _atomic_write(path, payload: bytes) -> None:
     """Write bytes via a temp file + rename so no partial file is ever visible."""
     path = Path(path)
@@ -97,30 +72,42 @@ def write_mvol(obj, path) -> None:
         kind, payload = KIND_LABEL, obj.voxels.tobytes()
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    spacing32 = tuple(np.float32(s) for s in obj.spacing)
-    header = MvolHeader(kind, obj.dims, spacing32)
-    _atomic_write(path, header.pack() + payload)
+    with np.errstate(over="ignore"):  # a spacing past the float32 range becomes inf, rejected below
+        spacing32 = tuple(np.float32(s) for s in obj.spacing)
+    if not all(math.isfinite(s) and s > 0 for s in spacing32):
+        raise FormatError("spacing", f"spacing {obj.spacing} does not fit the float32 header")
+    _atomic_write(path, MVOL_HEADER.pack(MVOL_MAGIC, kind, *obj.dims, *spacing32) + payload)
 
 
 def read_mvol(path) -> ScalarVolume | LabelMap:
     """Read an MVOL file; the header's kind decides the returned type."""
     raw = Path(path).read_bytes()
-    header = MvolHeader.unpack(raw)
-    nx, ny, nz = header.dims
+    if len(raw) < MVOL_HEADER.size:
+        raise FormatError("header", f"file too short for header ({len(raw)} bytes)")
+    magic, kind, nx, ny, nz, sx, sy, sz = MVOL_HEADER.unpack_from(raw)
+    if magic != MVOL_MAGIC:
+        raise FormatError("magic", f"expected {MVOL_MAGIC!r}, got {magic!r}")
+    if kind not in (KIND_SCALAR, KIND_LABEL):
+        raise FormatError("kind", f"unknown kind {kind}")
+    if min(nx, ny, nz) < 1:
+        raise FormatError("dims", f"non-positive dims ({nx}, {ny}, {nz})")
+    if not all(math.isfinite(s) and s > 0 for s in (sx, sy, sz)):
+        raise FormatError("spacing", f"spacing must be positive and finite, got ({sx}, {sy}, {sz})")
+    dims, spacing = (nx, ny, nz), (sx, sy, sz)
     count = nx * ny * nz
     body = raw[MVOL_HEADER.size :]
-    itemsize = 4 if header.kind == KIND_SCALAR else 1
+    itemsize = 4 if kind == KIND_SCALAR else 1
     if len(body) != count * itemsize:
         raise FormatError("payload", f"expected {count * itemsize} bytes, got {len(body)}")
-    if header.kind == KIND_SCALAR:
+    if kind == KIND_SCALAR:
         flat = np.frombuffer(body, dtype="<f4")
         if not np.all(np.isfinite(flat)):
             raise FormatError("payload", "non-finite voxel values")
-        return ScalarVolume(flat.reshape(header.dims, order="F"), header.spacing)
+        return ScalarVolume(flat.reshape(dims, order="F"), spacing)
     flat = np.frombuffer(body, dtype=np.uint8)
     if flat.max(initial=0) > 3:
         raise FormatError("label range", f"label code {int(flat.max())} outside {{0,1,2,3}}")
-    return LabelMap(flat.reshape(header.dims, order="F"), header.spacing)
+    return LabelMap(flat.reshape(dims, order="F"), spacing)
 
 
 def read_nifti1(path, *, as_labels: bool = False) -> ScalarVolume | LabelMap:
@@ -261,11 +248,13 @@ def read_manifest(path) -> CineManifest:
     if not frames:
         raise ManifestError("frame", f"{path.name}: no frames listed")
 
-    try:
-        es_index = int(values["es_index"])
-        ed_index = int(values["ed_index"])
-    except ValueError as exc:
-        raise ManifestError("es_index", f"{path.name}: indices must be integers") from exc
+    indices = []
+    for key in ("es_index", "ed_index"):
+        try:
+            indices.append(int(values[key]))
+        except ValueError as exc:
+            raise ManifestError(key, f"{path.name}: {key} must be an integer, got {values[key]!r}") from exc
+    es_index, ed_index = indices
     if es_index == ed_index:
         raise ManifestError("es_index", f"{path.name}: es_index and ed_index are both {es_index}")
     for name, idx in (("es_index", es_index), ("ed_index", ed_index)):

@@ -145,9 +145,11 @@ def _affine_columns(m: np.ndarray, t: np.ndarray, x, y, z) -> tuple[np.ndarray, 
 def _dissimilarity(fixed: np.ndarray, kind: str):
     """``(score, d_score)`` against one fixed sample: ``score(warped)``, lower is better, and its gradient per sample.
 
-    The fixed side's float64 cast, centring and sum of squares are computed
-    once.  Sums are numpy's pairwise ``np.sum``, not BLAS dot products, so
-    they run on the calling thread and round the same way every time.
+    ``mse`` is the mean squared difference; ``ncc`` is the negative normalized
+    cross-correlation in [-1, 1], 0 when either image is constant.  The fixed
+    side's float64 cast, centring and sum of squares are computed once.  Sums
+    are numpy's pairwise ``np.sum``, not BLAS dot products, so they run on the
+    calling thread and round the same way every time.
     """
     a = np.asarray(fixed, dtype=np.float64).ravel()
     if kind == "mse":
@@ -181,18 +183,6 @@ def _dissimilarity(fixed: np.ndarray, kind: str):
         return (-ac + (float(np.sum(ac * bc)) / vb) * bc) / math.sqrt(va * vb)
 
     return score, d_score
-
-
-def similarity(fixed: ScalarVolume, warped: ScalarVolume, kind: str) -> float:
-    """Image dissimilarity, lower is better.
-
-    ``mse`` is the mean squared intensity difference; ``ncc`` is the negative
-    normalized cross-correlation in [-1, 1], defined as 0 when either image
-    is constant.
-    """
-    if fixed.dims != warped.dims:
-        raise InvalidParameterError(f"dims mismatch: {fixed.dims} vs {warped.dims}")
-    return _dissimilarity(fixed.data, kind)[0](warped.data)
 
 
 def _grid_axes(dims, spacing, stride: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -68,51 +68,6 @@ def build_reference(corpus: list[ScalarVolume], n: int, seed: int) -> ReferenceH
     return ReferenceHistogram(np.concatenate(slices))
 
 
-@dataclass(frozen=True, eq=False)
-class CdfMapping:
-    """Monotone intensity lookup: source value -> source CDF -> reference quantile."""
-
-    bin_edges: np.ndarray  # 257 ascending edges spanning the source range
-    counts: np.ndarray  # 256 per-bin counts of the source volume
-    reference: ReferenceHistogram
-
-    def __post_init__(self):
-        edges = np.asarray(self.bin_edges, dtype=np.float64)
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if edges.shape != (SOURCE_BINS + 1,) or np.any(np.diff(edges) <= 0):
-            raise InvalidParameterError("bin_edges must be 257 strictly ascending values")
-        if counts.shape != (SOURCE_BINS,) or counts.sum() <= 0:
-            raise InvalidParameterError("counts must hold 256 bins with a positive total")
-        edges.flags.writeable = False
-        counts.flags.writeable = False
-        object.__setattr__(self, "bin_edges", edges)
-        object.__setattr__(self, "counts", counts)
-
-    def _midrank(self) -> np.ndarray:
-        cum = np.cumsum(self.counts, dtype=np.float64)
-        lower = np.concatenate([[0.0], cum[:-1]])
-        return (lower + cum) / (2.0 * cum[-1])
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Map source values through the CDF equalization (monotone)."""
-        values = np.asarray(values, dtype=np.float64)
-        lo, hi = self.bin_edges[0], self.bin_edges[-1]
-        width = hi - lo
-        bins = np.clip(((values - lo) / width * SOURCE_BINS).astype(np.int64), 0, SOURCE_BINS - 1)
-        return self.reference.quantile(self._midrank())[bins]
-
-
-def build_cdf_mapping(vol: ScalarVolume, ref: ReferenceHistogram) -> CdfMapping:
-    """Quantize the volume's empirical CDF to 256 bins over its own range."""
-    values = vol.data.ravel()
-    lo, hi = float(values.min()), float(values.max())
-    if hi <= lo:
-        raise InvalidParameterError("volume is constant; its CDF mapping is degenerate")
-    edges = np.linspace(lo, hi, SOURCE_BINS + 1)
-    counts, _ = np.histogram(values, bins=edges)
-    return CdfMapping(bin_edges=edges, counts=counts, reference=ref)
-
-
 class MatchResult(NamedTuple):
     volume: ScalarVolume
     degenerate: bool
@@ -128,8 +83,14 @@ def histogram_match(vol: ScalarVolume, ref: ReferenceHistogram) -> MatchResult:
     if vol.is_constant():
         filled = np.full(vol.dims, ref.median, dtype=np.float32)
         return MatchResult(ScalarVolume(filled, vol.spacing), True)
-    mapping = build_cdf_mapping(vol, ref)
-    matched = mapping.apply(vol.data).astype(np.float32)
+    # the source CDF, quantized to SOURCE_BINS bins over the volume's own range, at mid-rank per bin
+    values = vol.data.ravel()
+    lo, hi = float(values.min()), float(values.max())
+    counts, _ = np.histogram(values, bins=np.linspace(lo, hi, SOURCE_BINS + 1))
+    cum = np.cumsum(counts, dtype=np.float64)
+    midrank = (np.concatenate([[0.0], cum[:-1]]) + cum) / (2.0 * cum[-1])
+    bins = ((vol.data.astype(np.float64) - lo) / (hi - lo) * SOURCE_BINS).astype(np.int64)
+    matched = ref.quantile(midrank)[np.clip(bins, 0, SOURCE_BINS - 1)].astype(np.float32)
     return MatchResult(ScalarVolume(matched, vol.spacing), False)
 
 
@@ -213,7 +174,7 @@ def histogram_report(groups: dict[str, list[ScalarVolume]], bins: int) -> Histog
     for tag, vols in groups.items():
         if not vols:
             raise InvalidParameterError(f"group {tag!r} is empty")
-        pooled[tag] = np.concatenate([v.data.ravel() for v in vols]).astype(np.float64)
+        pooled[tag] = np.concatenate([v.data.ravel() for v in vols], dtype=np.float64)
 
     lo = min(float(p.min()) for p in pooled.values())
     hi = max(float(p.max()) for p in pooled.values())

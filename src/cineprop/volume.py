@@ -111,9 +111,6 @@ class LabelMap:
     def voxels(self) -> np.ndarray:
         return self.data.ravel(order="F")
 
-    def mask(self, label: int) -> np.ndarray:
-        return self.data == label
-
 
 @dataclass(frozen=True, eq=False)
 class CineSeries:
@@ -256,8 +253,8 @@ def _convolve1d_replicate(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.
 def _separable_smooth(arr: np.ndarray, sigma_vox: float) -> np.ndarray:
     """Gaussian convolution along every axis longer than 1 (float64 result).
 
-    The one smoothing loop and sigma check behind gaussian_smooth,
-    gaussian_smooth_array and downsample2x; sigma 0 returns a float64 copy.
+    The one smoothing loop and sigma check behind gaussian_smooth_array and
+    downsample2x; sigma 0 returns a float64 copy.
     """
     if sigma_vox < 0:
         raise InvalidParameterError(f"sigma_vox must be >= 0, got {sigma_vox}")
@@ -274,16 +271,6 @@ def _separable_smooth(arr: np.ndarray, sigma_vox: float) -> np.ndarray:
 def gaussian_smooth_array(arr: np.ndarray, sigma_vox: float) -> np.ndarray:
     """Separable Gaussian smoothing of a raw 3D array (float64 result)."""
     return _separable_smooth(arr, sigma_vox)
-
-
-def gaussian_smooth(vol: ScalarVolume, sigma_vox: float) -> ScalarVolume:
-    """Separable Gaussian convolution with edge replication.
-
-    Kernel radius is ceil(3*sigma_vox); sigma 0 returns the input unchanged.
-    """
-    if sigma_vox == 0:
-        return vol
-    return ScalarVolume(_separable_smooth(vol.data, sigma_vox), vol.spacing)
 
 
 def downsample2x(vol: ScalarVolume) -> ScalarVolume:

@@ -38,6 +38,11 @@ class TestPhantomCommand:
         series = io.load_series(manifest)
         assert series.n_frames == 5
 
+    def test_invalid_frame_count_makes_no_directory(self, tmp_path):
+        out = tmp_path / "ph"
+        assert run(["phantom", "--frames", "2", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
 
 class TestPropagateCommand:
     def test_propagates_and_reports(self, tmp_path):

@@ -93,6 +93,14 @@ class TestMvol:
         with pytest.raises(FormatError, match="spacing"):
             io.read_mvol(path)
 
+    @pytest.mark.parametrize("bad", [1e-46, 1e39])  # valid in float64, 0 or inf in the float32 header
+    def test_spacing_outside_float32_not_written(self, tmp_path, bad):
+        path = tmp_path / "v.mvol"
+        with pytest.raises(FormatError) as excinfo:
+            io.write_mvol(ScalarVolume(np.zeros((2, 2, 2)), (bad, 1.0, 1.0)), path)
+        assert excinfo.value.field == "spacing"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestNifti:
     def test_float32_values_and_spacing(self, tmp_path):
@@ -256,6 +264,15 @@ class TestManifest:
         mpath = _write_series(tmp_path, es=3, ed=3)
         with pytest.raises(ManifestError, match="es_index"):
             io.read_manifest(mpath)
+
+    @pytest.mark.parametrize("key", ["es_index", "ed_index"])
+    def test_non_integer_index_names_its_key(self, tmp_path, key):
+        mpath = _write_series(tmp_path)
+        text = "\n".join(f"{key} = two" if l.startswith(key) else l for l in mpath.read_text().splitlines())
+        mpath.write_text(text + "\n")
+        with pytest.raises(ManifestError) as excinfo:
+            io.read_manifest(mpath)
+        assert excinfo.value.field == key
 
     def test_out_of_range_index(self, tmp_path):
         mpath = _write_series(tmp_path, n_frames=10, es=3, ed=12)

@@ -1,18 +1,18 @@
 """The README's examples name only what the package provides.
 
-Every name the Python example imports from ``cineprop`` must exist, and every
-``cineprop ...`` line of the CLI block must parse, so pruning the public API
-cannot silently break the README.
+Every name the Python examples import from ``cineprop`` or one of its
+submodules must exist, and every ``cineprop ...`` line of the CLI block must
+parse, so pruning the public API cannot silently break the README.
 """
 
 import ast
+import importlib
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-import cineprop
 from cineprop.cli import _build_parser
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -28,15 +28,16 @@ def _cli_lines() -> list[str]:
 
 
 def test_python_example_imports_exist():
-    names = [
-        alias.name
+    imports = [
+        (node.module, alias.name)
         for block in _blocks("python")
         for node in ast.walk(ast.parse(block))
-        if isinstance(node, ast.ImportFrom) and node.module == "cineprop"
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "cineprop"
         for alias in node.names
     ]
-    assert names, "the README has no `from cineprop import ...` example"
-    assert [n for n in names if not hasattr(cineprop, n)] == []
+    assert any(m == "cineprop" for m, _ in imports), "the README has no `from cineprop import ...` example"
+    missing = [(m, n) for m, n in imports if not hasattr(importlib.import_module(m), n)]
+    assert missing == []
 
 
 def test_cli_block_lists_every_subcommand():
