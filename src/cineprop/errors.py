@@ -22,6 +22,10 @@ class FormatError(CinepropError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+        self.message = message
+
+    def __reduce__(self):  # pickled from worker processes: rebuild from the constructor's arguments
+        return type(self), (self.field, self.message)
 
 
 class ManifestError(FormatError):
@@ -50,3 +54,6 @@ class SeriesPropagationError(CinepropError):
         self.failures = list(failures)
         parts = ", ".join(f"frame {i}: {e}" for i, e in self.failures)
         super().__init__(f"propagation failed for {len(self.failures)} frame(s): {parts}")
+
+    def __reduce__(self):
+        return type(self), (self.failures,)

@@ -111,6 +111,9 @@ class LabelMap:
     def voxels(self) -> np.ndarray:
         return self.data.ravel(order="F")
 
+    def __reduce__(self):  # unpickled through the constructor, so ``data`` is checked and read-only again
+        return type(self), (self.data, self.spacing)
+
 
 @dataclass(frozen=True, eq=False)
 class CineSeries:

@@ -2,9 +2,11 @@
 
 import dataclasses
 import os
+import signal
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,30 @@ from helpers import write_cine_dir as _write_cine_dir
 
 def _tree_bytes(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.is_file()}
+
+
+def _src_env():
+    """This environment, with the imported cineprop's source directory on PYTHONPATH for child processes."""
+    src = str(Path(cineprop.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _proc_stat(pid):
+    """The fields of ``/proc/<pid>/stat`` after the command name (state, ppid, ...); None once it is gone."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+
+
+def _running(pid):
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def _children(pid):
+    stats = {int(p.name): _proc_stat(p.name) for p in Path("/proc").iterdir() if p.name.isdigit()}
+    return sorted(child for child, stat in stats.items() if stat is not None and int(stat[1]) == pid)
 
 
 class TestPhantomCommand:
@@ -147,8 +173,7 @@ class TestPropagateCommand:
     def test_outputs_independent_of_blas_threads(self, tmp_path):
         # 24^3 voxels: NCC sums run over 13.8k samples, above the size where BLAS dot products thread
         mpath, _ = _write_cine_dir(tmp_path / "cine", dataclasses.replace(TINY_CINE_SPEC, dims=(24, 24, 24)))
-        src = str(Path(cineprop.__file__).resolve().parents[1])
-        inherited = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        inherited = _src_env()
         pinned = dict(inherited, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
         trees = []
         for name, env in (("inherited", inherited), ("pinned", pinned)):
@@ -164,6 +189,31 @@ class TestPropagateCommand:
             "summary.txt",
         ]
         assert [name for name in trees[0] if trees[0][name] != trees[1].get(name)] == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="finds the worker processes in /proc")
+    def test_workers_exit_when_the_cli_is_killed(self, tmp_path):
+        spec = dataclasses.replace(TINY_CINE_SPEC, dims=(32, 32, 32), frames=6, ed_index=5)
+        mpath, _ = _write_cine_dir(tmp_path / "cine", spec)
+        argv = ["propagate", "--manifest", str(mpath), "--out", str(tmp_path / "out"), "--workers", "2"]
+        proc = subprocess.Popen([sys.executable, "-m", "cineprop.cli", *argv], env=_src_env())
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.02)
+                workers = _children(proc.pid)
+            assert len(workers) == 2, "the CLI did not start two workers"
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 5
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert [w for w in workers if _running(w)] == []
+        finally:
+            proc.kill()
+            proc.wait()
+            for w in filter(_running, workers):
+                os.kill(w, signal.SIGKILL)
 
     def test_constant_frames_degenerate(self, tmp_path):
         out = tmp_path / "flat"

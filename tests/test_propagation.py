@@ -1,10 +1,16 @@
 """Warp-norm template selection and per-frame pseudo-label emission."""
 
+import dataclasses
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
-from cineprop import volume
-from cineprop.errors import InvalidParameterError, InvalidTargetError
+from cineprop import cli, propagation, volume
+from cineprop.errors import DegenerateInputError, InvalidParameterError, InvalidTargetError, SeriesPropagationError
 from cineprop.metrics import dice
 from cineprop.phantom import PhantomSpec, generate_cine, generate_frame
 from cineprop.propagation import (
@@ -16,6 +22,7 @@ from cineprop.propagation import (
 )
 from cineprop.registration import DisplacementField, RegistrationParams
 from cineprop.volume import CineSeries, LabelMap
+from helpers import write_cine_dir
 
 TINY_SPEC = PhantomSpec(
     dims=(20, 20, 20),
@@ -168,13 +175,90 @@ class TestPropagateSeries:
 
     def test_workers_do_not_change_results(self, tiny_cine, series_results):
         par = propagate_series(tiny_cine.series, FAST, workers=3)
+        assert len(par) == len(series_results)
         for a, b in zip(series_results, par):
             assert a.frame_index == b.frame_index
             assert a.chosen_template is b.chosen_template
-            assert a.es_norm == pytest.approx(b.es_norm, abs=1e-6)
-            assert a.ed_norm == pytest.approx(b.ed_norm, abs=1e-6)
+            assert a.es_norm == b.es_norm
+            assert a.ed_norm == b.ed_norm
             assert np.array_equal(a.pseudo_label.data, b.pseudo_label.data)
+            assert not b.pseudo_label.data.flags.writeable
+        assert multiprocessing.active_children() == []
+
+    def test_more_workers_than_frames(self, tiny_cine, series_results):
+        # frame 1 between the same two templates is the only target: the work is sized to one process
+        frames = tuple(tiny_cine.series.frames[i] for i in (0, 1, 3))
+        (alone,) = propagate_series(dataclasses.replace(tiny_cine.series, frames=frames, ed_index=2), FAST, workers=2)
+        ref = series_results[0]
+        assert alone.frame_index == ref.frame_index == 1
+        assert (alone.chosen_template, alone.es_norm, alone.ed_norm) == (ref.chosen_template, ref.es_norm, ref.ed_norm)
+        assert np.array_equal(alone.pseudo_label.data, ref.pseudo_label.data)
+        assert multiprocessing.active_children() == []
 
     def test_bad_worker_count(self, tiny_cine):
         with pytest.raises(InvalidParameterError):
             propagate_series(tiny_cine.series, FAST, workers=0)
+
+
+class TestWorkerFailures:
+    """Frames run in forked workers, which inherit a ``propagate_frame`` patched here."""
+
+    SPEC = dataclasses.replace(TINY_SPEC, frames=6, ed_index=5, noise_sigma=4.0)  # targets 1-4
+
+    @pytest.fixture
+    def cine_dir(self, tmp_path):
+        mpath, cine = write_cine_dir(tmp_path / "cine", self.SPEC)
+        return mpath, cine.series
+
+    @pytest.fixture(autouse=True)
+    def no_hang(self):
+        def timed_out(signum, frame):
+            raise TimeoutError("propagate_series did not return")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(120)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def quick_result(series, target):
+        return PropagationResult(target, series.es_label, Template.ES, 0.0, 1.0)
+
+    def test_failure_stays_with_its_frame(self, cine_dir, tmp_path, monkeypatch):
+        mpath, series = cine_dir
+
+        def fake(series, target, params=None):
+            if target == 2:
+                raise DegenerateInputError("frame 2 is constant")
+            return self.quick_result(series, target)
+
+        monkeypatch.setattr(propagation, "propagate_frame", fake)
+        with pytest.raises(SeriesPropagationError) as info:
+            propagate_series(series, FAST, workers=2)
+        ((frame, exc),) = info.value.failures
+        assert frame == 2
+        assert type(exc) is DegenerateInputError
+        assert str(exc) == "frame 2 is constant"
+        argv = ["propagate", "--manifest", str(mpath), "--out", str(tmp_path / "out"), "--workers", "2"]
+        assert cli.run(argv) == cli.EXIT_DEGENERATE
+
+    def test_dead_worker_fails_the_frames_left(self, cine_dir, tmp_path, monkeypatch):
+        mpath, series = cine_dir
+        test_pid = os.getpid()
+
+        def fake(series, target, params=None):
+            if target == 2 and os.getpid() != test_pid:
+                os._exit(1)
+            return self.quick_result(series, target)
+
+        monkeypatch.setattr(propagation, "propagate_frame", fake)
+        with pytest.raises(SeriesPropagationError) as info:
+            propagate_series(series, FAST, workers=2)
+        frames = [frame for frame, _ in info.value.failures]
+        assert 2 in frames
+        assert frames == sorted(set(frames)) and set(frames) <= {1, 2, 3, 4}
+        assert all(isinstance(exc, BrokenProcessPool) for _, exc in info.value.failures)
+        argv = ["propagate", "--manifest", str(mpath), "--out", str(tmp_path / "out"), "--workers", "2"]
+        assert cli.run(argv) == cli.EXIT_IO
