@@ -118,21 +118,29 @@ def vendor_transfer(
 def ks_statistic(sample_a, sample_b) -> float:
     """Exact Kolmogorov-Smirnov statistic between two empirical distributions.
 
-    Both ECDFs are evaluated from each side at every value of each sorted
-    pool (where the gap peaks), ``_KS_BLOCK`` values at a time.
+    Both right-continuous ECDFs are evaluated at the last copy of each distinct
+    value of each sorted pool, where the pool's own count is its index plus one
+    and the other pool's count is one binary search, ``_KS_BLOCK`` values at a
+    time.  The left limits at a value equal the right-side ECDFs at the previous
+    distinct value of either pool (or both zero), so they never raise the maximum.
     """
     a = np.sort(np.asarray(sample_a, dtype=np.float64).ravel())
     b = np.sort(np.asarray(sample_b, dtype=np.float64).ravel())
     if a.size == 0 or b.size == 0:
         raise InvalidParameterError("KS statistic needs non-empty samples")
+    if np.isnan(a[-1]) or np.isnan(b[-1]):  # the sort puts NaN last
+        raise InvalidParameterError("KS statistic needs samples without NaN")
     gap = 0.0
-    for pool in (a, b):
+    for pool, other in ((a, b), (b, a)):
         for start in range(0, pool.size, _KS_BLOCK):
             points = pool[start : start + _KS_BLOCK]
-            for side in ("right", "left"):
-                fa = np.searchsorted(a, points, side=side) / a.size
-                fb = np.searchsorted(b, points, side=side) / b.size
-                gap = max(gap, float(np.max(np.abs(fa - fb))))
+            following = pool[start + 1 : start + 1 + points.size]  # one short at the end of the pool
+            last = np.ones(points.size, dtype=bool)
+            last[: following.size] = points[: following.size] != following
+            ends = np.flatnonzero(last)
+            f_pool = (start + 1 + ends) / pool.size
+            f_other = np.searchsorted(other, points[ends], side="right") / other.size
+            gap = max(gap, float(np.max(np.abs(f_pool - f_other), initial=0.0)))
     return gap
 
 
@@ -174,17 +182,20 @@ def histogram_report(groups: dict[str, list[ScalarVolume]], bins: int) -> Histog
     for tag, vols in groups.items():
         if not vols:
             raise InvalidParameterError(f"group {tag!r} is empty")
-        pooled[tag] = np.concatenate([v.data.ravel() for v in vols], dtype=np.float64)
+        values = np.concatenate([v.data.ravel() for v in vols], dtype=np.float64)
+        values.sort()  # private, so sorted in place: the range is its ends and each histogram two searches
+        pooled[tag] = values
 
-    lo = min(float(p.min()) for p in pooled.values())
-    hi = max(float(p.max()) for p in pooled.values())
+    lo = min(float(p[0]) for p in pooled.values())
+    hi = max(float(p[-1]) for p in pooled.values())
     if hi <= lo:
         hi = lo + 1.0  # all values identical: everything lands in bin 0
     edges = np.linspace(lo, hi, bins + 1)
     densities = {}
     for tag, values in pooled.items():
-        counts, _ = np.histogram(values, bins=edges)
-        densities[tag] = counts / values.size
+        cum = np.searchsorted(values, edges, side="left")
+        cum[-1] = np.searchsorted(values, edges[-1], side="right")  # np.histogram closes the last bin
+        densities[tag] = np.diff(cum) / values.size
 
     ks: dict[tuple[str, str], float] = {}
     tags = sorted(pooled)

@@ -190,6 +190,34 @@ def trilinear_oracle(data: np.ndarray, xs, ys, zs) -> np.ndarray:
     return c0 + fz * (c1 - c0)
 
 
+def ks_eight_search_oracle(sample_a, sample_b) -> float:
+    """The eight-search KS statistic that ``style.ks_statistic`` replaced, kept bit for bit as its oracle.
+
+    Both ECDFs are evaluated from each side at every value of each sorted pool
+    by binary search: ``count / n`` per sample, then ``abs(fa - fb)``.
+    """
+    a = np.sort(np.asarray(sample_a, dtype=np.float64).ravel())
+    b = np.sort(np.asarray(sample_b, dtype=np.float64).ravel())
+    gap = 0.0
+    for pool in (a, b):
+        for side in ("right", "left"):
+            fa = np.searchsorted(a, pool, side=side) / a.size
+            fb = np.searchsorted(b, pool, side=side) / b.size
+            gap = max(gap, float(np.max(np.abs(fa - fb))))
+    return gap
+
+
+def ks_brute_force(a, b) -> float:
+    """KS statistic by definition: both ECDFs and both left limits, compared at every pooled value."""
+    a, b = np.ravel(a), np.ravel(b)
+    gap = 0.0
+    for p in np.concatenate([a, b]):
+        right = abs(np.count_nonzero(a <= p) / a.size - np.count_nonzero(b <= p) / b.size)
+        left = abs(np.count_nonzero(a < p) / a.size - np.count_nonzero(b < p) / b.size)
+        gap = max(gap, right, left)
+    return gap
+
+
 def dense_gaussian_oracle(data: np.ndarray, sigma: float) -> np.ndarray:
     """Full 3D convolution with the normalized sampled Gaussian, edge replication."""
     radius = int(np.ceil(3.0 * sigma))

@@ -14,6 +14,7 @@ from cineprop.style import (
     vendor_transfer,
 )
 from cineprop.volume import ScalarVolume
+from helpers import ks_brute_force, ks_eight_search_oracle
 
 
 def _normal_volume(rng, mean, std, dims=(16, 16, 16)):
@@ -182,18 +183,31 @@ class TestKsStatistic:
         assert ks_statistic(a, b) >= 0.9
 
     @pytest.mark.parametrize("block", [1, 7, 1 << 16])
-    def test_blocks_match_merged_oracle(self, monkeypatch, block):
-        # ties within and across pools, unequal sizes, pools not a multiple of the block
+    def test_equals_eight_search_and_brute_force_oracles(self, monkeypatch, block):
         rng = np.random.default_rng(30)
-        a = np.round(rng.normal(0.0, 3.0, size=301))
-        b = np.round(rng.normal(1.0, 4.0, size=173))
-        points = np.concatenate([a, b])
-        want = max(
-            float(np.max(np.abs(np.mean(a[:, None] <= points, axis=0) - np.mean(b[:, None] <= points, axis=0)))),
-            float(np.max(np.abs(np.mean(a[:, None] < points, axis=0) - np.mean(b[:, None] < points, axis=0)))),
-        )
+        pairs = [
+            (np.round(rng.normal(0.0, 3.0, size=301)), np.round(rng.normal(1.0, 4.0, size=173))),  # ties, unequal sizes
+            (np.array([2.0]), np.array([-1.0])),  # single-element pools
+            (np.array([0.5]), np.round(rng.normal(0.0, 1.0, size=40))),
+            (np.array([0.0] * 5 + [1.0] * 9 + [2.0] * 3), np.array([1.0, 1.0, 3.0])),  # a run of 1.0 across block 7
+            (np.full(20, 4.0), np.array([3.0, 4.0, 4.0, 5.0])),  # blocks made only of ties
+        ]
+        for _ in range(40):
+            n_a, n_b = (int(n) for n in rng.integers(1, 60, size=2))
+            scale = float(rng.choice([0.3, 1.0, 5.0]))
+            pairs.append((np.round(rng.normal(0.0, scale, size=n_a)), np.round(rng.normal(1.0, scale, size=n_b))))
         monkeypatch.setattr(style, "_KS_BLOCK", block)
-        assert ks_statistic(a, b) == ks_statistic(b, a) == want
+        for a, b in pairs:
+            want = ks_eight_search_oracle(a, b)
+            assert want == ks_brute_force(a, b)
+            assert ks_statistic(a, b) == ks_statistic(b, a) == want
+
+    @pytest.mark.parametrize(
+        "a, b", [([np.nan], [1.0]), ([np.nan, 0.0], [np.nan, 0.0]), ([0.0, 1.0], [2.0, np.nan])]
+    )
+    def test_nan_rejected(self, a, b):
+        with pytest.raises(InvalidParameterError, match="NaN"):
+            ks_statistic(np.array(a), np.array(b))
 
 
 class TestHistogramReport:
@@ -216,6 +230,20 @@ class TestHistogramReport:
         report = histogram_report(groups, bins=24)
         for dens in report.densities.values():
             assert float(dens.sum()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_densities_equal_np_histogram(self):
+        # values on interior edges and at the global maximum (counted by the closed last bin),
+        # in two groups with different ranges
+        x = np.arange(0.0, 17.0).reshape(17, 1, 1)  # range [0, 16]: on every edge of 8 bins
+        y = np.array([4.0, 4.0, 6.0, 7.5, 10.0, 16.0]).reshape(6, 1, 1)
+        rng = np.random.default_rng(32)
+        z = np.round(rng.uniform(2.0, 12.0, size=(9, 9, 3)))  # with y: range [2, 16]
+        report = histogram_report({"x": [ScalarVolume(x)], "yz": [ScalarVolume(y), ScalarVolume(z)]}, bins=8)
+        assert (report.range_min, report.range_max) == (0.0, 16.0)
+        edges = np.linspace(report.range_min, report.range_max, report.bins + 1)
+        for tag, pool in {"x": x, "yz": np.concatenate([y.ravel(), z.ravel()])}.items():
+            want = np.histogram(pool.ravel().astype(np.float64), edges)[0] / pool.size
+            assert report.densities[tag].tolist() == want.tolist()
 
     def test_text_format(self):
         rng = np.random.default_rng(31)
