@@ -229,46 +229,63 @@ def nearest_sample_many(lm: LabelMap, xs, ys, zs) -> np.ndarray:
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
-    """Normalized sampled Gaussian with radius ceil(3*sigma)."""
-    if sigma < 0:
-        raise InvalidParameterError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0:
+    """Normalized sampled Gaussian with radius ceil(3*sigma); the one sigma check of the smoothing.
+
+    Sigma 0, and any sigma so small that ``2*sigma*sigma`` underflows to 0
+    (below about 1.5e-162, where the samples would be 0/0), give the identity
+    kernel ``[1.0]``.  Below about 7e-155 the off-centre samples are
+    ``exp(-inf)``, exactly 0, and that overflow is not worth a warning.
+    """
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise InvalidParameterError(f"sigma must be finite and >= 0, got {sigma}")
+    two_var = 2.0 * sigma * sigma
+    if two_var == 0:
         return np.array([1.0])
     radius = math.ceil(3.0 * sigma)
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    w = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
+    with np.errstate(over="ignore"):
+        w = np.exp(-(offsets**2) / two_var)
     return w / w.sum()
 
 
 def _convolve1d_replicate(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    """1D convolution along ``axis`` with edge replication, float64 accumulation."""
-    radius = len(kernel) // 2
-    pad = [(radius, radius) if ax == axis else (0, 0) for ax in range(arr.ndim)]
-    padded = np.pad(np.asarray(arr, dtype=np.float64), pad, mode="edge")
-    out = np.zeros(arr.shape, dtype=np.float64)
-    index = [slice(None)] * arr.ndim
+    """1D convolution along ``axis`` with edge replication, float64 accumulation.
+
+    ``arr`` is written with ``axis`` moved to the front into one float64
+    buffer padded along that leading axis, and the edges are replicated by
+    slice assignment.  Each tap is then one long contiguous multiply-add,
+    ``out += w_k * padded[k:k+n]``, through one reused tap buffer, whichever
+    axis is smoothed: along a short, fastest-varying axis (12 thick slices) a
+    tap would otherwise be thousands of 12-element loops.  Every output
+    element is ``0 + w_0*p_0 + w_1*p_1 + ...`` in that order, as with
+    ``np.pad`` along ``axis``, so the bytes do not depend on the layout.
+    Returns a view with ``axis`` moved back.
+    """
+    src = np.moveaxis(arr, axis, 0)
+    n, radius = src.shape[0], len(kernel) // 2
+    padded = np.empty((n + 2 * radius, *src.shape[1:]))
+    padded[radius : radius + n] = src
+    padded[:radius] = padded[radius]
+    padded[radius + n :] = padded[radius + n - 1]
+    out = np.zeros(src.shape)
+    tap = np.empty_like(out)
     for offset, weight in enumerate(kernel):
-        index[axis] = slice(offset, offset + arr.shape[axis])
-        out += weight * padded[tuple(index)]
-    return out
+        out += np.multiply(weight, padded[offset : offset + n], out=tap)
+    return np.moveaxis(out, 0, axis)
 
 
 def _separable_smooth(arr: np.ndarray, sigma_vox: float) -> np.ndarray:
-    """Gaussian convolution along every axis longer than 1 (float64 result).
+    """Gaussian convolution along every axis longer than 1 (a fresh C-contiguous float64 result).
 
-    The one smoothing loop and sigma check behind gaussian_smooth_array and
-    downsample2x; sigma 0 returns a float64 copy.
+    The one smoothing loop behind gaussian_smooth_array and downsample2x; the
+    axes are smoothed in the order x, y, z, and an identity kernel copies.
     """
-    if sigma_vox < 0:
-        raise InvalidParameterError(f"sigma_vox must be >= 0, got {sigma_vox}")
-    if sigma_vox == 0:
-        return np.asarray(arr, dtype=np.float64).copy()
     kernel = gaussian_kernel(sigma_vox)
-    out = np.asarray(arr, dtype=np.float64)
+    out = arr
     for axis in range(3):
-        if arr.shape[axis] > 1:
+        if arr.shape[axis] > 1 and len(kernel) > 1:
             out = _convolve1d_replicate(out, kernel, axis)
-    return out
+    return np.array(out, dtype=np.float64, order="C")  # the passes return views; an identity kernel makes none
 
 
 def gaussian_smooth_array(arr: np.ndarray, sigma_vox: float) -> np.ndarray:

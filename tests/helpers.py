@@ -218,12 +218,18 @@ def ks_brute_force(a, b) -> float:
     return gap
 
 
-def dense_gaussian_oracle(data: np.ndarray, sigma: float) -> np.ndarray:
-    """Full 3D convolution with the normalized sampled Gaussian, edge replication."""
+def sampled_gaussian_oracle(sigma: float) -> np.ndarray:
+    """The normalized sampled Gaussian, radius ceil(3*sigma), as written before any sigma guard."""
     radius = int(np.ceil(3.0 * sigma))
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     k1 = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
-    k1 /= k1.sum()
+    return k1 / k1.sum()
+
+
+def dense_gaussian_oracle(data: np.ndarray, sigma: float) -> np.ndarray:
+    """Full 3D convolution with the normalized sampled Gaussian, edge replication."""
+    k1 = sampled_gaussian_oracle(sigma)
+    radius = len(k1) // 2
     kernel = k1[:, None, None] * k1[None, :, None] * k1[None, None, :]
     nx, ny, nz = data.shape
     out = np.zeros(data.shape, dtype=np.float64)
@@ -239,6 +245,33 @@ def dense_gaussian_oracle(data: np.ndarray, sigma: float) -> np.ndarray:
                             kk = min(max(k + dk, 0), nz - 1)
                             acc += kernel[di + radius, dj + radius, dk + radius] * float(data[ii, jj, kk])
                 out[i, j, k] = acc
+    return out
+
+
+def convolve1d_pad_oracle(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    """The ``np.pad`` convolution that ``volume._convolve1d_replicate`` replaced, kept bit for bit as its oracle.
+
+    Pads along ``axis`` with ``np.pad(mode="edge")`` and accumulates
+    ``out += w_k * padded[k:k+n]`` into zeros, each tap strided along ``axis``.
+    """
+    radius = len(kernel) // 2
+    pad = [(radius, radius) if ax == axis else (0, 0) for ax in range(arr.ndim)]
+    padded = np.pad(np.asarray(arr, dtype=np.float64), pad, mode="edge")
+    out = np.zeros(arr.shape, dtype=np.float64)
+    index = [slice(None)] * arr.ndim
+    for offset, weight in enumerate(kernel):
+        index[axis] = slice(offset, offset + arr.shape[axis])
+        out += weight * padded[tuple(index)]
+    return out
+
+
+def separable_smooth_oracle(arr: np.ndarray, sigma: float) -> np.ndarray:
+    """``convolve1d_pad_oracle`` along x, y, z in turn, skipping axes of length 1 (float64 result)."""
+    kernel = sampled_gaussian_oracle(sigma)
+    out = np.asarray(arr, dtype=np.float64)
+    for axis in range(3):
+        if arr.shape[axis] > 1:
+            out = convolve1d_pad_oracle(out, kernel, axis)
     return out
 
 

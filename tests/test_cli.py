@@ -170,6 +170,17 @@ class TestPropagateCommand:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_underflowing_sigma_smooths_like_sigma_zero(self, tmp_path):
+        # 2*sigma*sigma is 0 for sigma 1e-200: the field is left unsmoothed, not scored NaN and rejected
+        mpath, _ = _write_cine_dir(tmp_path / "cine")
+        trees = []
+        for sigma in ("0", "1e-200"):
+            out = tmp_path / f"sigma_{sigma}"
+            argv = ["propagate", "--manifest", str(mpath), "--out", str(out), "--sigma", sigma]
+            assert run([*argv, "--pyramid-levels", "2", "--iters", "5,5"]) == EXIT_OK
+            trees.append(_tree_bytes(out))
+        assert trees[0] == trees[1]
+
     def test_outputs_independent_of_blas_threads(self, tmp_path):
         # 24^3 voxels: NCC sums run over 13.8k samples, above the size where BLAS dot products thread
         mpath, _ = _write_cine_dir(tmp_path / "cine", dataclasses.replace(TINY_CINE_SPEC, dims=(24, 24, 24)))

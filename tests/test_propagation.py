@@ -22,7 +22,7 @@ from cineprop.propagation import (
 )
 from cineprop.registration import DisplacementField, RegistrationParams
 from cineprop.volume import CineSeries, LabelMap
-from helpers import write_cine_dir
+from helpers import convolve1d_pad_oracle, write_cine_dir
 
 TINY_SPEC = PhantomSpec(
     dims=(20, 20, 20),
@@ -262,3 +262,47 @@ class TestWorkerFailures:
         assert all(isinstance(exc, BrokenProcessPool) for _, exc in info.value.failures)
         argv = ["propagate", "--manifest", str(mpath), "--out", str(tmp_path / "out"), "--workers", "2"]
         assert cli.run(argv) == cli.EXIT_IO
+
+
+class TestThickSliceSmoothingOracle:
+    def test_frame_matches_pad_convolution(self, monkeypatch):
+        """A thick-slice frame gives the same bytes with the replaced ``np.pad`` convolution patched in.
+
+        Both runs share one process and one CPU, so the check holds whatever
+        SIMD paths numpy takes.
+        """
+        spec = dataclasses.replace(
+            TINY_SPEC,
+            dims=(32, 32, 32),
+            lv_radius_es=8.0,
+            lv_radius_ed=6.5,
+            myo_thickness=3.0,
+            rv_offset=(-9.0, 0.0, 0.0),
+            rv_radius=5.0,
+            noise_sigma=5.0,
+            seed=4,
+        )
+        cine = generate_cine(spec)
+        spacing, keep = (1.5, 1.5, 8.0), (..., slice(3, None, 5))  # every fifth slice: 32x32x6 at 8 mm
+        series = CineSeries(
+            frames=[volume.ScalarVolume(f.data[keep], spacing) for f in cine.series.frames],
+            es_index=spec.es_index,
+            ed_index=spec.ed_index,
+            es_label=LabelMap(cine.ground_truth[spec.es_index].data[keep], spacing),
+            ed_label=LabelMap(cine.ground_truth[spec.ed_index].data[keep], spacing),
+        )
+        params = RegistrationParams(pyramid_levels=3, iterations_per_level=(2, 2, 2))
+        results = [propagate_frame(series, 1, params)]
+
+        axes = []
+
+        def oracle(arr, kernel, axis):
+            axes.append(axis)
+            return convolve1d_pad_oracle(arr, kernel, axis)
+
+        monkeypatch.setattr(volume, "_convolve1d_replicate", oracle)
+        results.append(propagate_frame(series, 1, params))
+        assert 2 in axes  # the short through-plane axis was smoothed
+        new, old = results
+        assert new.pseudo_label.data.tobytes() == old.pseudo_label.data.tobytes()
+        assert (new.chosen_template, new.es_norm, new.ed_norm) == (old.chosen_template, old.es_norm, old.ed_norm)

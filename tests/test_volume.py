@@ -1,6 +1,7 @@
 """Grid types, interpolation, smoothing, and downsampling."""
 
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -19,7 +20,14 @@ from cineprop.volume import (
     trilinear_sample,
     trilinear_sample_many,
 )
-from helpers import dense_gaussian_oracle, random_volume, trilinear_long_hand, trilinear_oracle
+from helpers import (
+    dense_gaussian_oracle,
+    random_volume,
+    sampled_gaussian_oracle,
+    separable_smooth_oracle,
+    trilinear_long_hand,
+    trilinear_oracle,
+)
 
 
 class TestScalarVolume:
@@ -191,6 +199,29 @@ class TestGaussianSmooth:
         with pytest.raises(InvalidParameterError):
             gaussian_smooth_array(vol.data, -0.5)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(InvalidParameterError):
+            gaussian_kernel(sigma)
+        with pytest.raises(InvalidParameterError):
+            gaussian_smooth_array(np.zeros((3, 3, 3)), sigma)
+
+    def test_underflowing_sigma_is_identity(self):
+        # below about 1.5e-162, 2*sigma*sigma is 0 and the sampled kernel would be 0/0
+        data = np.random.default_rng(5).normal(size=(4, 5, 3))
+        data[0, 0, 0] = -0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sigma in (1e-200, 5e-324):
+                assert gaussian_kernel(sigma).tolist() == [1.0]
+                assert gaussian_smooth_array(data, sigma).tobytes() == gaussian_smooth_array(data, 0.0).tobytes()
+            for sigma in (1.6e-162, 1e-155):  # 2*sigma*sigma > 0: off-centre samples are exp(-inf) = 0
+                assert gaussian_kernel(sigma).tolist() == [0.0, 1.0, 0.0]
+
+    def test_kernel_weights_unchanged(self):
+        for sigma in (1e-150, 1e-3, 0.4, 1.0, 1.5, 3.0, 7.3):
+            assert gaussian_kernel(sigma).tobytes() == sampled_gaussian_oracle(sigma).tobytes()
+
     def test_constant_preserved_exactly(self):
         data = np.full((6, 6, 6), 42.0, dtype=np.float32)
         assert np.array_equal(gaussian_smooth_array(data, 2.0), data)
@@ -227,6 +258,40 @@ class TestGaussianSmooth:
             out = gaussian_smooth_array(data, sigma)
             rel = abs(float(out.mean()) - float(data.mean())) / float(data.mean())
             assert rel < 1e-4
+
+
+class TestSmoothingMatchesPadOracle:
+    """Bit for bit against the ``np.pad`` convolution that the leading-axis passes replaced."""
+
+    # length-1 axes, and axes of 2 and 3 voxels: shorter than the radius 9 of sigma 3
+    SHAPES = [(1, 1, 1), (1, 6, 1), (7, 1, 4), (2, 3, 9), (3, 2, 5), (9, 8, 3), (12, 10, 6)]
+
+    @pytest.mark.parametrize("sigma", [0.4, 1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gaussian_smooth_array(self, sigma, dtype):
+        rng = np.random.default_rng(12)
+        for shape in self.SHAPES:
+            data = rng.normal(100.0, 30.0, size=shape).astype(dtype)
+            field = rng.normal(0.0, 2.0, size=(*shape, 3)).astype(dtype)
+            negative_zeros = np.full(shape, -0.0, dtype=dtype)  # the sums start from +0.0: these smooth to +0.0
+            # contiguous, a strided field component as the demons pass it, and a Fortran-ordered copy
+            for arr in (data, field[..., 1], np.asfortranarray(data), negative_zeros):
+                before = arr.copy()
+                out = gaussian_smooth_array(arr, sigma)
+                want = separable_smooth_oracle(arr, sigma)
+                assert out.dtype == np.float64 and out.flags.c_contiguous
+                assert out.shape == want.shape and out.tobytes() == want.tobytes()
+                assert not np.shares_memory(out, arr)
+                assert np.array_equal(arr, before)
+
+    @pytest.mark.parametrize("shape", [(2, 1, 1), (1, 3, 1), (1, 1, 2), (5, 4, 3), (8, 7, 2), (12, 10, 6)])
+    def test_downsample2x(self, shape):
+        data = np.random.default_rng(13).normal(100.0, 30.0, size=shape).astype(np.float32)
+        vol = ScalarVolume(data, (1.5, 1.5, 8.0))
+        slices = tuple(slice(None, None, 2) if n >= 2 else slice(None) for n in shape)
+        want = separable_smooth_oracle(vol.data, 1.0)[slices].astype(np.float32)
+        out = downsample2x(vol)
+        assert out.dims == want.shape and out.data.tobytes() == want.tobytes()
 
 
 class TestDownsample2x:
