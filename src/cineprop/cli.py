@@ -15,7 +15,10 @@ The ``CINEPROP_WORKERS`` environment variable sets the default worker count;
 the ``--workers`` flag overrides it.  A worker count from either that is not
 an integer >= 1, and a registration flag out of its range (non-finite
 ``--step`` or ``--sigma``, a malformed ``--iters``), are usage errors (exit
-code 2), found before any input is read.
+code 2), found before any input is read.  So is a ``--sigma`` whose smoothing
+radius, ``ceil(3 * sigma)`` voxels, is not below the longest axis of the
+frames: found once the series is read, before any frame runs or any output
+is written.
 """
 
 from __future__ import annotations

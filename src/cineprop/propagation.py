@@ -11,6 +11,7 @@ processes, each of which inherits the series and returns only its results.
 from __future__ import annotations
 
 import enum
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -128,11 +129,21 @@ def propagate_series(
     memory is per worker.  Because it forks, a caller that runs threads of its
     own should use ``workers=1`` or call this from a single-threaded process.
     Per-frame failures are collected and raised together with their indices;
-    a worker that dies fails every frame still without a result.
+    a worker that dies fails every frame still without a result.  A demons
+    sigma whose smoothing radius, ``ceil(3 * demons_sigma_vox)``, is not below
+    the frames' longest axis raises ``InvalidParameterError`` before any frame
+    runs.
     """
     params = params or RegistrationParams()
     if workers < 1:
         raise InvalidParameterError("workers must be >= 1")
+    # every tap past an edge reads the edge value, and the padded buffers grow with the radius
+    radius, longest = math.ceil(3.0 * params.demons_sigma_vox), max(series.frames[0].dims)
+    if radius >= longest:
+        raise InvalidParameterError(
+            f"demons_sigma_vox {params.demons_sigma_vox} gives a smoothing radius of {radius} voxels; "
+            f"it must be below the longest axis of the frames ({longest} voxels)"
+        )
     targets = [t for t in range(series.n_frames) if t not in (series.es_index, series.ed_index)]
     processes = min(workers, len(targets))
     if processes <= 1:

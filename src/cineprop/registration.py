@@ -13,8 +13,10 @@ the initial transform for affine).
 The deformable stage is demons-style: on each pyramid level it moves a dense
 displacement field along the fixed-image gradient, scaled by the intensity
 difference, smooths the field with a Gaussian, and keeps the step only if
-the similarity improves.  Its output folds the affine initialization into one
-total field.
+the similarity improves.  Each candidate field is built, smoothed and warped
+in float32, which halves the memory traffic of the smoothing, the stage's
+largest cost; the NCC sums over the warped image stay float64.  Its output
+folds the affine initialization into one total field.
 Each pyramid level is the finer level's cached ``ScalarVolume.half``: the
 target's pyramid is built once per frame and each template's once per
 series; only the deformable stage's affine-resampled moving image gets a
@@ -233,7 +235,7 @@ def warp_label(moving: LabelMap, field: DisplacementField) -> LabelMap:
 
 
 def _warp_data(moving_data: np.ndarray, u: np.ndarray, spacing) -> np.ndarray:
-    """warp_image on raw float64 arrays, for the demons iterations."""
+    """warp_image on a raw float64 moving array and a float32 or float64 field, for the demons iterations."""
     return _trilinear(moving_data, *_warp_positions(u, spacing)).reshape(u.shape[:3])
 
 
@@ -509,7 +511,12 @@ def _upsample_field(u: np.ndarray, new_dims) -> np.ndarray:
 def _demons_level(
     fixed_level: ScalarVolume, moving_level: ScalarVolume, u: np.ndarray, n_iter: int, params: RegistrationParams
 ) -> np.ndarray:
-    """Iterate intensity-difference updates on one pyramid level."""
+    """Iterate intensity-difference updates on one pyramid level.
+
+    Each line-search candidate is ``u`` plus the step, rounded once to a
+    float32 field, then smoothed in float32 and warped; the images, the
+    gradients, the step and the NCC sums stay float64.
+    """
     fdata = fixed_level.data.astype(np.float64)
     spacing = fixed_level.spacing
     mdata = moving_level.data.astype(np.float64)
@@ -532,7 +539,7 @@ def _demons_level(
         scale = np.where(denom > 1e-12, -diff / np.maximum(denom, 1e-12), 0.0)
         accepted = False
         while lam >= 1e-3:
-            candidate = u + (lam * scale)[..., None] * grad_stack
+            candidate = np.add(u, (lam * scale)[..., None] * grad_stack, out=np.empty(u.shape, np.float32))
             if params.demons_sigma_vox > 0:
                 for c in range(3):
                     candidate[..., c] = gaussian_smooth_array(candidate[..., c], params.demons_sigma_vox)

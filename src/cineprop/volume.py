@@ -248,10 +248,10 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _convolve1d_replicate(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    """1D convolution along ``axis`` with edge replication, float64 accumulation.
+def _convolve1d_replicate(arr: np.ndarray, kernel: np.ndarray, axis: int, offset=0) -> np.ndarray:
+    """1D convolution of ``arr - offset`` along ``axis`` with edge replication, accumulated in ``kernel``'s dtype.
 
-    ``arr`` is written with ``axis`` moved to the front into one float64
+    ``arr - offset`` is written with ``axis`` moved to the front into one
     buffer padded along that leading axis, and the edges are replicated by
     slice assignment.  Each tap is then one long contiguous multiply-add,
     ``out += w_k * padded[k:k+n]``, through one reused tap buffer, whichever
@@ -263,34 +263,51 @@ def _convolve1d_replicate(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.
     """
     src = np.moveaxis(arr, axis, 0)
     n, radius = src.shape[0], len(kernel) // 2
-    padded = np.empty((n + 2 * radius, *src.shape[1:]))
-    padded[radius : radius + n] = src
+    padded = np.empty((n + 2 * radius, *src.shape[1:]), dtype=kernel.dtype)
+    if offset:
+        np.subtract(src, offset, out=padded[radius : radius + n])
+    else:  # a plain copy is faster, and subtracting 0 or -0.0 changes no output byte
+        padded[radius : radius + n] = src
     padded[:radius] = padded[radius]
     padded[radius + n :] = padded[radius + n - 1]
-    out = np.zeros(src.shape)
+    out = np.zeros(src.shape, dtype=kernel.dtype)
     tap = np.empty_like(out)
-    for offset, weight in enumerate(kernel):
-        out += np.multiply(weight, padded[offset : offset + n], out=tap)
+    for start, weight in enumerate(kernel):
+        out += np.multiply(weight, padded[start : start + n], out=tap)
     return np.moveaxis(out, 0, axis)
 
 
-def _separable_smooth(arr: np.ndarray, sigma_vox: float) -> np.ndarray:
-    """Gaussian convolution along every axis longer than 1 (a fresh C-contiguous float64 result).
+def _separable_smooth(arr: np.ndarray, sigma_vox: float, dtype) -> np.ndarray:
+    """Gaussian convolution along every axis longer than 1, accumulated in ``dtype`` (a fresh C-contiguous result).
 
     The one smoothing loop behind gaussian_smooth_array and downsample2x; the
     axes are smoothed in the order x, y, z, and an identity kernel copies.
+    Float32 weights do not sum to exactly 1, so in float32 the passes smooth
+    the deviation from the first element, which the first pass subtracts and
+    the final copy adds back: a constant comes back exactly, at no extra pass.
     """
-    kernel = gaussian_kernel(sigma_vox)
-    out = arr
-    for axis in range(3):
-        if arr.shape[axis] > 1 and len(kernel) > 1:
-            out = _convolve1d_replicate(out, kernel, axis)
-    return np.array(out, dtype=np.float64, order="C")  # the passes return views; an identity kernel makes none
+    kernel = gaussian_kernel(sigma_vox).astype(dtype)
+    axes = [axis for axis in range(3) if arr.shape[axis] > 1] if len(kernel) > 1 and arr.size else []
+    if not axes:
+        return np.array(arr, dtype=dtype, order="C")
+    base = arr.flat[0] if dtype == np.float32 else 0
+    out = _convolve1d_replicate(arr, kernel, axes[0], base)
+    for axis in axes[1:]:
+        out = _convolve1d_replicate(out, kernel, axis)
+    # the passes return views; the final C-contiguous copy adds the first element back
+    if base:
+        return np.add(out, base, out=np.empty(out.shape, dtype))
+    return np.array(out, dtype=dtype, order="C")
 
 
 def gaussian_smooth_array(arr: np.ndarray, sigma_vox: float) -> np.ndarray:
-    """Separable Gaussian smoothing of a raw 3D array (float64 result)."""
-    return _separable_smooth(arr, sigma_vox)
+    """Separable Gaussian smoothing of a raw 3D array: float32 for float32 input, otherwise float64.
+
+    Like ``scipy.ndimage.gaussian_filter``, it keeps float32 input in float32
+    (the demons field: half the memory traffic of float64).  A constant
+    float32 input comes back exactly.
+    """
+    return _separable_smooth(arr, sigma_vox, np.float32 if arr.dtype == np.float32 else np.float64)
 
 
 def downsample2x(vol: ScalarVolume) -> ScalarVolume:
@@ -302,8 +319,9 @@ def downsample2x(vol: ScalarVolume) -> ScalarVolume:
     dims = vol.dims
     if all(n < 2 for n in dims):
         raise InvalidParameterError(f"nothing to decimate: dims {dims}")
-    # not gaussian_smooth_array: wrappers of that public name (perfbench/tracing.py) count it as field smoothing
-    out = _separable_smooth(vol.data, 1.0)
+    # not gaussian_smooth_array: wrappers of that public name (perfbench/tracing.py) count it as field smoothing,
+    # and it would smooth the float32 volume in float32; the pyramids accumulate in float64
+    out = _separable_smooth(vol.data, 1.0, np.float64)
     slices = tuple(slice(None, None, 2) if n >= 2 else slice(None) for n in dims)
     spacing = tuple(s * 2 if n >= 2 else s for s, n in zip(vol.spacing, dims))
     return ScalarVolume(out[slices], spacing)

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 
 import numpy as np
 
 from cineprop import io
 from cineprop.phantom import PhantomSpec, generate_cine
-from cineprop.volume import LabelMap, ScalarVolume
+from cineprop.volume import CineSeries, LabelMap, ScalarVolume
 
 TINY_CINE_SPEC = PhantomSpec(
     dims=(20, 20, 20),
@@ -23,6 +24,30 @@ TINY_CINE_SPEC = PhantomSpec(
     noise_sigma=4.0,
     seed=11,
 )
+
+
+def thick_slice_series() -> CineSeries:
+    """A 4-frame 32x32x6 series at 1.5x1.5x8 mm: every fifth slice of a 32^3 phantom."""
+    spec = dataclasses.replace(
+        TINY_CINE_SPEC,
+        dims=(32, 32, 32),
+        lv_radius_es=8.0,
+        lv_radius_ed=6.5,
+        myo_thickness=3.0,
+        rv_offset=(-9.0, 0.0, 0.0),
+        rv_radius=5.0,
+        noise_sigma=5.0,
+        seed=4,
+    )
+    cine = generate_cine(spec)
+    spacing, keep = (1.5, 1.5, 8.0), (..., slice(3, None, 5))
+    return CineSeries(
+        frames=[ScalarVolume(f.data[keep], spacing) for f in cine.series.frames],
+        es_index=spec.es_index,
+        ed_index=spec.ed_index,
+        es_label=LabelMap(cine.ground_truth[spec.es_index].data[keep], spacing),
+        ed_label=LabelMap(cine.ground_truth[spec.ed_index].data[keep], spacing),
+    )
 
 
 def write_cine_dir(out, spec=TINY_CINE_SPEC, vendor="A", subject="subj"):
@@ -248,31 +273,39 @@ def dense_gaussian_oracle(data: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def convolve1d_pad_oracle(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+def convolve1d_pad_oracle(arr: np.ndarray, kernel: np.ndarray, axis: int, offset=0) -> np.ndarray:
     """The ``np.pad`` convolution that ``volume._convolve1d_replicate`` replaced, kept bit for bit as its oracle.
 
-    Pads along ``axis`` with ``np.pad(mode="edge")`` and accumulates
-    ``out += w_k * padded[k:k+n]`` into zeros, each tap strided along ``axis``.
+    Pads ``arr - offset``, taken in ``kernel``'s dtype, along ``axis`` with
+    ``np.pad(mode="edge")`` and accumulates ``out += w_k * padded[k:k+n]``
+    into zeros of that dtype, each tap strided along ``axis``.
     """
     radius = len(kernel) // 2
     pad = [(radius, radius) if ax == axis else (0, 0) for ax in range(arr.ndim)]
-    padded = np.pad(np.asarray(arr, dtype=np.float64), pad, mode="edge")
-    out = np.zeros(arr.shape, dtype=np.float64)
+    padded = np.pad(np.subtract(arr, offset, dtype=kernel.dtype), pad, mode="edge")
+    out = np.zeros(arr.shape, dtype=kernel.dtype)
     index = [slice(None)] * arr.ndim
-    for offset, weight in enumerate(kernel):
-        index[axis] = slice(offset, offset + arr.shape[axis])
+    for start, weight in enumerate(kernel):
+        index[axis] = slice(start, start + arr.shape[axis])
         out += weight * padded[tuple(index)]
     return out
 
 
-def separable_smooth_oracle(arr: np.ndarray, sigma: float) -> np.ndarray:
-    """``convolve1d_pad_oracle`` along x, y, z in turn, skipping axes of length 1 (float64 result)."""
-    kernel = sampled_gaussian_oracle(sigma)
-    out = np.asarray(arr, dtype=np.float64)
-    for axis in range(3):
-        if arr.shape[axis] > 1:
-            out = convolve1d_pad_oracle(out, kernel, axis)
-    return out
+def separable_smooth_oracle(arr: np.ndarray, sigma: float, dtype=np.float64) -> np.ndarray:
+    """``convolve1d_pad_oracle`` along x, y, z in turn, skipping axes of length 1, accumulated in ``dtype``.
+
+    In float32 the weights are float32, and the passes smooth the deviation
+    from the first element, which is added back at the end.
+    """
+    kernel = sampled_gaussian_oracle(sigma).astype(dtype)
+    axes = [axis for axis in range(3) if arr.shape[axis] > 1]
+    if not axes:
+        return np.array(arr, dtype=dtype)
+    base = arr.flat[0] if dtype == np.float32 else 0
+    out = np.subtract(arr, base, dtype=dtype)
+    for axis in axes:
+        out = convolve1d_pad_oracle(out, kernel, axis)
+    return out + base
 
 
 def shift_volume(vol: ScalarVolume, shift: tuple[int, int, int]) -> ScalarVolume:

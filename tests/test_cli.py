@@ -170,6 +170,15 @@ class TestPropagateCommand:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sigma_beyond_the_grid_is_usage_error(self, tmp_path, capsys):
+        mpath, _ = _write_cine_dir(tmp_path / "cine")
+        out = tmp_path / "prop"
+        start = time.perf_counter()
+        code = run(["propagate", "--manifest", str(mpath), "--out", str(out), "--sigma", "1000"])
+        assert code == EXIT_USAGE and time.perf_counter() - start < 1.0
+        assert "smoothing radius of 3000 voxels" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_underflowing_sigma_smooths_like_sigma_zero(self, tmp_path):
         # 2*sigma*sigma is 0 for sigma 1e-200: the field is left unsmoothed, not scored NaN and rejected
         mpath, _ = _write_cine_dir(tmp_path / "cine")

@@ -22,7 +22,7 @@ from cineprop.propagation import (
 )
 from cineprop.registration import DisplacementField, RegistrationParams
 from cineprop.volume import CineSeries, LabelMap
-from helpers import convolve1d_pad_oracle, write_cine_dir
+from helpers import convolve1d_pad_oracle, thick_slice_series, write_cine_dir
 
 TINY_SPEC = PhantomSpec(
     dims=(20, 20, 20),
@@ -199,6 +199,19 @@ class TestPropagateSeries:
         with pytest.raises(InvalidParameterError):
             propagate_series(tiny_cine.series, FAST, workers=0)
 
+    def test_sigma_radius_below_longest_axis(self, tiny_cine, monkeypatch):
+        # the radius is ceil(3 * sigma): 19 voxels at sigma 6.3 runs on a 20^3 grid, 20 at sigma 6.34 does not
+        ran = []
+        monkeypatch.setattr(propagation, "propagate_frame", lambda series, t, params: ran.append((t, params)))
+        for sigma in (6.34, 1000.0):
+            with pytest.raises(InvalidParameterError, match="longest axis of the frames \\(20 voxels\\)"):
+                propagate_series(tiny_cine.series, dataclasses.replace(FAST, demons_sigma_vox=sigma), workers=2)
+        assert ran == [] and multiprocessing.active_children() == []
+        default, widest = RegistrationParams(), dataclasses.replace(FAST, demons_sigma_vox=6.3)
+        for params in (default, widest):
+            propagate_series(tiny_cine.series, params, workers=1)
+        assert ran == [(1, default), (2, default), (1, widest), (2, widest)]
+
 
 class TestWorkerFailures:
     """Frames run in forked workers, which inherit a ``propagate_frame`` patched here."""
@@ -271,34 +284,15 @@ class TestThickSliceSmoothingOracle:
         Both runs share one process and one CPU, so the check holds whatever
         SIMD paths numpy takes.
         """
-        spec = dataclasses.replace(
-            TINY_SPEC,
-            dims=(32, 32, 32),
-            lv_radius_es=8.0,
-            lv_radius_ed=6.5,
-            myo_thickness=3.0,
-            rv_offset=(-9.0, 0.0, 0.0),
-            rv_radius=5.0,
-            noise_sigma=5.0,
-            seed=4,
-        )
-        cine = generate_cine(spec)
-        spacing, keep = (1.5, 1.5, 8.0), (..., slice(3, None, 5))  # every fifth slice: 32x32x6 at 8 mm
-        series = CineSeries(
-            frames=[volume.ScalarVolume(f.data[keep], spacing) for f in cine.series.frames],
-            es_index=spec.es_index,
-            ed_index=spec.ed_index,
-            es_label=LabelMap(cine.ground_truth[spec.es_index].data[keep], spacing),
-            ed_label=LabelMap(cine.ground_truth[spec.ed_index].data[keep], spacing),
-        )
+        series = thick_slice_series()
         params = RegistrationParams(pyramid_levels=3, iterations_per_level=(2, 2, 2))
         results = [propagate_frame(series, 1, params)]
 
         axes = []
 
-        def oracle(arr, kernel, axis):
+        def oracle(arr, kernel, axis, offset=0):
             axes.append(axis)
-            return convolve1d_pad_oracle(arr, kernel, axis)
+            return convolve1d_pad_oracle(arr, kernel, axis, offset)
 
         monkeypatch.setattr(volume, "_convolve1d_replicate", oracle)
         results.append(propagate_frame(series, 1, params))

@@ -46,6 +46,18 @@ SMALL_SPEC = PhantomSpec(
     ed_index=2,
 )
 
+TINY_SPEC = PhantomSpec(
+    dims=(20, 20, 20),
+    lv_radius_es=5.0,
+    lv_radius_ed=4.2,
+    myo_thickness=2.0,
+    rv_offset=(-6.0, 0.0, 0.0),
+    rv_radius=3.0,
+    frames=3,
+    es_index=0,
+    ed_index=2,
+)
+
 
 @pytest.fixture(scope="module")
 def small_phantom():
@@ -470,18 +482,7 @@ class TestDeformable:
 
     def test_no_field_warped_twice(self, monkeypatch):
         # the demons loop carries the warp of each accepted field into its next iteration
-        spec = PhantomSpec(
-            dims=(20, 20, 20),
-            lv_radius_es=5.0,
-            lv_radius_ed=4.2,
-            myo_thickness=2.0,
-            rv_offset=(-6.0, 0.0, 0.0),
-            rv_radius=3.0,
-            frames=3,
-            es_index=0,
-            ed_index=2,
-        )
-        cine = generate_cine(spec)
+        cine = generate_cine(TINY_SPEC)
         fixed, moving = cine.series.frames[2], cine.series.frames[0]
         warped = []
         warp_data = registration._warp_data
@@ -495,6 +496,23 @@ class TestDeformable:
         register_deformable(fixed, moving, AffineTransform.identity(), params)
         assert len(warped) > 2
         assert len(set(warped)) == len(warped)
+
+    def test_fields_smoothed_in_float32(self, monkeypatch):
+        cine = generate_cine(TINY_SPEC)
+        fixed, moving = cine.series.frames[2], cine.series.frames[0]
+        seen = []
+        smooth = registration.gaussian_smooth_array
+
+        def spy(arr, sigma_vox):
+            out = smooth(arr, sigma_vox)
+            seen.append((arr.dtype, out.dtype))
+            return out
+
+        monkeypatch.setattr(registration, "gaussian_smooth_array", spy)
+        params = RegistrationParams(pyramid_levels=2, iterations_per_level=(10, 10))
+        register_deformable(fixed, moving, AffineTransform.identity(), params)
+        assert len(seen) > 3
+        assert set(seen) == {(np.dtype(np.float32), np.dtype(np.float32))}
 
     def test_contraction_boundary_accuracy(self):
         # LV radius 12 -> 10 contraction: the propagated contour must stay

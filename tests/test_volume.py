@@ -278,8 +278,8 @@ class TestSmoothingMatchesPadOracle:
             for arr in (data, field[..., 1], np.asfortranarray(data), negative_zeros):
                 before = arr.copy()
                 out = gaussian_smooth_array(arr, sigma)
-                want = separable_smooth_oracle(arr, sigma)
-                assert out.dtype == np.float64 and out.flags.c_contiguous
+                want = separable_smooth_oracle(arr, sigma, dtype)
+                assert out.dtype == dtype and out.flags.c_contiguous
                 assert out.shape == want.shape and out.tobytes() == want.tobytes()
                 assert not np.shares_memory(out, arr)
                 assert np.array_equal(arr, before)
@@ -292,6 +292,39 @@ class TestSmoothingMatchesPadOracle:
         want = separable_smooth_oracle(vol.data, 1.0)[slices].astype(np.float32)
         out = downsample2x(vol)
         assert out.dims == want.shape and out.data.tobytes() == want.tobytes()
+
+
+class TestFloat32Smoothing:
+    """Float32 input (the demons field) is smoothed in float32, as the deviation from its first element."""
+
+    @pytest.mark.parametrize("value", [0.1, -3.7e5, 42.0])
+    def test_constants_exact(self, value):
+        for shape in [(12, 10, 6), (1, 6, 1), (2, 3, 9)]:
+            data = np.full(shape, value, dtype=np.float32)
+            for sigma in (0.4, 1.5, 3.0):
+                out = gaussian_smooth_array(data, sigma)
+                assert out.dtype == np.float32 and np.array_equal(out, data)
+
+    def test_empty_input(self):
+        for dtype in (np.float32, np.float64):
+            out = gaussian_smooth_array(np.zeros((0, 4, 5), dtype=dtype), 1.5)
+            assert out.shape == (0, 4, 5) and out.dtype == dtype
+
+    def test_negative_zeros_smooth_to_positive_zero(self):
+        out = gaussian_smooth_array(np.full((9, 8, 3), -0.0, dtype=np.float32), 1.5)
+        assert out.dtype == np.float32 and np.all(out == 0.0) and not np.any(np.signbit(out))
+
+    @pytest.mark.parametrize("sigma", [0.4, 1.5, 3.0])
+    def test_close_to_float64(self, sigma):
+        rng = np.random.default_rng(15)
+        for shape in [(96, 96, 12), (12, 10, 6), (2, 3, 9)]:
+            for mean in (0.0, 30.0):
+                field = rng.normal(mean, 2.0, size=(*shape, 3)).astype(np.float32)
+                for c in range(3):
+                    out = gaussian_smooth_array(field[..., c], sigma)
+                    want = gaussian_smooth_array(field[..., c].astype(np.float64), sigma)
+                    assert out.dtype == np.float32 and want.dtype == np.float64
+                    assert np.max(np.abs(out - want)) <= 1e-5 * np.max(np.abs(field[..., c]))
 
 
 class TestDownsample2x:
