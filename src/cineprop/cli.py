@@ -11,14 +11,16 @@ Subcommands::
 
 Exit codes: 0 success, 2 usage error, 3 I/O or file-format error,
 4 algorithmic degeneracy (constant images, empty masks where forbidden).
+``propagate --iters`` gives the iterations of each pyramid level, coarse to
+fine, so its length sets the number of levels.  Every stage scores with NCC.
 The ``CINEPROP_WORKERS`` environment variable sets the default worker count;
 the ``--workers`` flag overrides it.  A worker count from either that is not
 an integer >= 1, and a registration flag out of its range (non-finite
-``--step`` or ``--sigma``, a malformed ``--iters``), are usage errors (exit
-code 2), found before any input is read.  So is a ``--sigma`` whose smoothing
-radius, ``ceil(3 * sigma)`` voxels, is not below the longest axis of the
-frames: found once the series is read, before any frame runs or any output
-is written.
+``--step`` or ``--sigma``, an empty or malformed ``--iters``), are usage
+errors (exit code 2), found before any input is read.  So is a ``--sigma``
+whose smoothing radius, ``ceil(3 * sigma)`` voxels, is not below the longest
+axis of the frames: found once the series is read, before any frame runs or
+any output is written.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import (
 from .metrics import evaluate_case
 from .phantom import PhantomSpec, generate_cine
 from .propagation import propagate_series
-from .registration import SIMILARITY_KINDS, RegistrationParams
+from .registration import RegistrationParams
 from .style import build_reference, histogram_match, histogram_report, vendor_transfer
 
 EXIT_OK = 0
@@ -78,8 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prop.add_argument("--manifest", required=True)
     p_prop.add_argument("--out", required=True)
     p_prop.add_argument("--workers", type=int, default=None)
-    p_prop.add_argument("--similarity", choices=SIMILARITY_KINDS, default=defaults.similarity)
-    p_prop.add_argument("--pyramid-levels", type=int, default=defaults.pyramid_levels)
     p_prop.add_argument(
         "--iters", default=",".join(map(str, defaults.iterations_per_level)), help="comma list, coarse to fine"
     )
@@ -159,11 +159,12 @@ def _registration_params(args) -> RegistrationParams:
     try:
         iters = tuple(int(x) for x in str(args.iters).split(",") if x.strip())
     except ValueError:
-        raise InvalidParameterError(f"--iters must be a comma list of integers, got {args.iters!r}") from None
+        iters = ()
+    if not iters:
+        raise InvalidParameterError(f"--iters must be a non-empty comma list of integers, got {args.iters!r}")
     return RegistrationParams(
-        pyramid_levels=args.pyramid_levels,
+        pyramid_levels=len(iters),
         iterations_per_level=iters,
-        similarity=args.similarity,
         step_size=args.step,
         demons_sigma_vox=args.sigma,
     )
@@ -194,7 +195,6 @@ def _cmd_propagate(args) -> int:
             "command": "propagate",
             "subject": manifest.subject_id,
             "propagated": len(results),
-            "similarity": params.similarity,
             "report": "propagation_report.txt",
         },
         out / "summary.txt",

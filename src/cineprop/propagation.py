@@ -11,10 +11,9 @@ processes, each of which inherits the series and returns only its results.
 from __future__ import annotations
 
 import enum
-import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .errors import InvalidParameterError, InvalidTargetError, SeriesPropagation
 from .registration import (
     DisplacementField,
     RegistrationParams,
+    _check_sigma_radius,
     register_affine,
     register_deformable,
     register_rigid,
@@ -45,17 +45,13 @@ def field_norm(field: DisplacementField) -> float:
 class PropagationResult:
     frame_index: int
     pseudo_label: LabelMap
-    chosen_template: Template
     es_norm: float
     ed_norm: float
 
-    def __post_init__(self):
-        expected = Template.ES if self.es_norm <= self.ed_norm else Template.ED
-        if self.chosen_template is not expected:
-            raise InvalidParameterError(
-                f"chosen template {self.chosen_template} contradicts norms "
-                f"(es={self.es_norm}, ed={self.ed_norm})"
-            )
+    @property
+    def chosen_template(self) -> Template:
+        """The template whose field has the smaller norm; ES wins exact ties."""
+        return Template.ES if self.es_norm <= self.ed_norm else Template.ED
 
 
 def _register_template(series: CineSeries, template_index: int, target: int, params) -> DisplacementField:
@@ -81,16 +77,10 @@ def propagate_frame(series: CineSeries, target: int, params: RegistrationParams 
 
     es_field = _register_template(series, series.es_index, target, params)
     ed_field = _register_template(series, series.ed_index, target, params)
-    es_norm, ed_norm = field_norm(es_field), field_norm(ed_field)
-    chosen = Template.ES if es_norm <= ed_norm else Template.ED
-    label, field = (series.es_label, es_field) if chosen is Template.ES else (series.ed_label, ed_field)
-    return PropagationResult(
-        frame_index=target,
-        pseudo_label=warp_label(label, field),
-        chosen_template=chosen,
-        es_norm=es_norm,
-        ed_norm=ed_norm,
-    )
+    result = PropagationResult(target, None, field_norm(es_field), field_norm(ed_field))  # label set below
+    es_chosen = result.chosen_template is Template.ES
+    label, field = (series.es_label, es_field) if es_chosen else (series.ed_label, ed_field)
+    return replace(result, pseudo_label=warp_label(label, field))
 
 
 _worker_series: tuple[CineSeries, RegistrationParams] | None = None  # set in each forked worker
@@ -137,13 +127,7 @@ def propagate_series(
     params = params or RegistrationParams()
     if workers < 1:
         raise InvalidParameterError("workers must be >= 1")
-    # every tap past an edge reads the edge value, and the padded buffers grow with the radius
-    radius, longest = math.ceil(3.0 * params.demons_sigma_vox), max(series.frames[0].dims)
-    if radius >= longest:
-        raise InvalidParameterError(
-            f"demons_sigma_vox {params.demons_sigma_vox} gives a smoothing radius of {radius} voxels; "
-            f"it must be below the longest axis of the frames ({longest} voxels)"
-        )
+    _check_sigma_radius(params.demons_sigma_vox, series.frames[0].dims)
     targets = [t for t in range(series.n_frames) if t not in (series.es_index, series.ed_index)]
     processes = min(workers, len(targets))
     if processes <= 1:

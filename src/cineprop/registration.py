@@ -4,7 +4,7 @@ The rigid and affine stages run one linear driver over different
 parametrizations: coarse-to-fine over Gaussian pyramids, conjugate-gradient
 descent over unit-normalized parameters, step halving on non-improvement,
 and a stop on small relative improvement.  Gradients are analytic: the
-similarity's derivative with respect to each warped sample, times the
+NCC's derivative with respect to each warped sample, times the
 moving image's central-difference gradient sampled at the warped point,
 times the derivative of that point with respect to the parameters
 (dS/dw . grad M(T(x)) . dT/dtheta, as in elastix).  The result never scores
@@ -13,7 +13,7 @@ the initial transform for affine).
 The deformable stage is demons-style: on each pyramid level it moves a dense
 displacement field along the fixed-image gradient, scaled by the intensity
 difference, smooths the field with a Gaussian, and keeps the step only if
-the similarity improves.  Each candidate field is built, smoothed and warped
+the NCC improves.  Each candidate field is built, smoothed and warped
 in float32, which halves the memory traffic of the smoothing, the stage's
 largest cost; the NCC sums over the warped image stay float64.  Its output
 folds the affine initialization into one total field.
@@ -47,8 +47,6 @@ from .volume import (
     nearest_sample_many,
     trilinear_sample_many,
 )
-
-SIMILARITY_KINDS = ("mse", "ncc")
 
 _MIN_STEP_FRACTION = 1e-3  # line search gives up below this fraction of step_size
 _CONVERGENCE_WINDOW = 5  # iterations over which relative improvement is measured
@@ -106,7 +104,6 @@ class DisplacementField:
 class RegistrationParams:
     pyramid_levels: int = 3
     iterations_per_level: tuple[int, ...] = (50, 50, 30)  # coarse -> fine
-    similarity: str = "ncc"
     step_size: float = 0.5  # voxels (and degrees) moved per accepted step
     demons_sigma_vox: float = 1.5
     convergence_tol: float = 1e-4
@@ -121,8 +118,6 @@ class RegistrationParams:
             )
         if any(i < 1 for i in iters):
             raise InvalidParameterError("iteration counts must be >= 1")
-        if self.similarity not in SIMILARITY_KINDS:
-            raise InvalidParameterError(f"similarity must be one of {SIMILARITY_KINDS}")
         # written so that NaN fails too: every comparison with NaN is false
         if not (math.isfinite(self.step_size) and self.step_size > 0):
             raise InvalidParameterError(f"step_size must be finite and > 0, got {self.step_size}")
@@ -137,35 +132,23 @@ def _affine_columns(m: np.ndarray, t: np.ndarray, x, y, z) -> tuple[np.ndarray, 
     """``m @ p + t`` for point coordinates x, y, z, as explicit multiply-adds.
 
     A BLAS ``(N,3) @ (3,3)`` product would start BLAS threads inside each
-    worker thread and make the rounding depend on the BLAS thread count.
+    worker process and make the rounding depend on the BLAS thread count.
     x, y, z may be the broadcastable axes of a grid (``_grid_axes``): the
     products are then taken per axis and only the sums are full size.
     """
     return tuple(m[r, 0] * x + m[r, 1] * y + m[r, 2] * z + t[r] for r in range(3))
 
 
-def _dissimilarity(fixed: np.ndarray, kind: str):
+def _ncc(fixed: np.ndarray):
     """``(score, d_score)`` against one fixed sample: ``score(warped)``, lower is better, and its gradient per sample.
 
-    ``mse`` is the mean squared difference; ``ncc`` is the negative normalized
-    cross-correlation in [-1, 1], 0 when either image is constant.  The fixed
-    side's float64 cast, centring and sum of squares are computed once.  Sums
-    are numpy's pairwise ``np.sum``, not BLAS dot products, so they run on the
-    calling thread and round the same way every time.
+    The score is the negative normalized cross-correlation in [-1, 1], 0 when
+    either image is constant.  The fixed side's float64 cast, centring and sum
+    of squares are computed once.  Sums are numpy's pairwise ``np.sum``, not
+    BLAS dot products, so they run on the calling thread and round the same
+    way every time.
     """
     a = np.asarray(fixed, dtype=np.float64).ravel()
-    if kind == "mse":
-
-        def score(warped) -> float:
-            d = a - np.asarray(warped, dtype=np.float64).ravel()
-            return float(np.mean(d * d))
-
-        def d_score(warped) -> np.ndarray:
-            return (-2.0 / a.size) * (a - warped)
-
-        return score, d_score
-    if kind != "ncc":
-        raise InvalidParameterError(f"similarity must be one of {SIMILARITY_KINDS}")
     ac = a - a.mean()
     va = float(np.sum(ac * ac))
 
@@ -246,6 +229,19 @@ def _check_pair(fixed: ScalarVolume, moving: ScalarVolume) -> None:
         raise DegenerateInputError("fixed image is constant; no gradient signal")
     if moving.is_constant():
         raise DegenerateInputError("moving image is constant; no gradient signal")
+
+
+def _check_sigma_radius(sigma_vox: float, dims) -> None:
+    """Refuse a demons sigma whose smoothing radius, ``ceil(3 * sigma_vox)``, is not below the longest axis.
+
+    Every tap past an edge reads the edge value, and the padded buffers grow with the radius.
+    """
+    radius, longest = math.ceil(3.0 * sigma_vox), max(dims)
+    if radius >= longest:
+        raise InvalidParameterError(
+            f"demons_sigma_vox {sigma_vox} gives a smoothing radius of {radius} voxels; "
+            f"it must be below the longest axis of the frames ({longest} voxels)"
+        )
 
 
 def _pyramid_levels(fixed: ScalarVolume, moving: ScalarVolume, params: RegistrationParams) -> list:
@@ -386,7 +382,7 @@ def _value_and_gradient_images(data: np.ndarray) -> np.ndarray:
     return np.stack([data, *grads], axis=-1)
 
 
-def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, kind: str, to_transform, jacobian):
+def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, to_transform, jacobian):
     """``(objective, gradient)`` over a deterministic sample of the fixed grid.
 
     Above _MAX_OBJECTIVE_SAMPLES voxels the grid is strided, which keeps one
@@ -405,7 +401,7 @@ def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, kind
     stride = max(1, round(np.cbrt(n_total / _MAX_OBJECTIVE_SAMPLES) + 0.49999))
     grid = _grid_axes(dims, spacing, stride)
     fixed_sample = fixed_level.data[::stride, ::stride, ::stride]
-    score, d_score = _dissimilarity(fixed_sample, kind)
+    score, d_score = _ncc(fixed_sample)
     channels = _value_and_gradient_images(moving_level.data)
     axes = [g.ravel() for g in grid]
     ms, m_dims = moving_level.spacing, moving_level.dims
@@ -438,9 +434,9 @@ def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, kind
     return objective, gradient
 
 
-def _full_res_objective(fixed: ScalarVolume, moving: ScalarVolume, kind: str):
-    """Returns ``transform -> dissimilarity`` of the full-resolution resampling."""
-    score = _dissimilarity(fixed.data, kind)[0]
+def _full_res_objective(fixed: ScalarVolume, moving: ScalarVolume):
+    """Returns ``transform -> score`` of the full-resolution resampling."""
+    score = _ncc(fixed.data)[0]
     grid = _grid_axes(fixed.dims, fixed.spacing)
     return lambda transform: score(_sample_affine(moving, transform, grid))
 
@@ -455,11 +451,11 @@ def _register_linear(fixed, moving, params, theta, to_transform, jacobian, level
     """
     _check_pair(fixed, moving)
     for f_l, m_l, n_iter in _pyramid_levels(fixed, moving, params):
-        obj, grad = _level_objective(f_l, m_l, params.similarity, to_transform, jacobian)
+        obj, grad = _level_objective(f_l, m_l, to_transform, jacobian)
         units = level_units(f_l.spacing)
         theta, _ = _descend(obj, grad, theta, units, n_iter, params.step_size, params.convergence_tol)
     result = to_transform(theta)
-    full = _full_res_objective(fixed, moving, params.similarity)
+    full = _full_res_objective(fixed, moving)
     return fallback if full(result) > full(fallback) else result
 
 
@@ -526,7 +522,7 @@ def _demons_level(
     g2 = grads[0] ** 2 + grads[1] ** 2 + grads[2] ** 2
     mean_sq_spacing = float(np.mean(np.square(spacing)))
 
-    score = _dissimilarity(fdata, params.similarity)[0]
+    score = _ncc(fdata)[0]
     grad_stack = np.stack(grads, axis=-1)
     # the warp of the accepted field is carried into the next iteration, so no field is warped twice
     warped = _warp_data(mdata, u, spacing)
@@ -571,9 +567,11 @@ def register_deformable(
     residual deformation is optimized coarse-to-fine, and the returned field
     is the algebraic composition of both, mapping fixed-grid points to
     moving-image sample positions.  The result never scores worse than the
-    affine-initialized warp.
+    affine-initialized warp.  A demons sigma too wide for the fixed grid (see
+    ``_check_sigma_radius``) raises ``InvalidParameterError`` before any work.
     """
     _check_pair(fixed, moving)
+    _check_sigma_radius(params.demons_sigma_vox, fixed.dims)
     moving_affine = resample_affine(moving, init, fixed)
     u: np.ndarray | None = None
     for f_l, m_l, n_iter in _pyramid_levels(fixed, moving_affine, params):
@@ -586,7 +584,7 @@ def register_deformable(
     total_field = DisplacementField(np.stack([p - g for p, g in zip(moved, grid)], axis=-1), fixed.spacing)
 
     affine_field = affine_to_field(init, fixed.dims, fixed.spacing)
-    score = _dissimilarity(fixed.data, params.similarity)[0]
+    score = _ncc(fixed.data)[0]
     if score(warp_image(moving, total_field).data) > score(warp_image(moving, affine_field).data):
         return affine_field
     return total_field

@@ -46,7 +46,7 @@ class ScalarVolume:
     """A 3D scalar grid with physical spacing.
 
     ``data`` is float32 with shape ``(nx, ny, nz)``; it is made read-only on
-    construction so volumes can be shared freely between threads.
+    construction, so one volume and its cached pyramid serve every registration.
     """
 
     data: np.ndarray
@@ -77,7 +77,7 @@ class ScalarVolume:
 
     @cached_property
     def half(self) -> "ScalarVolume":
-        """``downsample2x(self)``, computed on first use and kept; racing threads may each compute it, equally."""
+        """``downsample2x(self)``, computed on first use and kept, so each process builds it once per volume."""
         return downsample2x(self)
 
 

@@ -313,7 +313,6 @@ class TestCriterion9Determinism:
                     "--manifest", str(m_a),
                     "--out", str(out),
                     "--workers", workers,
-                    "--pyramid-levels", "2",
                     "--iters", "30,20",
                 ]
             )

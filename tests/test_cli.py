@@ -81,8 +81,6 @@ class TestPropagateCommand:
                 str(mpath),
                 "--out",
                 str(out),
-                "--pyramid-levels",
-                "2",
                 "--iters",
                 "30,20",
             ]
@@ -123,8 +121,6 @@ class TestPropagateCommand:
                 str(mpath),
                 "--out",
                 str(out),
-                "--pyramid-levels",
-                "2",
                 "--iters",
                 "30,20",
             ]
@@ -157,10 +153,10 @@ class TestPropagateCommand:
             (["--sigma", "inf"], "demons_sigma_vox"),
             (["--step", "nan"], "step_size"),
             (["--step", "inf"], "step_size"),
-            (["--pyramid-levels", "0"], "pyramid_levels"),
+            (["--iters", ","], "--iters"),
             (["--iters", "5,x,5"], "--iters"),
         ],
-        ids=["sigma-nan", "sigma-inf", "step-nan", "step-inf", "levels-0", "iters-malformed"],
+        ids=["sigma-nan", "sigma-inf", "step-nan", "step-inf", "iters-empty", "iters-malformed"],
     )
     def test_invalid_registration_flag_is_usage_error(self, tmp_path, capsys, flags, named):
         # a missing manifest: the flag must be rejected before the manifest is read
@@ -186,7 +182,7 @@ class TestPropagateCommand:
         for sigma in ("0", "1e-200"):
             out = tmp_path / f"sigma_{sigma}"
             argv = ["propagate", "--manifest", str(mpath), "--out", str(out), "--sigma", sigma]
-            assert run([*argv, "--pyramid-levels", "2", "--iters", "5,5"]) == EXIT_OK
+            assert run([*argv, "--iters", "5,5"]) == EXIT_OK
             trees.append(_tree_bytes(out))
         assert trees[0] == trees[1]
 
@@ -199,7 +195,7 @@ class TestPropagateCommand:
         for name, env in (("inherited", inherited), ("pinned", pinned)):
             out = tmp_path / name
             argv = ["propagate", "--manifest", str(mpath), "--out", str(out), "--workers", "2"]
-            argv += ["--pyramid-levels", "2", "--iters", "2,2"]
+            argv += ["--iters", "2,2"]
             subprocess.run([sys.executable, "-m", "cineprop.cli", *argv], env=env, check=True, timeout=300)
             trees.append(_tree_bytes(out))
         assert sorted(trees[0]) == [

@@ -1,9 +1,9 @@
-"""Golden pseudo-labels: sha256 digests of the label bytes on small seeded inputs.
+"""Golden outputs: sha256 digests of pseudo-labels and of every other subcommand's files on small seeded inputs.
 
-A change that means to keep every pseudo-label must pass this file unchanged;
-one that changes labels on purpose updates the digests and lists the changed
-files. The digests were recorded before the demons field moved to float32,
-which changed no label.
+A change that means to keep every output must pass this file unchanged;
+one that changes outputs on purpose updates the digests and lists the changed
+files. The pseudo-label digests were recorded before the demons field moved
+to float32, which changed no label.
 
 The ES/ED norms are compared at 1e-6 relative, not byte for byte. They are
 float means over the total displacement field and are printed with ``repr``,
@@ -13,6 +13,8 @@ label changes: storing the demons field in float32 moved them by up to about
 """
 
 import hashlib
+import re
+import shutil
 
 import pytest
 
@@ -82,3 +84,72 @@ def test_cli_phantom(cli_phantom, tmp_path, workers):
         assert record["chosen"] == template
         assert record["es_norm_mm"] == pytest.approx(es_norm, rel=NORM_RTOL)
         assert record["ed_norm_mm"] == pytest.approx(ed_norm, rel=NORM_RTOL)
+
+
+# every output file of `evaluate --out`, `histmatch`, and the two-vendor `transfer` and `report --out`
+# on the `phantom --frames 4` series, the second vendor being a copy with `vendor = B`, `subject = other`.
+# Vendor B's frames are the series' own, so its reference is the one `histmatch` builds and the
+# transferred volumes equal the matched ones.
+EVALUATE = {
+    "evaluation_report.txt": "1e717e5d6a090eaa3f52fda40e77994f3b0bc3d0db00f0e5787436de0fcdf242",
+    "summary.txt": "39bc4c849d4577307075066da2966ff7447dfe45653115ebf4867b5f7f8046e0",
+}
+HISTMATCH = {
+    "matched_000.mvol": "528ab53ad5a93588dcc04fa9806d544c9fdf804ced1c71dade4936a204d0f20c",
+    "matched_001.mvol": "de66b8c24190d6b2f82e1c5baa5b96bff88d649b56a1f782a1fad0901a563e78",
+    "matched_002.mvol": "c4f64595496f8edabaa3620eca3fe618da82cc9a027fa609fa9e0b98fdc0ce80",
+    "matched_003.mvol": "1e124a7e99f19a492b1f4572b8ac392095f4db8438699e1823c435de746eb560",
+    "summary.txt": "e69c4be5cf03e797b36619db583e52cc6b86a4df42b7327c3a1debaf5b07906d",
+}
+TRANSFER = {
+    "summary.txt": "99c88d3f748114c403e9cdea5ace8a6030080883e67749f709294621adfcdaa3",
+    "transfer_phantom_000.mvol": "528ab53ad5a93588dcc04fa9806d544c9fdf804ced1c71dade4936a204d0f20c",
+    "transfer_phantom_001.mvol": "de66b8c24190d6b2f82e1c5baa5b96bff88d649b56a1f782a1fad0901a563e78",
+    "transfer_phantom_002.mvol": "c4f64595496f8edabaa3620eca3fe618da82cc9a027fa609fa9e0b98fdc0ce80",
+    "transfer_phantom_003.mvol": "1e124a7e99f19a492b1f4572b8ac392095f4db8438699e1823c435de746eb560",
+}
+REPORT = {
+    "histogram_report.txt": "5892f89d1065fb7efc5e605eaf3e3e73bf89ef12ab98d4357951be626b8e9e38",
+    "summary.txt": "0c029749e957f697b1347b6b9fab0533b073bbc85f20bdb5f7c625562fbb31d6",
+}
+
+
+def _digests(directory) -> dict:
+    return {p.name: _sha256(p.read_bytes()) for p in sorted(directory.iterdir())}
+
+
+@pytest.fixture(scope="module")
+def vendor_b_manifest(cli_phantom):
+    text = re.sub(r"(?m)^vendor = .*$", "vendor = B", cli_phantom.read_text())
+    path = cli_phantom.with_name("manifest_b.txt")
+    path.write_text(re.sub(r"(?m)^subject = .*$", "subject = other", text))
+    return path
+
+
+def test_evaluate(cli_phantom, tmp_path):
+    # each target predicted by a template's label unwarped: ES for frame 1, ED for frame 2
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    for target, template in ((1, 0), (2, 3)):
+        shutil.copy(cli_phantom.with_name(f"label_{template:03d}.mvol"), pred / f"pseudo_label_{target:03d}.mvol")
+    out = tmp_path / "eval"
+    argv = ["evaluate", "--pred", str(pred), "--gt", str(cli_phantom.parent), "--out", str(out)]
+    assert cli.run(argv) == cli.EXIT_OK
+    assert _digests(out) == EVALUATE
+
+
+def test_histmatch(cli_phantom, tmp_path):
+    out = tmp_path / "matched"
+    assert cli.run(["histmatch", "--manifest", str(cli_phantom), "--out", str(out)]) == cli.EXIT_OK
+    assert _digests(out) == HISTMATCH
+
+
+def test_transfer_and_report(cli_phantom, vendor_b_manifest, tmp_path):
+    manifests = ["--manifest", str(cli_phantom), "--manifest", str(vendor_b_manifest)]
+    out = tmp_path / "transfer"
+    argv = ["transfer", *manifests, "--from-vendor", "synthetic", "--to-vendor", "B", "--out", str(out)]
+    assert cli.run(argv) == cli.EXIT_OK
+    assert _digests(out) == TRANSFER
+    out = tmp_path / "report"
+    assert cli.run(["report", *manifests, "--out", str(out)]) == cli.EXIT_OK
+    assert _digests(out) == REPORT

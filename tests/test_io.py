@@ -316,12 +316,12 @@ class TestManifest:
 
 class TestReports:
     def test_propagation_report_round_trip(self, tmp_path):
-        from cineprop.propagation import PropagationResult, Template
+        from cineprop.propagation import PropagationResult
 
         lab = LabelMap(np.zeros((2, 2, 2), dtype=np.uint8))
         results = [
-            PropagationResult(1, lab, Template.ES, 0.25, 0.75),
-            PropagationResult(2, lab, Template.ED, 0.8, 0.3),
+            PropagationResult(1, lab, 0.25, 0.75),
+            PropagationResult(2, lab, 0.8, 0.3),
         ]
         path = tmp_path / "prop.txt"
         io.write_propagation_report(results, {"subject": "s", "frames": 4}, path)

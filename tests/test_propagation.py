@@ -4,6 +4,7 @@ import dataclasses
 import multiprocessing
 import os
 import signal
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -75,11 +76,8 @@ class TestFieldNorm:
 class TestCandidateInvariants:
     def test_result_checks_selection(self):
         lab = LabelMap(np.zeros((2, 2, 2), dtype=np.uint8))
-        PropagationResult(1, lab, Template.ES, 0.5, 0.5)  # tie -> ES allowed
-        with pytest.raises(InvalidParameterError):
-            PropagationResult(1, lab, Template.ED, 0.5, 0.5)
-        with pytest.raises(InvalidParameterError):
-            PropagationResult(1, lab, Template.ES, 2.0, 0.5)
+        for es_norm, ed_norm, chosen in ((0.5, 0.5, Template.ES), (0.4, 0.5, Template.ES), (2.0, 0.5, Template.ED)):
+            assert PropagationResult(1, lab, es_norm, ed_norm).chosen_template is chosen
 
 
 class TestPropagateFrame:
@@ -92,6 +90,14 @@ class TestPropagateFrame:
     def test_out_of_range_rejected(self, tiny_cine):
         with pytest.raises(InvalidParameterError):
             propagate_frame(tiny_cine.series, 9, FAST)
+
+    def test_sigma_beyond_the_grid_rejected(self, tiny_cine):
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameterError, match="longest axis of the frames \\(20 voxels\\)"):
+            propagate_frame(tiny_cine.series, 1, dataclasses.replace(FAST, demons_sigma_vox=1000.0))
+        assert time.perf_counter() - start < 1.0
+        params = RegistrationParams(pyramid_levels=2, iterations_per_level=(2, 2), demons_sigma_vox=6.3)
+        assert propagate_frame(tiny_cine.series, 1, params).pseudo_label.dims == (20, 20, 20)
 
     def test_duplicated_es_frame_chooses_es(self, tiny_cine):
         frames = list(tiny_cine.series.frames)
@@ -237,7 +243,7 @@ class TestWorkerFailures:
 
     @staticmethod
     def quick_result(series, target):
-        return PropagationResult(target, series.es_label, Template.ES, 0.0, 1.0)
+        return PropagationResult(target, series.es_label, 0.0, 1.0)
 
     def test_failure_stays_with_its_frame(self, cine_dir, tmp_path, monkeypatch):
         mpath, series = cine_dir

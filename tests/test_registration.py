@@ -1,6 +1,7 @@
 """Similarity measures, warping, and the three registration stages."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from cineprop.registration import (
     _affine_params_to_transform,
     _center_mm,
     _descend,
-    _dissimilarity,
     _level_objective,
+    _ncc,
     _pose_jacobian,
     _pose_to_transform,
     _upsample_field,
@@ -71,27 +72,14 @@ def _smooth_random(seed, dims=(12, 12, 12)):
 
 
 class TestSimilarity:
-    def test_identical_mse_zero(self):
-        vol = _smooth_random(0)
-        assert _dissimilarity(vol.data, "mse")[0](vol.data) == 0.0
-
     def test_identical_ncc_minus_one(self):
         vol = _smooth_random(1)
-        assert _dissimilarity(vol.data, "ncc")[0](vol.data) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_constant_mse_closed_form(self):
-        a = ScalarVolume(np.zeros((3, 3, 3)))
-        b = ScalarVolume(np.full((3, 3, 3), 2.0))
-        assert _dissimilarity(a.data, "mse")[0](b.data) == 4.0
+        assert _ncc(vol.data)[0](vol.data) == pytest.approx(-1.0, abs=1e-12)
 
     def test_constant_ncc_is_zero(self):
         a = ScalarVolume(np.full((3, 3, 3), 5.0))
         b = _smooth_random(2, dims=(3, 3, 3))
-        assert _dissimilarity(a.data, "ncc")[0](b.data) == 0.0
-
-    def test_unknown_kind(self):
-        with pytest.raises(InvalidParameterError):
-            _dissimilarity(np.zeros((2, 2, 2)), "mutual_information")
+        assert _ncc(a.data)[0](b.data) == 0.0
 
 
 class TestAffineTransform:
@@ -122,10 +110,6 @@ class TestParams:
     def test_iterations_must_match_levels(self):
         with pytest.raises(InvalidParameterError):
             RegistrationParams(pyramid_levels=2, iterations_per_level=(10, 10, 10))
-
-    def test_bad_similarity(self):
-        with pytest.raises(InvalidParameterError):
-            RegistrationParams(similarity="ssd")
 
     def test_bad_step(self):
         with pytest.raises(InvalidParameterError):
@@ -262,15 +246,12 @@ class TestBlasFreeArithmetic:
     def test_similarity_matches_dot_forms(self):
         rng = np.random.default_rng(1)
         fixed = rng.normal(100.0, 30.0, size=self.N).astype(np.float32)
-        score_ncc = _dissimilarity(fixed, "ncc")[0]
-        score_mse = _dissimilarity(fixed, "mse")[0]
+        score_ncc = _ncc(fixed)[0]
         for sign in (1.0, -1.0):  # the fixed-side terms are reused across calls
             warped = sign * fixed + rng.normal(0.0, 20.0, size=self.N)
             ref = _ncc_by_dot(fixed, warped)
             assert abs(ref) > 0.5
             assert math.isclose(score_ncc(warped), ref, rel_tol=self.RTOL, abs_tol=0.0)
-            d = fixed.astype(np.float64) - warped
-            assert score_mse(warped) == float(np.mean(d * d))
 
     def test_level_objective_matches_matmul_form(self):
         rng = np.random.default_rng(2)
@@ -280,7 +261,7 @@ class TestBlasFreeArithmetic:
         center = _center_mm(fixed)
         jacobian = _affine_params_jacobian(center)
         objective, _ = _level_objective(
-            fixed, moving, "ncc", lambda th: _affine_params_to_transform(th, center), lambda th: jacobian
+            fixed, moving, lambda th: _affine_params_to_transform(th, center), lambda th: jacobian
         )
         theta = np.concatenate([(np.eye(3) + rng.normal(scale=0.005, size=(3, 3))).ravel(), [0.5, -0.4, 1.0]])
         tf = _affine_params_to_transform(theta, center)
@@ -337,10 +318,10 @@ class TestAnalyticGradient:
             units = np.array([min(self.SPACING) / float(np.linalg.norm(center))] * 9 + list(self.SPACING))
         return fixed, moving, to_transform, jacobian, units
 
-    def _errors(self, kind, stage, theta, moving_offset):
+    def _errors(self, stage, theta, moving_offset):
         """Cosine and largest error relative to the largest oracle component; ``moving_offset`` is in mm."""
         fixed, moving, to_transform, jacobian, units = self._setup(stage, moving_offset)
-        objective, gradient = _level_objective(fixed, moving, kind, to_transform, jacobian)
+        objective, gradient = _level_objective(fixed, moving, to_transform, jacobian)
         analytic = gradient(theta) * units
         oracle = fd_gradient(objective, theta, units) * units
         cosine = float(analytic @ oracle) / float(np.linalg.norm(analytic) * np.linalg.norm(oracle))
@@ -355,24 +336,22 @@ class TestAnalyticGradient:
         assert np.array_equal(channels[..., 2], np.gradient(data, axis=1))
         assert not np.any(channels[..., 3])
 
-    @pytest.mark.parametrize("kind", ["ncc", "mse"])
     @pytest.mark.parametrize("stage", ["rigid", "affine"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_finite_differences_at_random_theta(self, kind, stage, seed):
+    def test_matches_finite_differences_at_random_theta(self, stage, seed):
         rng = np.random.default_rng(seed)
         if stage == "rigid":
             theta = np.concatenate([rng.uniform(-3.0, 3.0, 3) * self.DEG, rng.uniform(-3.0, 3.0, 3)])
         else:
             theta = np.concatenate([(np.eye(3) + rng.normal(scale=0.02, size=(3, 3))).ravel(), rng.uniform(-3, 3, 3)])
-        cosine, rel = self._errors(kind, stage, theta, (2.0, -3.0))
+        cosine, rel = self._errors(stage, theta, (2.0, -3.0))
         # z translations up to 3 mm clamp part of the bottom sampled slice;
         # the probes straddling that kink read cosine down to 0.99990 on seed 1
         assert cosine >= 0.9995
         assert rel <= 0.04
 
-    @pytest.mark.parametrize("kind", ["ncc", "mse"])
     @pytest.mark.parametrize("stage", ["rigid", "affine"])
-    def test_z_clamped_samples_do_not_move(self, kind, stage):
+    def test_z_clamped_samples_do_not_move(self, stage):
         # a 9 mm z shift plus a tilt pushes part of the top sampled slice
         # (z = 80 mm) past the last slice (z = 88 mm), where sampling clamps
         if stage == "rigid":
@@ -380,7 +359,7 @@ class TestAnalyticGradient:
         else:
             theta = np.concatenate([np.eye(3).ravel(), [0.0, 0.0, 9.0]])
             theta[7] = 0.1  # z moves with y
-        cosine, rel = self._errors(kind, stage, theta, (0.0, 0.0))
+        cosine, rel = self._errors(stage, theta, (0.0, 0.0))
         # read 0.99990-1 and 0.003-0.016; without the clamp mask 0.9950-0.99985 and 0.063-0.29
         assert cosine >= 0.9999
         assert rel <= 0.03
@@ -435,7 +414,7 @@ class TestAffine:
         init = AffineTransform.identity()
         params = RegistrationParams()
         tf = register_affine(vol, moving, init, params)
-        score = _dissimilarity(vol.data, params.similarity)[0]
+        score = _ncc(vol.data)[0]
         f_init = score(resample_affine(moving, init, vol).data)
         f_final = score(resample_affine(moving, tf, vol).data)
         assert f_final <= f_init
@@ -464,6 +443,17 @@ class TestDeformable:
         with pytest.raises(DegenerateInputError):
             register_deformable(flat, other, AffineTransform.identity(), RegistrationParams())
 
+    def test_sigma_radius_below_longest_axis(self):
+        # the radius is ceil(3 * sigma): 19 voxels at sigma 6.3 runs on a 20^3 grid, 3000 at sigma 1000 does not
+        fixed, moving = generate_cine(TINY_SPEC).series.frames[:2]
+        params = RegistrationParams(pyramid_levels=2, iterations_per_level=(2, 2), demons_sigma_vox=1000.0)
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameterError, match="smoothing radius of 3000 voxels"):
+            register_deformable(fixed, moving, AffineTransform.identity(), params)
+        assert time.perf_counter() - start < 1.0
+        params = RegistrationParams(pyramid_levels=2, iterations_per_level=(2, 2), demons_sigma_vox=6.3)
+        assert register_deformable(fixed, moving, AffineTransform.identity(), params).dims == (20, 20, 20)
+
     def test_stage_chaining_monotone(self):
         cine = generate_cine(SMALL_SPEC)
         fixed, moving = cine.series.frames[2], cine.series.frames[0]
@@ -471,7 +461,7 @@ class TestDeformable:
         rigid = register_rigid(fixed, moving, params)
         affine = register_affine(fixed, moving, rigid, params)
         field = register_deformable(fixed, moving, affine, params)
-        score = _dissimilarity(fixed.data, params.similarity)[0]
+        score = _ncc(fixed.data)[0]
         f_before = score(resample_affine(moving, AffineTransform.identity(), fixed).data)
         f_rigid = score(resample_affine(moving, rigid, fixed).data)
         f_affine = score(resample_affine(moving, affine, fixed).data)
