@@ -11,16 +11,13 @@ Subcommands::
 
 Exit codes: 0 success, 2 usage error, 3 I/O or file-format error,
 4 algorithmic degeneracy (constant images, empty masks where forbidden).
-``propagate --iters`` gives the iterations of each pyramid level, coarse to
-fine, so its length sets the number of levels.  Every stage scores with NCC.
-The ``CINEPROP_WORKERS`` environment variable sets the default worker count;
-the ``--workers`` flag overrides it.  A worker count from either that is not
-an integer >= 1, and a registration flag out of its range (non-finite
-``--step`` or ``--sigma``, an empty or malformed ``--iters``), are usage
-errors (exit code 2), found before any input is read.  So is a ``--sigma``
-whose smoothing radius, ``ceil(3 * sigma)`` voxels, is not below the longest
-axis of the frames: found once the series is read, before any frame runs or
-any output is written.
+``propagate --iters``, its one registration flag, gives the iterations of
+each pyramid level, coarse to fine, so its length sets the number of levels.
+Every stage scores with NCC.  The ``CINEPROP_WORKERS`` environment variable
+sets the default worker count; the ``--workers`` flag overrides it.  A worker
+count from either that is not an integer >= 1, and an ``--iters`` that is
+empty, malformed or has a count below 1, are usage errors (exit code 2),
+found before any input is read.
 """
 
 from __future__ import annotations
@@ -75,16 +72,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_phantom.add_argument("--out", required=True)
     p_phantom.add_argument("--seed", type=int, default=0)
 
-    defaults = RegistrationParams()
     p_prop = sub.add_parser("propagate", help="propagate template labels to unlabeled frames")
     p_prop.add_argument("--manifest", required=True)
     p_prop.add_argument("--out", required=True)
     p_prop.add_argument("--workers", type=int, default=None)
-    p_prop.add_argument(
-        "--iters", default=",".join(map(str, defaults.iterations_per_level)), help="comma list, coarse to fine"
-    )
-    p_prop.add_argument("--sigma", type=float, default=defaults.demons_sigma_vox, help="field smoothing sigma (voxels)")
-    p_prop.add_argument("--step", type=float, default=defaults.step_size, help="optimizer step size (voxels)")
+    default_iters = ",".join(map(str, RegistrationParams().iterations_per_level))
+    p_prop.add_argument("--iters", default=default_iters, help="comma list, coarse to fine")
 
     p_match = sub.add_parser("histmatch", help="match each frame to the series' pooled reference")
     p_match.add_argument("--manifest", required=True)
@@ -160,14 +153,9 @@ def _registration_params(args) -> RegistrationParams:
         iters = tuple(int(x) for x in str(args.iters).split(",") if x.strip())
     except ValueError:
         iters = ()
-    if not iters:
-        raise InvalidParameterError(f"--iters must be a non-empty comma list of integers, got {args.iters!r}")
-    return RegistrationParams(
-        pyramid_levels=len(iters),
-        iterations_per_level=iters,
-        step_size=args.step,
-        demons_sigma_vox=args.sigma,
-    )
+    if not iters or min(iters) < 1:
+        raise InvalidParameterError(f"--iters must be a non-empty comma list of integers >= 1, got {args.iters!r}")
+    return RegistrationParams(pyramid_levels=len(iters), iterations_per_level=iters)
 
 
 def _cmd_propagate(args) -> int:
@@ -316,7 +304,7 @@ def _cmd_report(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "histogram_report.txt").write_text(text)
+        io._atomic_write(out / "histogram_report.txt", text.encode())
         io.write_summary(
             {"command": "report", "groups": len(groups), "bins": args.bins},
             out / "summary.txt",

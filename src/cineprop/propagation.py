@@ -21,7 +21,6 @@ from .errors import InvalidParameterError, InvalidTargetError, SeriesPropagation
 from .registration import (
     DisplacementField,
     RegistrationParams,
-    _check_sigma_radius,
     register_affine,
     register_deformable,
     register_rigid,
@@ -119,15 +118,11 @@ def propagate_series(
     memory is per worker.  Because it forks, a caller that runs threads of its
     own should use ``workers=1`` or call this from a single-threaded process.
     Per-frame failures are collected and raised together with their indices;
-    a worker that dies fails every frame still without a result.  A demons
-    sigma whose smoothing radius, ``ceil(3 * demons_sigma_vox)``, is not below
-    the frames' longest axis raises ``InvalidParameterError`` before any frame
-    runs.
+    a worker that dies fails every frame still without a result.
     """
     params = params or RegistrationParams()
     if workers < 1:
         raise InvalidParameterError("workers must be >= 1")
-    _check_sigma_radius(params.demons_sigma_vox, series.frames[0].dims)
     targets = [t for t in range(series.n_frames) if t not in (series.es_index, series.ed_index)]
     processes = min(workers, len(targets))
     if processes <= 1:

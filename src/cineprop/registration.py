@@ -48,8 +48,11 @@ from .volume import (
     trilinear_sample_many,
 )
 
-_MIN_STEP_FRACTION = 1e-3  # line search gives up below this fraction of step_size
+_STEP_SIZE = 0.5  # rigid/affine: largest step per iteration, in parameter units (voxels, degrees)
+_DEMONS_SIGMA_VOX = 1.5  # Gaussian smoothing of each demons candidate field, in voxels
+_MIN_STEP_FRACTION = 1e-3  # line search gives up below this fraction of its largest step
 _CONVERGENCE_WINDOW = 5  # iterations over which relative improvement is measured
+_CONVERGENCE_TOL = 1e-4  # converged once a window improves by less than this, relative
 _MAX_OBJECTIVE_SAMPLES = 48_000  # rigid/affine objectives subsample above this
 
 
@@ -104,9 +107,6 @@ class DisplacementField:
 class RegistrationParams:
     pyramid_levels: int = 3
     iterations_per_level: tuple[int, ...] = (50, 50, 30)  # coarse -> fine
-    step_size: float = 0.5  # voxels (and degrees) moved per accepted step
-    demons_sigma_vox: float = 1.5
-    convergence_tol: float = 1e-4
 
     def __post_init__(self):
         if self.pyramid_levels < 1:
@@ -118,13 +118,6 @@ class RegistrationParams:
             )
         if any(i < 1 for i in iters):
             raise InvalidParameterError("iteration counts must be >= 1")
-        # written so that NaN fails too: every comparison with NaN is false
-        if not (math.isfinite(self.step_size) and self.step_size > 0):
-            raise InvalidParameterError(f"step_size must be finite and > 0, got {self.step_size}")
-        if not (math.isfinite(self.demons_sigma_vox) and self.demons_sigma_vox >= 0):
-            raise InvalidParameterError(f"demons_sigma_vox must be finite and >= 0, got {self.demons_sigma_vox}")
-        if not (math.isfinite(self.convergence_tol) and self.convergence_tol > 0):
-            raise InvalidParameterError(f"convergence_tol must be finite and > 0, got {self.convergence_tol}")
         object.__setattr__(self, "iterations_per_level", iters)
 
 
@@ -231,19 +224,6 @@ def _check_pair(fixed: ScalarVolume, moving: ScalarVolume) -> None:
         raise DegenerateInputError("moving image is constant; no gradient signal")
 
 
-def _check_sigma_radius(sigma_vox: float, dims) -> None:
-    """Refuse a demons sigma whose smoothing radius, ``ceil(3 * sigma_vox)``, is not below the longest axis.
-
-    Every tap past an edge reads the edge value, and the padded buffers grow with the radius.
-    """
-    radius, longest = math.ceil(3.0 * sigma_vox), max(dims)
-    if radius >= longest:
-        raise InvalidParameterError(
-            f"demons_sigma_vox {sigma_vox} gives a smoothing radius of {radius} voxels; "
-            f"it must be below the longest axis of the frames ({longest} voxels)"
-        )
-
-
 def _pyramid_levels(fixed: ScalarVolume, moving: ScalarVolume, params: RegistrationParams) -> list:
     """Coarse-to-fine (fixed, moving, iterations) levels of cached halves, stopping when too small to halve."""
     pyramids = []
@@ -255,7 +235,33 @@ def _pyramid_levels(fixed: ScalarVolume, moving: ScalarVolume, params: Registrat
     return list(zip(*pyramids, params.iterations_per_level[-len(pyramids[0]) :]))
 
 
-def _descend(objective, gradient, theta0, units, iterations, step_size, tol):
+def _line_search(candidate, f_cur: float, lam: float, lam_max: float):
+    """The first ``candidate(lam)`` that scores below ``f_cur``, halving ``lam`` after each that does not.
+
+    ``candidate(lam)`` returns ``(state, score)``.  Returns ``(state, score,
+    next_lam)``, the next step being the accepted one grown by 1.5 up to
+    ``lam_max``; or None once ``lam`` falls below ``_MIN_STEP_FRACTION *
+    lam_max``.  A rejected state is freed before the next one is built.
+    """
+    while lam >= _MIN_STEP_FRACTION * lam_max:
+        state, f_cand = candidate(lam)
+        if f_cand < f_cur:
+            return state, f_cand, min(lam * 1.5, lam_max)
+        del state
+        lam *= 0.5
+    return None
+
+
+def _converged(window: list, f_cur: float) -> bool:
+    """Append ``f_cur`` to ``window``; True once a whole window of iterations improves by less than the tolerance."""
+    window.append(f_cur)
+    if len(window) <= _CONVERGENCE_WINDOW:
+        return False
+    start = window.pop(0)
+    return (start - f_cur) / max(abs(start), 1e-12) < _CONVERGENCE_TOL
+
+
+def _descend(objective, gradient, theta0, units, iterations):
     """Descent over unit-normalized parameters with step halving on non-improvement.
 
     ``gradient(theta)`` is the objective's gradient with respect to theta; it
@@ -271,10 +277,10 @@ def _descend(objective, gradient, theta0, units, iterations, step_size, tol):
     units = np.asarray(units, dtype=np.float64)
     f_cur = objective(theta)
     trace = [f_cur]
-    lam = step_size
+    lam = _STEP_SIZE
     g_prev = None
     d_prev = None
-    window: list[float] = [f_cur]
+    window = [f_cur]
     for _ in range(iterations):
         grad_units = gradient(theta) * units  # change per unit step of each parameter
         if g_prev is not None:
@@ -286,31 +292,23 @@ def _descend(objective, gradient, theta0, units, iterations, step_size, tol):
         if norm == 0.0:
             break
         direction = (d / norm) * units
-        accepted = False
-        while lam >= _MIN_STEP_FRACTION * step_size:
-            candidate = theta + lam * direction
-            f_cand = objective(candidate)
-            if f_cand < f_cur:
-                theta = candidate
-                f_cur = f_cand
-                trace.append(f_cur)
-                lam = min(lam * 1.5, step_size)
-                accepted = True
-                g_prev, d_prev = grad_units, d
-                break
-            lam *= 0.5
-        if not accepted:
+
+        def candidate(lam):
+            moved = theta + lam * direction
+            return moved, objective(moved)
+
+        step = _line_search(candidate, f_cur, lam, _STEP_SIZE)
+        if step is None:
             if d_prev is None:
                 break  # even the steepest direction fails: converged
             g_prev = d_prev = None  # restart from the plain gradient
-            lam = 0.25 * step_size
+            lam = 0.25 * _STEP_SIZE
             continue
-        # converged once a whole window of iterations improves by less than tol
-        window.append(f_cur)
-        if len(window) > _CONVERGENCE_WINDOW:
-            start = window.pop(0)
-            if (start - f_cur) / max(abs(start), 1e-12) < tol:
-                break
+        theta, f_cur, lam = step
+        trace.append(f_cur)
+        g_prev, d_prev = grad_units, d
+        if _converged(window, f_cur):
+            break
     return theta, trace
 
 
@@ -453,7 +451,7 @@ def _register_linear(fixed, moving, params, theta, to_transform, jacobian, level
     for f_l, m_l, n_iter in _pyramid_levels(fixed, moving, params):
         obj, grad = _level_objective(f_l, m_l, to_transform, jacobian)
         units = level_units(f_l.spacing)
-        theta, _ = _descend(obj, grad, theta, units, n_iter, params.step_size, params.convergence_tol)
+        theta, _ = _descend(obj, grad, theta, units, n_iter)
     result = to_transform(theta)
     full = _full_res_objective(fixed, moving)
     return fallback if full(result) > full(fallback) else result
@@ -504,9 +502,7 @@ def _upsample_field(u: np.ndarray, new_dims) -> np.ndarray:
     return _trilinear(u, *_grid_axes(new_dims, (0.5, 0.5, 0.5)))
 
 
-def _demons_level(
-    fixed_level: ScalarVolume, moving_level: ScalarVolume, u: np.ndarray, n_iter: int, params: RegistrationParams
-) -> np.ndarray:
+def _demons_level(fixed_level: ScalarVolume, moving_level: ScalarVolume, u: np.ndarray, n_iter: int) -> np.ndarray:
     """Iterate intensity-difference updates on one pyramid level.
 
     Each line-search candidate is ``u`` plus the step, rounded once to a
@@ -533,28 +529,20 @@ def _demons_level(
         diff = warped - fdata
         denom = g2 + diff * diff / mean_sq_spacing
         scale = np.where(denom > 1e-12, -diff / np.maximum(denom, 1e-12), 0.0)
-        accepted = False
-        while lam >= 1e-3:
-            candidate = np.add(u, (lam * scale)[..., None] * grad_stack, out=np.empty(u.shape, np.float32))
-            if params.demons_sigma_vox > 0:
-                for c in range(3):
-                    candidate[..., c] = gaussian_smooth_array(candidate[..., c], params.demons_sigma_vox)
-            warped_cand = _warp_data(mdata, candidate, spacing)
-            f_cand = score(warped_cand)
-            if f_cand < f_cur:
-                u, warped, f_cur = candidate, warped_cand, f_cand
-                lam = min(lam * 1.5, 1.0)
-                accepted = True
-                break
-            del warped_cand  # free a rejected warp before the next candidate: it would raise peak memory
-            lam *= 0.5
-        if not accepted:
+
+        def candidate(lam):
+            field = np.add(u, (lam * scale)[..., None] * grad_stack, out=np.empty(u.shape, np.float32))
+            for c in range(3):
+                field[..., c] = gaussian_smooth_array(field[..., c], _DEMONS_SIGMA_VOX)
+            warped_field = _warp_data(mdata, field, spacing)
+            return (field, warped_field), score(warped_field)
+
+        step = _line_search(candidate, f_cur, lam, 1.0)
+        if step is None:
             break
-        window.append(f_cur)
-        if len(window) > _CONVERGENCE_WINDOW:
-            start = window.pop(0)
-            if (start - f_cur) / max(abs(start), 1e-12) < params.convergence_tol:
-                break
+        (u, warped), f_cur, lam = step
+        if _converged(window, f_cur):
+            break
     return u
 
 
@@ -567,16 +555,14 @@ def register_deformable(
     residual deformation is optimized coarse-to-fine, and the returned field
     is the algebraic composition of both, mapping fixed-grid points to
     moving-image sample positions.  The result never scores worse than the
-    affine-initialized warp.  A demons sigma too wide for the fixed grid (see
-    ``_check_sigma_radius``) raises ``InvalidParameterError`` before any work.
+    affine-initialized warp.
     """
     _check_pair(fixed, moving)
-    _check_sigma_radius(params.demons_sigma_vox, fixed.dims)
     moving_affine = resample_affine(moving, init, fixed)
     u: np.ndarray | None = None
     for f_l, m_l, n_iter in _pyramid_levels(fixed, moving_affine, params):
         u = np.zeros((*f_l.dims, 3)) if u is None else _upsample_field(u, f_l.dims)
-        u = _demons_level(f_l, m_l, u, n_iter, params)
+        u = _demons_level(f_l, m_l, u, n_iter)
 
     # total(v) = A(v_mm + u(v)) + b - v_mm : exact composition with the affine
     grid = _grid_axes(fixed.dims, fixed.spacing)

@@ -153,3 +153,42 @@ def test_transfer_and_report(cli_phantom, vendor_b_manifest, tmp_path):
     out = tmp_path / "report"
     assert cli.run(["report", *manifests, "--out", str(out)]) == cli.EXIT_OK
     assert _digests(out) == REPORT
+
+
+# the same two commands with vendor B a second phantom, `phantom --frames 4 --seed 1` with `vendor = B`:
+# B's reference has other intensities, so the transfer differs from `histmatch` and the KS is not 0
+TRANSFER_TWO_PHANTOMS = {
+    "summary.txt": "99c88d3f748114c403e9cdea5ace8a6030080883e67749f709294621adfcdaa3",
+    "transfer_phantom_000.mvol": "d9b415bc98fdecc0dbf1b6907bf31360fb99a7af99cf8ed79f2694dfdb979980",
+    "transfer_phantom_001.mvol": "470b3f032744201c25423f41b07dc62f41ea60c41247273124b981e3c1345a98",
+    "transfer_phantom_002.mvol": "bfc96e89c4c5c1972adfb92f99864fcdc440703bbd5b6682171b936f4ab77294",
+    "transfer_phantom_003.mvol": "895abc6af0b9072d2a81cf2ad7185732272ee7808374205797e5d7810cd03f0f",
+}
+REPORT_TWO_PHANTOMS = {
+    "histogram_report.txt": "2b7f0c082cc57b4873a904466f708c760a99723322cb8ac7306b336aadf1099a",
+    "summary.txt": "0c029749e957f697b1347b6b9fab0533b073bbc85f20bdb5f7c625562fbb31d6",
+}
+
+
+@pytest.fixture(scope="module")
+def second_phantom_manifest(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden_b") / "ph_b"
+    assert cli.run(["phantom", "--frames", "4", "--seed", "1", "--out", str(out)]) == cli.EXIT_OK
+    path = out / "manifest.txt"
+    path.write_text(re.sub(r"(?m)^vendor = .*$", "vendor = B", path.read_text()))
+    return path
+
+
+def test_transfer_and_report_two_phantoms(cli_phantom, second_phantom_manifest, tmp_path):
+    manifests = ["--manifest", str(cli_phantom), "--manifest", str(second_phantom_manifest)]
+    out = tmp_path / "transfer"
+    argv = ["transfer", *manifests, "--from-vendor", "synthetic", "--to-vendor", "B", "--out", str(out)]
+    assert cli.run(argv) == cli.EXIT_OK
+    transfer = _digests(out)
+    assert transfer == TRANSFER_TWO_PHANTOMS
+    assert all(transfer[f"transfer_phantom_{t:03d}.mvol"] != HISTMATCH[f"matched_{t:03d}.mvol"] for t in range(4))
+    out = tmp_path / "report"
+    assert cli.run(["report", *manifests, "--out", str(out)]) == cli.EXIT_OK
+    assert _digests(out) == REPORT_TWO_PHANTOMS
+    (ks,) = re.findall(r"(?m)^ks \S+ \S+ (\S+)$", (out / "histogram_report.txt").read_text())
+    assert float(ks) > 0.0

@@ -4,7 +4,6 @@ import dataclasses
 import multiprocessing
 import os
 import signal
-import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -22,7 +21,7 @@ from cineprop.propagation import (
     propagate_series,
 )
 from cineprop.registration import DisplacementField, RegistrationParams
-from cineprop.volume import CineSeries, LabelMap
+from cineprop.volume import CineSeries, LabelMap, ScalarVolume
 from helpers import convolve1d_pad_oracle, thick_slice_series, write_cine_dir
 
 TINY_SPEC = PhantomSpec(
@@ -90,14 +89,6 @@ class TestPropagateFrame:
     def test_out_of_range_rejected(self, tiny_cine):
         with pytest.raises(InvalidParameterError):
             propagate_frame(tiny_cine.series, 9, FAST)
-
-    def test_sigma_beyond_the_grid_rejected(self, tiny_cine):
-        start = time.perf_counter()
-        with pytest.raises(InvalidParameterError, match="longest axis of the frames \\(20 voxels\\)"):
-            propagate_frame(tiny_cine.series, 1, dataclasses.replace(FAST, demons_sigma_vox=1000.0))
-        assert time.perf_counter() - start < 1.0
-        params = RegistrationParams(pyramid_levels=2, iterations_per_level=(2, 2), demons_sigma_vox=6.3)
-        assert propagate_frame(tiny_cine.series, 1, params).pseudo_label.dims == (20, 20, 20)
 
     def test_duplicated_es_frame_chooses_es(self, tiny_cine):
         frames = list(tiny_cine.series.frames)
@@ -205,18 +196,20 @@ class TestPropagateSeries:
         with pytest.raises(InvalidParameterError):
             propagate_series(tiny_cine.series, FAST, workers=0)
 
-    def test_sigma_radius_below_longest_axis(self, tiny_cine, monkeypatch):
-        # the radius is ceil(3 * sigma): 19 voxels at sigma 6.3 runs on a 20^3 grid, 20 at sigma 6.34 does not
-        ran = []
-        monkeypatch.setattr(propagation, "propagate_frame", lambda series, t, params: ran.append((t, params)))
-        for sigma in (6.34, 1000.0):
-            with pytest.raises(InvalidParameterError, match="longest axis of the frames \\(20 voxels\\)"):
-                propagate_series(tiny_cine.series, dataclasses.replace(FAST, demons_sigma_vox=sigma), workers=2)
-        assert ran == [] and multiprocessing.active_children() == []
-        default, widest = RegistrationParams(), dataclasses.replace(FAST, demons_sigma_vox=6.3)
-        for params in (default, widest):
-            propagate_series(tiny_cine.series, params, workers=1)
-        assert ran == [(1, default), (2, default), (1, widest), (2, widest)]
+    def test_five_voxel_series_propagates(self, tiny_cine):
+        # the field smoothing's radius, 5 voxels, reaches past every edge of a 5x5x4 crop through RV, MYO and LV
+        crop = (slice(3, 8), slice(8, 13), slice(8, 12))
+        series = tiny_cine.series
+        small = CineSeries(
+            frames=[ScalarVolume(f.data[crop], f.spacing) for f in series.frames],
+            es_index=series.es_index,
+            ed_index=series.ed_index,
+            es_label=LabelMap(series.es_label.data[crop], series.es_label.spacing),
+            ed_label=LabelMap(series.ed_label.data[crop], series.ed_label.spacing),
+        )
+        results = propagate_series(small)
+        assert [r.frame_index for r in results] == [1, 2]
+        assert all(r.pseudo_label.dims == (5, 5, 4) for r in results)
 
 
 class TestWorkerFailures:
