@@ -12,11 +12,11 @@ worse at full resolution than the stage's fallback (the identity for rigid,
 the initial transform for affine).
 The deformable stage is demons-style: on each pyramid level it moves a dense
 displacement field along the fixed-image gradient, scaled by the intensity
-difference, smooths the field with a Gaussian, and keeps the step only if
-the NCC improves.  Each candidate field is built, smoothed and warped
-in float32, which halves the memory traffic of the smoothing, the stage's
-largest cost; the NCC sums over the warped image stay float64.  Its output
-folds the affine initialization into one total field.
+difference, smooths the field with a Gaussian, and ends the level at the
+first such update that does not improve the NCC.  Each field is built,
+smoothed and warped in float32, which halves the memory traffic of the
+smoothing, the stage's largest cost; the NCC sums over the warped image stay
+float64.  Its output folds the affine initialization into one total field.
 Each pyramid level is the finer level's cached ``ScalarVolume.half``: the
 target's pyramid is built once per frame and each template's once per
 series; only the deformable stage's affine-resampled moving image gets a
@@ -34,6 +34,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,16 +110,21 @@ class RegistrationParams:
     iterations_per_level: tuple[int, ...] = (50, 50, 30)  # coarse -> fine
 
     def __post_init__(self):
-        if self.pyramid_levels < 1:
+        try:
+            values = (self.pyramid_levels, *self.iterations_per_level)
+        except TypeError:
+            raise InvalidParameterError("iterations_per_level must be a sequence") from None
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v) and v == int(v) for v in values):
+            raise InvalidParameterError(f"pyramid_levels and iteration counts must be whole numbers, got {values}")
+        levels, *iters = (int(v) for v in values)
+        if levels < 1:
             raise InvalidParameterError("pyramid_levels must be >= 1")
-        iters = tuple(int(i) for i in self.iterations_per_level)
-        if len(iters) != self.pyramid_levels:
-            raise InvalidParameterError(
-                f"iterations_per_level has {len(iters)} entries for {self.pyramid_levels} levels"
-            )
-        if any(i < 1 for i in iters):
+        if len(iters) != levels:
+            raise InvalidParameterError(f"iterations_per_level has {len(iters)} entries for {levels} levels")
+        if min(iters) < 1:
             raise InvalidParameterError("iteration counts must be >= 1")
-        object.__setattr__(self, "iterations_per_level", iters)
+        object.__setattr__(self, "pyramid_levels", levels)
+        object.__setattr__(self, "iterations_per_level", tuple(iters))
 
 
 def _affine_columns(m: np.ndarray, t: np.ndarray, x, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -235,19 +241,18 @@ def _pyramid_levels(fixed: ScalarVolume, moving: ScalarVolume, params: Registrat
     return list(zip(*pyramids, params.iterations_per_level[-len(pyramids[0]) :]))
 
 
-def _line_search(candidate, f_cur: float, lam: float, lam_max: float):
-    """The first ``candidate(lam)`` that scores below ``f_cur``, halving ``lam`` after each that does not.
+def _line_search(objective, theta, direction, f_cur: float, lam: float):
+    """The first ``theta + lam * direction`` that scores below ``f_cur``, halving ``lam`` after each that does not.
 
-    ``candidate(lam)`` returns ``(state, score)``.  Returns ``(state, score,
-    next_lam)``, the next step being the accepted one grown by 1.5 up to
-    ``lam_max``; or None once ``lam`` falls below ``_MIN_STEP_FRACTION *
-    lam_max``.  A rejected state is freed before the next one is built.
+    Returns ``(theta, score, next_lam)``, the next step being the accepted one
+    grown by 1.5 up to ``_STEP_SIZE``; or None once ``lam`` falls below
+    ``_MIN_STEP_FRACTION * _STEP_SIZE``.
     """
-    while lam >= _MIN_STEP_FRACTION * lam_max:
-        state, f_cand = candidate(lam)
+    while lam >= _MIN_STEP_FRACTION * _STEP_SIZE:
+        moved = theta + lam * direction
+        f_cand = objective(moved)
         if f_cand < f_cur:
-            return state, f_cand, min(lam * 1.5, lam_max)
-        del state
+            return moved, f_cand, min(lam * 1.5, _STEP_SIZE)
         lam *= 0.5
     return None
 
@@ -292,12 +297,7 @@ def _descend(objective, gradient, theta0, units, iterations):
         if norm == 0.0:
             break
         direction = (d / norm) * units
-
-        def candidate(lam):
-            moved = theta + lam * direction
-            return moved, objective(moved)
-
-        step = _line_search(candidate, f_cur, lam, _STEP_SIZE)
+        step = _line_search(objective, theta, direction, f_cur, lam)
         if step is None:
             if d_prev is None:
                 break  # even the steepest direction fails: converged
@@ -505,9 +505,10 @@ def _upsample_field(u: np.ndarray, new_dims) -> np.ndarray:
 def _demons_level(fixed_level: ScalarVolume, moving_level: ScalarVolume, u: np.ndarray, n_iter: int) -> np.ndarray:
     """Iterate intensity-difference updates on one pyramid level.
 
-    Each line-search candidate is ``u`` plus the step, rounded once to a
-    float32 field, then smoothed in float32 and warped; the images, the
-    gradients, the step and the NCC sums stay float64.
+    Each candidate is ``u`` plus the full update, rounded once to a float32
+    field, then smoothed in float32 and warped; the level ends at the first
+    one that does not improve the NCC.  The images, the gradients, the update
+    and the NCC sums stay float64.
     """
     fdata = fixed_level.data.astype(np.float64)
     spacing = fixed_level.spacing
@@ -523,24 +524,19 @@ def _demons_level(fixed_level: ScalarVolume, moving_level: ScalarVolume, u: np.n
     # the warp of the accepted field is carried into the next iteration, so no field is warped twice
     warped = _warp_data(mdata, u, spacing)
     f_cur = score(warped)
-    lam = 1.0
     window = [f_cur]
     for _ in range(n_iter):
         diff = warped - fdata
         denom = g2 + diff * diff / mean_sq_spacing
         scale = np.where(denom > 1e-12, -diff / np.maximum(denom, 1e-12), 0.0)
-
-        def candidate(lam):
-            field = np.add(u, (lam * scale)[..., None] * grad_stack, out=np.empty(u.shape, np.float32))
-            for c in range(3):
-                field[..., c] = gaussian_smooth_array(field[..., c], _DEMONS_SIGMA_VOX)
-            warped_field = _warp_data(mdata, field, spacing)
-            return (field, warped_field), score(warped_field)
-
-        step = _line_search(candidate, f_cur, lam, 1.0)
-        if step is None:
+        field = np.add(u, scale[..., None] * grad_stack, out=np.empty(u.shape, np.float32))
+        for c in range(3):
+            field[..., c] = gaussian_smooth_array(field[..., c], _DEMONS_SIGMA_VOX)
+        warped_field = _warp_data(mdata, field, spacing)
+        f_field = score(warped_field)
+        if f_field >= f_cur:
             break
-        (u, warped), f_cur, lam = step
+        u, warped, f_cur = field, warped_field, f_field
         if _converged(window, f_cur):
             break
     return u

@@ -124,8 +124,11 @@ def ks_statistic(sample_a, sample_b) -> float:
     time.  The left limits at a value equal the right-side ECDFs at the previous
     distinct value of either pool (or both zero), so they never raise the maximum.
     """
-    a = np.sort(np.asarray(sample_a, dtype=np.float64).ravel())
-    b = np.sort(np.asarray(sample_b, dtype=np.float64).ravel())
+    return _ks_sorted(*(np.sort(np.asarray(s, dtype=np.float64).ravel()) for s in (sample_a, sample_b)))
+
+
+def _ks_sorted(a: np.ndarray, b: np.ndarray) -> float:
+    """``ks_statistic`` of two pools already sorted as float64."""
     if a.size == 0 or b.size == 0:
         raise InvalidParameterError("KS statistic needs non-empty samples")
     if np.isnan(a[-1]) or np.isnan(b[-1]):  # the sort puts NaN last
@@ -183,7 +186,7 @@ def histogram_report(groups: dict[str, list[ScalarVolume]], bins: int) -> Histog
         if not vols:
             raise InvalidParameterError(f"group {tag!r} is empty")
         values = np.concatenate([v.data.ravel() for v in vols], dtype=np.float64)
-        values.sort()  # private, so sorted in place: the range is its ends and each histogram two searches
+        values.sort()  # private, so sorted in place: the range is its ends, each histogram two searches, KS no copy
         pooled[tag] = values
 
     lo = min(float(p[0]) for p in pooled.values())
@@ -201,5 +204,5 @@ def histogram_report(groups: dict[str, list[ScalarVolume]], bins: int) -> Histog
     tags = sorted(pooled)
     for i, ta in enumerate(tags):
         for tb in tags[i + 1 :]:
-            ks[(ta, tb)] = ks_statistic(pooled[ta], pooled[tb])
+            ks[(ta, tb)] = _ks_sorted(pooled[ta], pooled[tb])
     return HistogramReport(bins=bins, range_min=lo, range_max=hi, densities=densities, ks=ks)

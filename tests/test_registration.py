@@ -32,7 +32,7 @@ from cineprop.registration import (
     warp_label,
 )
 from cineprop.volume import LV, LabelMap, ScalarVolume, gaussian_smooth_array, trilinear_sample_many
-from helpers import fd_gradient, shift_volume, trilinear_long_hand
+from helpers import fd_gradient, shift_volume, thick_slice_series, trilinear_long_hand
 
 SMALL_SPEC = PhantomSpec(
     dims=(32, 32, 32),
@@ -109,6 +109,30 @@ class TestParams:
     def test_iterations_must_match_levels(self):
         with pytest.raises(InvalidParameterError):
             RegistrationParams(pyramid_levels=2, iterations_per_level=(10, 10, 10))
+
+    @pytest.mark.parametrize(
+        "levels, iters",
+        [
+            (1, (math.nan,)),
+            (1, (math.inf,)),
+            (1, (2.7,)),
+            (1, ("5",)),
+            (1, (None,)),
+            (1, 5),
+            (1, None),
+            ("2", (1, 1)),
+            (math.nan, (1,)),
+            (1.5, (1,)),
+        ],
+    )
+    def test_non_whole_or_non_sequence_values_rejected(self, levels, iters):
+        with pytest.raises(InvalidParameterError):
+            RegistrationParams(pyramid_levels=levels, iterations_per_level=iters)
+
+    def test_whole_values_stored_as_ints(self):
+        params = RegistrationParams(pyramid_levels=np.int64(2), iterations_per_level=np.array([3.0, 4.0]))
+        assert params == RegistrationParams(pyramid_levels=2, iterations_per_level=(3, 4))
+        assert {type(v) for v in (params.pyramid_levels, *params.iterations_per_level)} == {int}
 
 
 class TestWarpImage:
@@ -481,6 +505,60 @@ class TestDeformable:
         register_deformable(fixed, moving, AffineTransform.identity(), params)
         assert len(seen) > 3
         assert set(seen) == {(np.dtype(np.float32), np.dtype(np.float32))}
+
+    def test_identical_images_one_candidate_per_level(self, monkeypatch):
+        # the first full update of an exact match is zero, smooths to zero and does not improve: each level ends there
+        vol = _smooth_random(13, dims=(16, 16, 16))
+        smoothed = []
+        smooth = registration.gaussian_smooth_array
+
+        def spy(arr, sigma_vox):
+            smoothed.append(arr.shape)
+            return smooth(arr, sigma_vox)
+
+        monkeypatch.setattr(registration, "gaussian_smooth_array", spy)
+        params = RegistrationParams(pyramid_levels=3, iterations_per_level=(5, 5, 5))
+        field = register_deformable(vol, vol, AffineTransform.identity(), params)
+        assert smoothed == [(4, 4, 4)] * 3 + [(8, 8, 8)] * 3 + [(16, 16, 16)] * 3
+        assert np.all(field.vectors == 0.0)
+
+    def test_thick_slices_at_most_one_rejected_candidate_per_level(self, monkeypatch):
+        series = thick_slice_series()
+        fixed, moving = series.frames[1], series.frames[series.es_index]
+        levels = []  # per demons level: (iteration count, every NCC score in call order)
+        open_levels = []
+        demons_level, ncc = registration._demons_level, registration._ncc
+
+        def recording_level(fixed_level, moving_level, u, n_iter):
+            open_levels.append([])
+            try:
+                return demons_level(fixed_level, moving_level, u, n_iter)
+            finally:
+                levels.append((n_iter, open_levels.pop()))
+
+        def recording_ncc(fixed_data):
+            score, d_score = ncc(fixed_data)
+            if not open_levels:
+                return score, d_score
+            scores = open_levels[-1]
+
+            def recording(warped):
+                scores.append(score(warped))
+                return scores[-1]
+
+            return recording, d_score
+
+        monkeypatch.setattr(registration, "_demons_level", recording_level)
+        monkeypatch.setattr(registration, "_ncc", recording_ncc)
+        register_deformable(fixed, moving, AffineTransform.identity(), RegistrationParams())
+        assert len(levels) == 3
+        accepted = 0
+        for n_iter, (f_start, *candidates) in levels:
+            assert 1 <= len(candidates) <= n_iter
+            improved = [f < f_prev for f_prev, f in zip([f_start, *candidates], candidates)]
+            assert all(improved[:-1])  # only a level's last candidate may be rejected
+            accepted += sum(improved)
+        assert accepted > 0
 
     def test_contraction_boundary_accuracy(self):
         # LV radius 12 -> 10 contraction: the propagated contour must stay

@@ -224,6 +224,16 @@ class TestHistogramReport:
         report = histogram_report({"a": [vol], "b": [vol]}, bins=32)
         assert report.ks[("a", "b")] == 0.0
 
+    def test_ks_equals_statistic_on_shuffled_pools_and_oracle(self):
+        rng = np.random.default_rng(32)
+        rounded = ScalarVolume(np.round(rng.normal(120, 20, size=(16, 16, 16))).astype(np.float32))  # ties
+        groups = {"a": [_normal_volume(rng, 100, 10), rounded], "b": [rounded, _normal_volume(rng, 130, 25)]}
+        report = histogram_report(groups, bins=16)
+        pools = {tag: np.concatenate([v.data.ravel() for v in vols]).astype(np.float64) for tag, vols in groups.items()}
+        want = ks_eight_search_oracle(pools["a"], pools["b"])
+        assert 0.0 < want < 1.0
+        assert report.ks[("a", "b")] == ks_statistic(rng.permutation(pools["a"]), rng.permutation(pools["b"])) == want
+
     def test_densities_sum_to_one(self):
         rng = np.random.default_rng(30)
         groups = {"x": [_normal_volume(rng, 100, 10)], "y": [_normal_volume(rng, 150, 30)]}
