@@ -15,9 +15,11 @@ Exit codes: 0 success, 2 usage error, 3 I/O or file-format error,
 each pyramid level, coarse to fine, so its length sets the number of levels.
 Every stage scores with NCC.  The ``CINEPROP_WORKERS`` environment variable
 sets the default worker count; the ``--workers`` flag overrides it.  A worker
-count from either that is not an integer >= 1, and an ``--iters`` that is
-empty, malformed or has a count below 1, are usage errors (exit code 2),
-found before any input is read.
+count from either that is not an integer >= 1, an ``--iters`` that is empty,
+malformed or has a count below 1, an ``--n-ref-volumes`` below 1 and a
+``--bins`` below 2 are usage errors (exit code 2) that name the flag, found
+before any input is read.  ``--n-ref-volumes`` above the number of reference
+volumes is capped to it.
 """
 
 from __future__ import annotations
@@ -51,16 +53,16 @@ EXIT_IO = 3
 EXIT_DEGENERATE = 4
 
 
-def _worker_count(raw, source: str) -> int:
-    """``raw`` as a worker count; ``source`` names the flag or variable it came from."""
-    invalid = InvalidParameterError(f"{source} must be an integer >= 1, got {raw!r}")
+def _integer_at_least(raw, minimum: int, source: str) -> int:
+    """``raw`` as an integer >= ``minimum``; ``source`` names the flag or variable it came from."""
+    invalid = InvalidParameterError(f"{source} must be an integer >= {minimum}, got {raw!r}")
     try:
-        workers = int(raw)
+        value = int(raw)
     except ValueError:
         raise invalid from None
-    if workers < 1:
+    if value < minimum:
         raise invalid
-    return workers
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -160,9 +162,9 @@ def _registration_params(args) -> RegistrationParams:
 
 def _cmd_propagate(args) -> int:
     if args.workers is not None:
-        workers = _worker_count(args.workers, "--workers")
+        workers = _integer_at_least(args.workers, 1, "--workers")
     else:
-        workers = _worker_count(os.environ.get("CINEPROP_WORKERS", "1"), "CINEPROP_WORKERS")
+        workers = _integer_at_least(os.environ.get("CINEPROP_WORKERS", "1"), 1, "CINEPROP_WORKERS")
     params = _registration_params(args)
     manifest = io.read_manifest(args.manifest)
     series = io.load_series(manifest)
@@ -191,10 +193,11 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_histmatch(args) -> int:
+    n_ref = _integer_at_least(args.n_ref_volumes, 1, "--n-ref-volumes")
     manifest = io.read_manifest(args.manifest)
     series = io.load_series(manifest)
     corpus = list(series.frames)
-    n = min(args.n_ref_volumes, len(corpus))
+    n = min(n_ref, len(corpus))
     ref = build_reference(corpus, n, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -218,6 +221,7 @@ def _cmd_histmatch(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
+    n_ref = _integer_at_least(args.n_ref_volumes, 1, "--n-ref-volumes")
     volumes = []
     sources = []  # (subject, frame_index) per from-vendor volume, in order
     for mpath in args.manifest:
@@ -228,7 +232,7 @@ def _cmd_transfer(args) -> int:
             if manifest.vendor == args.from_vendor:
                 sources.append((manifest.subject_id, t))
     transferred = vendor_transfer(
-        volumes, args.from_vendor, args.to_vendor, args.seed, n_ref=args.n_ref_volumes
+        volumes, args.from_vendor, args.to_vendor, args.seed, n_ref=n_ref
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -294,19 +298,20 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    bins = _integer_at_least(args.bins, 2, "--bins")
     groups: dict[str, list] = {}
     for mpath in args.manifest:
         manifest = io.read_manifest(mpath)
         series = io.load_series(manifest)
         groups.setdefault(manifest.vendor, []).extend(series.frames)
-    report = histogram_report(groups, args.bins)
+    report = histogram_report(groups, bins)
     text = report.to_text()
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         io._atomic_write(out / "histogram_report.txt", text.encode())
         io.write_summary(
-            {"command": "report", "groups": len(groups), "bins": args.bins},
+            {"command": "report", "groups": len(groups), "bins": bins},
             out / "summary.txt",
         )
     else:

@@ -9,7 +9,11 @@ moving image's central-difference gradient sampled at the warped point,
 times the derivative of that point with respect to the parameters
 (dS/dw . grad M(T(x)) . dT/dtheta, as in elastix).  The result never scores
 worse at full resolution than the stage's fallback (the identity for rigid,
-the initial transform for affine).
+the initial transform for affine).  Each full-resolution sample is taken
+once per frame and template: the transform a linear stage returns carries
+the sample and score it was judged by, and the next stage reuses them when
+it runs on the same ``fixed`` and ``moving`` objects (the affine stage as its
+fallback's score, the deformable stage as its affine-resampled moving image).
 The deformable stage is demons-style: on each pyramid level it moves a dense
 displacement field along the fixed-image gradient, scaled by the intensity
 difference, smooths the field with a Gaussian, and ends the level at the
@@ -59,7 +63,13 @@ _MAX_OBJECTIVE_SAMPLES = 48_000  # rigid/affine objectives subsample above this
 
 @dataclass(frozen=True, eq=False)
 class AffineTransform:
-    """Invertible affine map of physical coordinates (mm)."""
+    """Invertible affine map of physical coordinates (mm).
+
+    A transform returned by ``register_rigid`` or ``register_affine`` also
+    carries, as a private derived value, the full-resolution sample and score
+    it was judged by, with the ``fixed`` and ``moving`` volumes they belong to.
+    The next stage reuses them only for those very volumes; pickling drops them.
+    """
 
     matrix: np.ndarray
     translation: np.ndarray
@@ -79,6 +89,9 @@ class AffineTransform:
     @classmethod
     def identity(cls) -> "AffineTransform":
         return cls(np.eye(3), np.zeros(3))
+
+    def __reduce__(self):  # the matrix and translation only: a carried sample would pickle both its volumes
+        return type(self), (self.matrix, self.translation)
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,15 +384,6 @@ def _transform_to_affine_params(transform: AffineTransform, center) -> np.ndarra
     return np.concatenate([transform.matrix.ravel(), t_center])
 
 
-def _value_and_gradient_images(data: np.ndarray) -> np.ndarray:
-    """``data`` and its central-difference gradient along each axis (voxel units), as 4 trailing channels.
-
-    The gradient along an axis of length 1 is zero.
-    """
-    grads = [np.gradient(data, axis=a) if n > 1 else np.zeros_like(data) for a, n in enumerate(data.shape)]
-    return np.stack([data, *grads], axis=-1)
-
-
 def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, to_transform, jacobian):
     """``(objective, gradient)`` over a deterministic sample of the fixed grid.
 
@@ -400,7 +404,7 @@ def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, to_t
     grid = _grid_axes(dims, spacing, stride)
     fixed_sample = fixed_level.data[::stride, ::stride, ::stride]
     score, d_score = _ncc(fixed_sample)
-    channels = _value_and_gradient_images(moving_level.data)
+    channels = moving_level._value_and_gradients
     axes = [g.ravel() for g in grid]
     ms, m_dims = moving_level.spacing, moving_level.dims
 
@@ -432,11 +436,17 @@ def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, to_t
     return objective, gradient
 
 
-def _full_res_objective(fixed: ScalarVolume, moving: ScalarVolume):
-    """Returns ``transform -> score`` of the full-resolution resampling."""
-    score = _ncc(fixed.data)[0]
-    grid = _grid_axes(fixed.dims, fixed.spacing)
-    return lambda transform: score(_sample_affine(moving, transform, grid))
+def _carried(transform: AffineTransform, fixed: ScalarVolume, moving: ScalarVolume):
+    """The full-resolution ``(sample, score)`` that ``transform`` carries for this ``fixed`` and ``moving``, or None.
+
+    ``_register_linear`` sets it on the transform it returns.  The volumes are
+    compared by identity, so a transform carried from any other pair is
+    sampled and scored afresh.
+    """
+    carried = transform.__dict__.get("_full_res")
+    if carried is None or carried[0] is not fixed or carried[1] is not moving:
+        return None
+    return carried[2:]
 
 
 def _register_linear(fixed, moving, params, theta, to_transform, jacobian, level_units, fallback) -> AffineTransform:
@@ -452,9 +462,22 @@ def _register_linear(fixed, moving, params, theta, to_transform, jacobian, level
         obj, grad = _level_objective(f_l, m_l, to_transform, jacobian)
         units = level_units(f_l.spacing)
         theta, _ = _descend(obj, grad, theta, units, n_iter)
+    score = _ncc(fixed.data)[0]
+    grid = _grid_axes(fixed.dims, fixed.spacing)
+
+    def judge(transform):  # (sample, score) at full resolution: the carried pair, or one sampler pass
+        carried = _carried(transform, fixed, moving)
+        if carried is None:
+            sample = _sample_affine(moving, transform, grid)
+            carried = sample, score(sample)
+        return carried
+
     result = to_transform(theta)
-    full = _full_res_objective(fixed, moving)
-    return fallback if full(result) > full(fallback) else result
+    judged, fallback_judged = judge(result), judge(fallback)
+    if judged[1] > fallback_judged[1]:
+        result, judged = fallback, fallback_judged
+    object.__setattr__(result, "_full_res", (fixed, moving, *judged))  # frozen: set past __setattr__
+    return result
 
 
 def register_rigid(fixed: ScalarVolume, moving: ScalarVolume, params: RegistrationParams) -> AffineTransform:
@@ -554,7 +577,9 @@ def register_deformable(
     affine-initialized warp.
     """
     _check_pair(fixed, moving)
-    moving_affine = resample_affine(moving, init, fixed)
+    carried = _carried(init, fixed, moving)  # the sample the affine stage judged init by, if it ran on this pair
+    sample = _sample_affine(moving, init, _grid_axes(fixed.dims, fixed.spacing)) if carried is None else carried[0]
+    moving_affine = ScalarVolume(sample.reshape(fixed.dims).astype(np.float32), fixed.spacing)
     u: np.ndarray | None = None
     for f_l, m_l, n_iter in _pyramid_levels(fixed, moving_affine, params):
         u = np.zeros((*f_l.dims, 3)) if u is None else _upsample_field(u, f_l.dims)

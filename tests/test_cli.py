@@ -390,3 +390,24 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self):
         assert run(["propagate"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("histmatch", "--n-ref-volumes", "0"),
+            ("histmatch", "--n-ref-volumes", "-3"),
+            ("transfer", "--n-ref-volumes", "0"),
+            ("report", "--bins", "0"),
+            ("report", "--bins", "1"),
+        ],
+        ids=["histmatch-n-ref-0", "histmatch-n-ref--3", "transfer-n-ref-0", "report-bins-0", "report-bins-1"],
+    )
+    def test_reference_and_bin_counts_checked_before_input(self, tmp_path, capsys, command, flag, value):
+        # a missing manifest: the flag must be rejected, by name, before the manifest is read
+        out = tmp_path / "out"
+        argv = [command, "--manifest", str(tmp_path / "nope.txt"), "--out", str(out), flag, value]
+        if command == "transfer":
+            argv += ["--from-vendor", "A", "--to-vendor", "B"]
+        assert run(argv) == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not out.exists()

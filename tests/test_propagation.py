@@ -9,7 +9,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from cineprop import cli, propagation, volume
+from cineprop import cli, propagation, registration, volume
 from cineprop.errors import DegenerateInputError, InvalidParameterError, InvalidTargetError, SeriesPropagationError
 from cineprop.metrics import dice
 from cineprop.phantom import PhantomSpec, generate_cine, generate_frame
@@ -169,6 +169,35 @@ class TestPropagateSeries:
         # one half per target and per template, plus one per deformable stage's
         # affine-resampled moving image (2 templates x 2 targets): 2 + 2 + 4
         assert calls == [(20, 20, 20)] * 8
+
+    def test_full_resolution_samples_per_frame(self, monkeypatch):
+        # 40x40x32 voxels, above registration._MAX_OBJECTIVE_SAMPLES: the objectives stride, so every full-grid
+        # sample is a stage's own.  Per template, rigid samples its result and the identity; affine only its
+        # result, its init carrying rigid's sample and score; deformable none, its init carrying affine's.
+        spec = dataclasses.replace(
+            TINY_SPEC,
+            dims=(40, 40, 32),
+            lv_radius_es=8.0,
+            lv_radius_ed=6.5,
+            myo_thickness=3.0,
+            rv_offset=(-9.0, 0.0, 0.0),
+            rv_radius=5.0,
+            frames=3,
+            ed_index=2,
+            noise_sigma=5.0,
+            seed=3,
+        )
+        series = generate_cine(spec).series
+        sizes = []
+        sample_affine = registration._sample_affine
+
+        def counting(moving, transform, grid):
+            sizes.append(np.broadcast(*grid).size)
+            return sample_affine(moving, transform, grid)
+
+        monkeypatch.setattr(registration, "_sample_affine", counting)
+        propagate_frame(series, 1, RegistrationParams(pyramid_levels=3, iterations_per_level=(2, 2, 2)))
+        assert sizes.count(40 * 40 * 32) == 2 * 3
 
     def test_workers_do_not_change_results(self, tiny_cine, series_results):
         par = propagate_series(tiny_cine.series, FAST, workers=3)

@@ -1,6 +1,7 @@
 """Similarity measures, warping, and the three registration stages."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from cineprop.registration import (
     _pose_jacobian,
     _pose_to_transform,
     _upsample_field,
-    _value_and_gradient_images,
     affine_to_field,
     register_affine,
     register_deformable,
@@ -342,7 +342,7 @@ class TestAnalyticGradient:
 
     def test_gradient_images_zero_along_single_slice(self):
         data = np.arange(20, dtype=np.float32).reshape(5, 4, 1) ** 2
-        channels = _value_and_gradient_images(data)
+        channels = ScalarVolume(data)._value_and_gradients
         assert channels.shape == (5, 4, 1, 4)
         assert np.array_equal(channels[..., 0], data)
         assert np.array_equal(channels[..., 1], np.gradient(data, axis=0))
@@ -594,6 +594,60 @@ class TestDeformable:
         gb = np.argwhere(boundary(gt.data == LV)).astype(float)
         nearest = np.sqrt(((pb[:, None, :] - gb[None, :, :]) ** 2).sum(-1)).min(axis=1)
         assert float((nearest <= 1.0).mean()) >= 0.95
+
+
+class TestCarriedSample:
+    """A stage reuses the full-resolution sample a transform carries only for the very volumes it was taken on."""
+
+    PARAMS = RegistrationParams(pyramid_levels=2, iterations_per_level=(3, 3))
+
+    @pytest.mark.parametrize("source", ["other-fixed", "other-moving", "other-grid"])
+    def test_transform_from_another_pair_is_sampled_afresh(self, source):
+        series = thick_slice_series()
+        fixed, moving = series.frames[1], series.frames[0]
+        # a rigid result registered on another pair carries that pair's sample and score: a self-registration's
+        # near-perfect score would make the affine stage fall back to it, another moving image's sample would
+        # start the deformable stage from the wrong image, and another grid's sample would not even fit
+        pair = {
+            "other-fixed": (moving, moving),
+            "other-moving": (fixed, fixed),
+            "other-grid": (ScalarVolume(fixed.data[:, :, 1:], fixed.spacing), moving),
+        }[source]
+        carried = register_rigid(*pair, self.PARAMS)
+        fresh = AffineTransform(carried.matrix, carried.translation)
+
+        got, want = (register_affine(fixed, moving, init, self.PARAMS) for init in (carried, fresh))
+        assert (got is carried) == (want is fresh)
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.translation.tobytes() == want.translation.tobytes()
+
+        got, want = (register_deformable(fixed, moving, init, self.PARAMS) for init in (carried, fresh))
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+
+    def test_deformable_starts_from_the_carried_sample(self, monkeypatch):
+        series = thick_slice_series()
+        fixed, moving = series.frames[1], series.frames[0]
+        rigid = register_rigid(fixed, moving, self.PARAMS)
+        fresh = AffineTransform(rigid.matrix, rigid.translation)
+        sampled = []
+        sample_affine = registration._sample_affine
+
+        def counting(vol, transform, grid):
+            sampled.append(transform)
+            return sample_affine(vol, transform, grid)
+
+        monkeypatch.setattr(registration, "_sample_affine", counting)
+        field = register_deformable(fixed, moving, rigid, self.PARAMS)
+        assert rigid not in sampled  # the sample rigid carries starts the deformable stage
+        assert register_deformable(fixed, moving, fresh, self.PARAMS).vectors.tobytes() == field.vectors.tobytes()
+        assert fresh in sampled
+
+    def test_pickling_drops_the_carried_sample(self):
+        series = thick_slice_series()
+        rigid = register_rigid(series.frames[1], series.frames[0], self.PARAMS)
+        copy = pickle.loads(pickle.dumps(rigid))
+        assert "_full_res" in vars(rigid) and "_full_res" not in vars(copy)
+        assert copy.matrix.tobytes() == rigid.matrix.tobytes()
 
 
 class TestAffineToField:

@@ -12,6 +12,7 @@ from cineprop.volume import (
     CineSeries,
     LabelMap,
     ScalarVolume,
+    _BLOCK_POINTS,
     _trilinear,
     downsample2x,
     gaussian_kernel,
@@ -145,6 +146,27 @@ class TestTrilinear:
         # one scalar position, past the upper face along a length-1 axis
         single = [0.75 * n + 0.5 for n in shape]
         for pts in (scattered, sparse, single):
+            out = _trilinear(data, *pts)
+            expected = trilinear_oracle(data, *pts)
+            assert out.shape == expected.shape and out.dtype == np.float64
+            assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("dtype, n_channels", [(np.float32, 3), (np.float64, 1), (np.float64, 3)])
+    def test_blocks_match_fancy_index_oracle(self, dtype, n_channels):
+        # calls of several blocks, the last one partial: which block a position falls in must not change a bit
+        rng = np.random.default_rng(8)
+        shape = (30, 20, 6)
+        data = rng.normal(0.0, 100.0, size=shape if n_channels == 1 else (*shape, n_channels)).astype(dtype)
+        n = 2 * _BLOCK_POINTS + 123
+        scattered = [np.concatenate([rng.uniform(-2.0, d + 1.0, n - 50), rng.integers(-1, d + 1, 50)]) for d in shape]
+        # registration._upsample_field's sparse grid: x is split across the blocks, while y and z have
+        # leading length 1 and serve every block whole
+        row = (2 * shape[1]) * (2 * shape[2])
+        rows = _BLOCK_POINTS // row
+        fine = (2 * rows + rows // 2 + 1, 2 * shape[1], 2 * shape[2])
+        sparse = np.meshgrid(*[np.arange(m) * 0.5 - 0.25 for m in fine], indexing="ij", sparse=True)
+        assert fine[0] * row > 2 * _BLOCK_POINTS and fine[0] % rows != 0  # three blocks, the last partial
+        for pts in (scattered, sparse):
             out = _trilinear(data, *pts)
             expected = trilinear_oracle(data, *pts)
             assert out.shape == expected.shape and out.dtype == np.float64
