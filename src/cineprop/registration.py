@@ -10,10 +10,7 @@ times the derivative of that point with respect to the parameters
 (dS/dw . grad M(T(x)) . dT/dtheta, as in elastix).  The result never scores
 worse at full resolution than the stage's fallback (the identity for rigid,
 the initial transform for affine).  Each full-resolution sample is taken
-once per frame and template: the transform a linear stage returns carries
-the sample and score it was judged by, and the next stage reuses them when
-it runs on the same ``fixed`` and ``moving`` objects (the affine stage as its
-fallback's score, the deformable stage as its affine-resampled moving image).
+once per frame and template (see ``AffineTransform``).
 The deformable stage is demons-style: on each pyramid level it moves a dense
 displacement field along the fixed-image gradient, scaled by the intensity
 difference, smooths the field with a Gaussian, and ends the level at the
@@ -65,10 +62,14 @@ _MAX_OBJECTIVE_SAMPLES = 48_000  # rigid/affine objectives subsample above this
 class AffineTransform:
     """Invertible affine map of physical coordinates (mm).
 
-    A transform returned by ``register_rigid`` or ``register_affine`` also
+    A transform that ``register_rigid`` or ``register_affine`` builds also
     carries, as a private derived value, the full-resolution sample and score
-    it was judged by, with the ``fixed`` and ``moving`` volumes they belong to.
-    The next stage reuses them only for those very volumes; pickling drops them.
+    it was judged by, and so holds its ``fixed`` and ``moving`` volumes and one
+    full-grid float64 sample for as long as it lives.  ``register_affine``
+    reuses the score, and ``register_deformable`` the sample, only when given
+    those very volumes (compared with ``is``); pickling drops them.  A stage
+    that falls back returns its fallback unchanged, carrying only what it
+    already carried.
     """
 
     matrix: np.ndarray
@@ -384,6 +385,15 @@ def _transform_to_affine_params(transform: AffineTransform, center) -> np.ndarra
     return np.concatenate([transform.matrix.ravel(), t_center])
 
 
+def _value_and_gradient_images(data: np.ndarray) -> np.ndarray:
+    """``data`` and its central-difference gradient along each axis (voxel units), as 4 trailing channels.
+
+    The gradient along an axis of length 1 is zero.
+    """
+    grads = [np.gradient(data, axis=a) if n > 1 else np.zeros_like(data) for a, n in enumerate(data.shape)]
+    return np.stack([data, *grads], axis=-1)
+
+
 def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, to_transform, jacobian):
     """``(objective, gradient)`` over a deterministic sample of the fixed grid.
 
@@ -404,7 +414,7 @@ def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, to_t
     grid = _grid_axes(dims, spacing, stride)
     fixed_sample = fixed_level.data[::stride, ::stride, ::stride]
     score, d_score = _ncc(fixed_sample)
-    channels = moving_level._value_and_gradients
+    channels = _value_and_gradient_images(moving_level.data)
     axes = [g.ravel() for g in grid]
     ms, m_dims = moving_level.spacing, moving_level.dims
 
@@ -437,12 +447,7 @@ def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, to_t
 
 
 def _carried(transform: AffineTransform, fixed: ScalarVolume, moving: ScalarVolume):
-    """The full-resolution ``(sample, score)`` that ``transform`` carries for this ``fixed`` and ``moving``, or None.
-
-    ``_register_linear`` sets it on the transform it returns.  The volumes are
-    compared by identity, so a transform carried from any other pair is
-    sampled and scored afresh.
-    """
+    """The full-resolution ``(sample, score)`` that ``transform`` carries for this ``fixed`` and ``moving``, or None."""
     carried = transform.__dict__.get("_full_res")
     if carried is None or carried[0] is not fixed or carried[1] is not moving:
         return None
@@ -455,7 +460,7 @@ def _register_linear(fixed, moving, params, theta, to_transform, jacobian, level
     ``to_transform(theta)`` builds the candidate transform, ``jacobian(theta)``
     its derivative (see ``_level_objective``), and ``level_units(spacing)``
     gives the parameter units of one pyramid level.  Returns ``fallback``
-    itself when the result scores worse at full resolution.
+    itself, unchanged, when the result scores worse at full resolution.
     """
     _check_pair(fixed, moving)
     for f_l, m_l, n_iter in _pyramid_levels(fixed, moving, params):
@@ -475,7 +480,7 @@ def _register_linear(fixed, moving, params, theta, to_transform, jacobian, level
     result = to_transform(theta)
     judged, fallback_judged = judge(result), judge(fallback)
     if judged[1] > fallback_judged[1]:
-        result, judged = fallback, fallback_judged
+        return fallback  # the caller's object: it carries only what it carried
     object.__setattr__(result, "_full_res", (fixed, moving, *judged))  # frozen: set past __setattr__
     return result
 

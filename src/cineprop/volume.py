@@ -1,9 +1,8 @@
 """Core 3D grid types plus interpolation, smoothing, and pyramid downsampling.
 
-Volumes are immutable.  A ``ScalarVolume`` keeps two lazily computed values:
-its ``half`` (``downsample2x`` of itself), whose chain registration walks as
-its pyramid, so each volume is downsampled once per level, however often
-used; and the value-and-gradient channels that the linear stages sample.
+Volumes are immutable.  A ``ScalarVolume`` keeps one lazily computed value,
+its ``half`` (``downsample2x`` of itself): registration walks that chain as
+its pyramid, so each volume is downsampled once per level, however often used.
 
 Trilinear sampling (``_trilinear``) runs in blocks of ``_BLOCK_POINTS``
 positions, so a full-grid call works on cache-sized temporaries.  Each
@@ -40,8 +39,9 @@ LABEL_CODES = (BACKGROUND, LV, MYO, RV)
 CLASS_NAMES = {LV: "LV", MYO: "MYO", RV: "RV"}
 FOREGROUND_CLASSES = (LV, MYO, RV)
 
-# positions per _trilinear block: its dozen 128 KiB temporaries fit a 2 MiB L2 cache.  On 96x96x12 grids
-# (2-vCPU VM), 8k-point blocks ran about 10% slower and 32k-point blocks no faster.
+# positions per _trilinear block, tuned on single-channel data: its dozen 128 KiB temporaries fit a 2 MiB L2
+# cache.  On 96x96x12 grids (2-vCPU VM), 8k-point blocks ran about 10% slower and 32k-point blocks no faster;
+# for 3- and 4-channel data, blocks of 16k points divided by the channel count timed within noise of these.
 _BLOCK_POINTS = 16_384
 
 def _check_spacing(spacing) -> tuple[float, float, float]:
@@ -89,17 +89,6 @@ class ScalarVolume:
     def half(self) -> "ScalarVolume":
         """``downsample2x(self)``, computed on first use and kept, so each process builds it once per volume."""
         return downsample2x(self)
-
-    @cached_property
-    def _value_and_gradients(self) -> np.ndarray:
-        """``data`` and its central-difference gradient along each axis (voxel units), as 4 trailing channels.
-
-        Kept like ``half``: the rigid and affine stages sample it at the same
-        pyramid levels.  The gradient along an axis of length 1 is zero.
-        """
-        data = self.data
-        grads = [np.gradient(data, axis=a) if n > 1 else np.zeros_like(data) for a, n in enumerate(data.shape)]
-        return np.stack([data, *grads], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,21 +188,21 @@ def _trilinear(data: np.ndarray, xs, ys, zs) -> np.ndarray:
     written (callers read them again).
     """
     shape = np.broadcast_shapes(np.shape(xs), np.shape(ys), np.shape(zs))
-    rows = max(1, _BLOCK_POINTS // max(1, math.prod(shape[1:])))  # leading-axis entries per block
-    if not shape or shape[0] <= rows:
-        return _trilinear_block(data, xs, ys, zs)
     out = np.empty(shape + data.shape[3:], dtype=np.float64)
+    if not shape:  # one position
+        return _trilinear_block(data, xs, ys, zs, out)
+    rows = max(1, _BLOCK_POINTS // max(1, math.prod(shape[1:])))  # leading-axis entries per block
     # a position array spans the leading axis only if it has every axis and a leading length above 1
     split = [np.ndim(p) == len(shape) and np.shape(p)[0] > 1 for p in (xs, ys, zs)]
     for start in range(0, shape[0], rows):
         block = slice(start, start + rows)
         pos = [p[block] if s else p for p, s in zip((xs, ys, zs), split)]
-        _trilinear_block(data, *pos, result=out[block])
+        _trilinear_block(data, *pos, out[block])
     return out
 
 
-def _trilinear_block(data: np.ndarray, xs, ys, zs, result=None) -> np.ndarray:
-    """One block of ``_trilinear``, into ``result`` (the positions' broadcast shape plus channels) when given.
+def _trilinear_block(data: np.ndarray, xs, ys, zs, result: np.ndarray) -> np.ndarray:
+    """One block of ``_trilinear``, into ``result`` (float64, the positions' broadcast shape plus channels).
 
     The 8 corners are taken from a flat ``(nx*ny*nz, ...)`` view at index
     ``(x0*ny + y0)*nz + z0`` plus one offset per corner (0 along a length-1
@@ -247,11 +236,8 @@ def _trilinear_block(data: np.ndarray, xs, ys, zs, result=None) -> np.ndarray:
         b *= f
         return np.add(a, b, out=a)
 
-    if result is None:
-        c0 = corner(0, lo).astype(np.float64)
-    else:  # c000 cast straight into the result, exactly as astype casts it
-        c0 = result
-        np.copyto(c0, corner(0, lo))
+    c0 = result
+    np.copyto(c0, corner(0, lo))  # c000 cast to float64 in the result
     c1 = corner(dx, hi).astype(np.float64)
     lerp(c0, c1, fx)  # c00
     lerp(c0, x_lerp(dy, c1), fy)  # c0, from c00 and c10

@@ -23,6 +23,7 @@ from cineprop.registration import (
     _pose_jacobian,
     _pose_to_transform,
     _upsample_field,
+    _value_and_gradient_images,
     affine_to_field,
     register_affine,
     register_deformable,
@@ -342,7 +343,7 @@ class TestAnalyticGradient:
 
     def test_gradient_images_zero_along_single_slice(self):
         data = np.arange(20, dtype=np.float32).reshape(5, 4, 1) ** 2
-        channels = ScalarVolume(data)._value_and_gradients
+        channels = _value_and_gradient_images(data)
         assert channels.shape == (5, 4, 1, 4)
         assert np.array_equal(channels[..., 0], data)
         assert np.array_equal(channels[..., 1], np.gradient(data, axis=0))
@@ -641,6 +642,19 @@ class TestCarriedSample:
         assert rigid not in sampled  # the sample rigid carries starts the deformable stage
         assert register_deformable(fixed, moving, fresh, self.PARAMS).vectors.tobytes() == field.vectors.tobytes()
         assert fresh in sampled
+
+    @pytest.mark.parametrize("falls_back", [False, True])
+    def test_init_is_left_as_given(self, monkeypatch, falls_back):
+        series = thick_slice_series()
+        fixed, moving = series.frames[1], series.frames[0]
+        rigid = register_rigid(fixed, moving, self.PARAMS)
+        init = AffineTransform(rigid.matrix, rigid.translation)
+        if falls_back:  # a descent that ends far off scores worse than init at full resolution
+            descend = registration._descend
+            monkeypatch.setattr(registration, "_descend", lambda *a: (descend(*a)[0] + 0.5, None))
+        result = register_affine(fixed, moving, init, self.PARAMS)
+        assert (result is init) == falls_back
+        assert "_full_res" not in vars(init)
 
     def test_pickling_drops_the_carried_sample(self):
         series = thick_slice_series()
