@@ -155,6 +155,8 @@ def read_nifti1(path, *, as_labels: bool = False) -> ScalarVolume | LabelMap:
         raise FormatError("datatype", f"unsupported datatype code {datatype}")
     dtype = NIFTI_DTYPES[datatype].newbyteorder(endian)
 
+    if not (math.isfinite(vox_offset) and vox_offset == int(vox_offset)):
+        raise FormatError("vox_offset", f"vox_offset must be a finite whole number, got {vox_offset}")
     offset = int(vox_offset)
     if offset < NIFTI_HEADER_SIZE:
         raise FormatError("vox_offset", f"vox_offset {vox_offset} precedes the header end")

@@ -18,14 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidTargetError, SeriesPropagationError
-from .registration import (
-    DisplacementField,
-    RegistrationParams,
-    register_affine,
-    register_deformable,
-    register_rigid,
-    warp_label,
-)
+from .registration import DisplacementField, RegistrationParams, _register_stages, warp_label
 from .volume import CineSeries, LabelMap
 
 
@@ -55,11 +48,7 @@ class PropagationResult:
 
 def _register_template(series: CineSeries, template_index: int, target: int, params) -> DisplacementField:
     """Total field of the three-stage registration of one template frame to the target."""
-    fixed = series.frames[target]
-    moving = series.frames[template_index]
-    rigid = register_rigid(fixed, moving, params)
-    affine = register_affine(fixed, moving, rigid, params)
-    return register_deformable(fixed, moving, affine, params)
+    return _register_stages(series.frames[target], series.frames[template_index], params)
 
 
 def propagate_frame(series: CineSeries, target: int, params: RegistrationParams | None = None) -> PropagationResult:

@@ -9,8 +9,9 @@ moving image's central-difference gradient sampled at the warped point,
 times the derivative of that point with respect to the parameters
 (dS/dw . grad M(T(x)) . dT/dtheta, as in elastix).  The result never scores
 worse at full resolution than the stage's fallback (the identity for rigid,
-the initial transform for affine).  Each full-resolution sample is taken
-once per frame and template (see ``AffineTransform``).
+the initial transform for affine).  Each stage passes its full-resolution
+sample on to the next as a ``_Stage``; a public stage function samples its
+own ``init``.
 The deformable stage is demons-style: on each pyramid level it moves a dense
 displacement field along the fixed-image gradient, scaled by the intensity
 difference, smooths the field with a Gaussian, and ends the level at the
@@ -37,6 +38,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,17 +62,7 @@ _MAX_OBJECTIVE_SAMPLES = 48_000  # rigid/affine objectives subsample above this
 
 @dataclass(frozen=True, eq=False)
 class AffineTransform:
-    """Invertible affine map of physical coordinates (mm).
-
-    A transform that ``register_rigid`` or ``register_affine`` builds also
-    carries, as a private derived value, the full-resolution sample and score
-    it was judged by, and so holds its ``fixed`` and ``moving`` volumes and one
-    full-grid float64 sample for as long as it lives.  ``register_affine``
-    reuses the score, and ``register_deformable`` the sample, only when given
-    those very volumes (compared with ``is``); pickling drops them.  A stage
-    that falls back returns its fallback unchanged, carrying only what it
-    already carried.
-    """
+    """Invertible affine map of physical coordinates (mm)."""
 
     matrix: np.ndarray
     translation: np.ndarray
@@ -91,7 +83,7 @@ class AffineTransform:
     def identity(cls) -> "AffineTransform":
         return cls(np.eye(3), np.zeros(3))
 
-    def __reduce__(self):  # the matrix and translation only: a carried sample would pickle both its volumes
+    def __reduce__(self):  # unpickled through the constructor, so the arrays are checked and read-only again
         return type(self), (self.matrix, self.translation)
 
 
@@ -116,6 +108,9 @@ class DisplacementField:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.vectors.shape[:3]
+
+    def __reduce__(self):  # unpickled through the constructor, so ``vectors`` is checked and read-only again
+        return type(self), (self.vectors, self.spacing)
 
 
 @dataclass(frozen=True)
@@ -194,12 +189,6 @@ def _sample_affine(moving: ScalarVolume, transform: AffineTransform, grid) -> np
     ms = moving.spacing
     x, y, z = _affine_columns(transform.matrix, transform.translation, *grid)
     return trilinear_sample_many(moving, (x / ms[0]).ravel(), (y / ms[1]).ravel(), (z / ms[2]).ravel())
-
-
-def resample_affine(moving: ScalarVolume, transform: AffineTransform, like: ScalarVolume) -> ScalarVolume:
-    """Pull-back resampling of ``moving`` through an affine onto ``like``'s grid."""
-    data = _sample_affine(moving, transform, _grid_axes(like.dims, like.spacing)).reshape(like.dims)
-    return ScalarVolume(data.astype(np.float32), like.spacing)
 
 
 def affine_to_field(transform: AffineTransform, dims, spacing) -> DisplacementField:
@@ -446,51 +435,37 @@ def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, to_t
     return objective, gradient
 
 
-def _carried(transform: AffineTransform, fixed: ScalarVolume, moving: ScalarVolume):
-    """The full-resolution ``(sample, score)`` that ``transform`` carries for this ``fixed`` and ``moving``, or None."""
-    carried = transform.__dict__.get("_full_res")
-    if carried is None or carried[0] is not fixed or carried[1] is not moving:
-        return None
-    return carried[2:]
+class _Stage(NamedTuple):
+    """A stage's transform, the full-grid float64 sample of ``moving`` through it, and that sample's NCC."""
+
+    transform: AffineTransform
+    sample: np.ndarray
+    score: float
 
 
-def _register_linear(fixed, moving, params, theta, to_transform, jacobian, level_units, fallback) -> AffineTransform:
+def _judge(fixed: ScalarVolume, moving: ScalarVolume, transform: AffineTransform) -> _Stage:
+    """Sample ``moving`` through ``transform`` on the full fixed grid and score it against ``fixed``."""
+    sample = _sample_affine(moving, transform, _grid_axes(fixed.dims, fixed.spacing))
+    return _Stage(transform, sample, _ncc(fixed.data)[0](sample))
+
+
+def _register_linear(fixed, moving, params, theta, to_transform, jacobian, level_units, fallback: _Stage) -> _Stage:
     """Coarse-to-fine descent of ``theta``, shared by the rigid and affine stages.
 
     ``to_transform(theta)`` builds the candidate transform, ``jacobian(theta)``
     its derivative (see ``_level_objective``), and ``level_units(spacing)``
     gives the parameter units of one pyramid level.  Returns ``fallback``
-    itself, unchanged, when the result scores worse at full resolution.
+    itself when the result scores worse at full resolution.
     """
-    _check_pair(fixed, moving)
     for f_l, m_l, n_iter in _pyramid_levels(fixed, moving, params):
         obj, grad = _level_objective(f_l, m_l, to_transform, jacobian)
         units = level_units(f_l.spacing)
         theta, _ = _descend(obj, grad, theta, units, n_iter)
-    score = _ncc(fixed.data)[0]
-    grid = _grid_axes(fixed.dims, fixed.spacing)
-
-    def judge(transform):  # (sample, score) at full resolution: the carried pair, or one sampler pass
-        carried = _carried(transform, fixed, moving)
-        if carried is None:
-            sample = _sample_affine(moving, transform, grid)
-            carried = sample, score(sample)
-        return carried
-
-    result = to_transform(theta)
-    judged, fallback_judged = judge(result), judge(fallback)
-    if judged[1] > fallback_judged[1]:
-        return fallback  # the caller's object: it carries only what it carried
-    object.__setattr__(result, "_full_res", (fixed, moving, *judged))  # frozen: set past __setattr__
-    return result
+    result = _judge(fixed, moving, to_transform(theta))
+    return fallback if result.score > fallback.score else result
 
 
-def register_rigid(fixed: ScalarVolume, moving: ScalarVolume, params: RegistrationParams) -> AffineTransform:
-    """Recover a 6-DOF rigid transform (rotation about the fixed center + translation).
-
-    The result never scores worse than the identity transform at full
-    resolution; the rotation block is orthonormal by parametrization.
-    """
+def _rigid(fixed: ScalarVolume, moving: ScalarVolume, params: RegistrationParams) -> _Stage:
     center = _center_mm(fixed)
     deg = math.pi / 180.0
     return _register_linear(
@@ -501,14 +476,11 @@ def register_rigid(fixed: ScalarVolume, moving: ScalarVolume, params: Registrati
         lambda th: _pose_to_transform(th, center),
         lambda th: _pose_jacobian(th, center),
         lambda spacing: np.array([deg, deg, deg, *spacing]),
-        AffineTransform.identity(),
+        _judge(fixed, moving, AffineTransform.identity()),
     )
 
 
-def register_affine(
-    fixed: ScalarVolume, moving: ScalarVolume, init: AffineTransform, params: RegistrationParams
-) -> AffineTransform:
-    """12-DOF refinement of an initial transform; never scores worse than it."""
+def _affine(fixed: ScalarVolume, moving: ScalarVolume, init: _Stage, params: RegistrationParams) -> _Stage:
     center = _center_mm(fixed)
     half_diag = float(np.linalg.norm(center)) or 1.0
     jacobian = _affine_params_jacobian(center)
@@ -516,13 +488,31 @@ def register_affine(
         fixed,
         moving,
         params,
-        _transform_to_affine_params(init, center),
+        _transform_to_affine_params(init.transform, center),
         lambda th: _affine_params_to_transform(th, center),
         lambda th: jacobian,
         # a unit step of a matrix entry displaces the half-radius shell by ~1 voxel
         lambda spacing: np.array([min(spacing) / half_diag] * 9 + list(spacing)),
         init,
     )
+
+
+def register_rigid(fixed: ScalarVolume, moving: ScalarVolume, params: RegistrationParams) -> AffineTransform:
+    """Recover a 6-DOF rigid transform (rotation about the fixed center + translation).
+
+    The result never scores worse than the identity transform at full
+    resolution; the rotation block is orthonormal by parametrization.
+    """
+    _check_pair(fixed, moving)
+    return _rigid(fixed, moving, params).transform
+
+
+def register_affine(
+    fixed: ScalarVolume, moving: ScalarVolume, init: AffineTransform, params: RegistrationParams
+) -> AffineTransform:
+    """12-DOF refinement of an initial transform; where the refinement scores worse, ``init`` itself is returned."""
+    _check_pair(fixed, moving)
+    return _affine(fixed, moving, _judge(fixed, moving, init), params).transform
 
 
 def _upsample_field(u: np.ndarray, new_dims) -> np.ndarray:
@@ -570,6 +560,29 @@ def _demons_level(fixed_level: ScalarVolume, moving_level: ScalarVolume, u: np.n
     return u
 
 
+def _deformable(
+    fixed: ScalarVolume, moving: ScalarVolume, init: _Stage, params: RegistrationParams
+) -> DisplacementField:
+    """``register_deformable`` from a judged ``init``: its sample is the affine-resampled moving image."""
+    affine = init.transform
+    moving_affine = ScalarVolume(init.sample.reshape(fixed.dims).astype(np.float32), fixed.spacing)
+    u: np.ndarray | None = None
+    for f_l, m_l, n_iter in _pyramid_levels(fixed, moving_affine, params):
+        u = np.zeros((*f_l.dims, 3)) if u is None else _upsample_field(u, f_l.dims)
+        u = _demons_level(f_l, m_l, u, n_iter)
+
+    # total(v) = A(v_mm + u(v)) + b - v_mm : exact composition with the affine
+    grid = _grid_axes(fixed.dims, fixed.spacing)
+    moved = _affine_columns(affine.matrix, affine.translation, *(g + u[..., c] for c, g in enumerate(grid)))
+    total_field = DisplacementField(np.stack([p - g for p, g in zip(moved, grid)], axis=-1), fixed.spacing)
+
+    affine_field = affine_to_field(affine, fixed.dims, fixed.spacing)
+    score = _ncc(fixed.data)[0]
+    if score(warp_image(moving, total_field).data) > score(warp_image(moving, affine_field).data):
+        return affine_field
+    return total_field
+
+
 def register_deformable(
     fixed: ScalarVolume, moving: ScalarVolume, init: AffineTransform, params: RegistrationParams
 ) -> DisplacementField:
@@ -582,21 +595,11 @@ def register_deformable(
     affine-initialized warp.
     """
     _check_pair(fixed, moving)
-    carried = _carried(init, fixed, moving)  # the sample the affine stage judged init by, if it ran on this pair
-    sample = _sample_affine(moving, init, _grid_axes(fixed.dims, fixed.spacing)) if carried is None else carried[0]
-    moving_affine = ScalarVolume(sample.reshape(fixed.dims).astype(np.float32), fixed.spacing)
-    u: np.ndarray | None = None
-    for f_l, m_l, n_iter in _pyramid_levels(fixed, moving_affine, params):
-        u = np.zeros((*f_l.dims, 3)) if u is None else _upsample_field(u, f_l.dims)
-        u = _demons_level(f_l, m_l, u, n_iter)
+    return _deformable(fixed, moving, _judge(fixed, moving, init), params)
 
-    # total(v) = A(v_mm + u(v)) + b - v_mm : exact composition with the affine
-    grid = _grid_axes(fixed.dims, fixed.spacing)
-    moved = _affine_columns(init.matrix, init.translation, *(g + u[..., c] for c, g in enumerate(grid)))
-    total_field = DisplacementField(np.stack([p - g for p, g in zip(moved, grid)], axis=-1), fixed.spacing)
 
-    affine_field = affine_to_field(init, fixed.dims, fixed.spacing)
-    score = _ncc(fixed.data)[0]
-    if score(warp_image(moving, total_field).data) > score(warp_image(moving, affine_field).data):
-        return affine_field
-    return total_field
+def _register_stages(fixed: ScalarVolume, moving: ScalarVolume, params: RegistrationParams) -> DisplacementField:
+    """``register_rigid``, ``register_affine`` and ``register_deformable`` chained, each stage's sample passed on."""
+    _check_pair(fixed, moving)
+    rigid = _rigid(fixed, moving, params)
+    return _deformable(fixed, moving, _affine(fixed, moving, rigid, params), params)

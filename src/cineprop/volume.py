@@ -90,6 +90,9 @@ class ScalarVolume:
         """``downsample2x(self)``, computed on first use and kept, so each process builds it once per volume."""
         return downsample2x(self)
 
+    def __reduce__(self):  # through the constructor: ``data`` read-only again, the cached ``half`` chain left behind
+        return type(self), (self.data, self.spacing)
+
 
 @dataclass(frozen=True, eq=False)
 class LabelMap:

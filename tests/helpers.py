@@ -9,6 +9,7 @@ import numpy as np
 
 from cineprop import io
 from cineprop.phantom import PhantomSpec, generate_cine
+from cineprop.registration import AffineTransform, _grid_axes, _sample_affine
 from cineprop.volume import CineSeries, LabelMap, ScalarVolume
 
 TINY_CINE_SPEC = PhantomSpec(
@@ -48,6 +49,12 @@ def thick_slice_series() -> CineSeries:
         es_label=LabelMap(cine.ground_truth[spec.es_index].data[keep], spacing),
         ed_label=LabelMap(cine.ground_truth[spec.ed_index].data[keep], spacing),
     )
+
+
+def resample_affine(moving: ScalarVolume, transform: AffineTransform, like: ScalarVolume) -> ScalarVolume:
+    """Pull-back resampling of ``moving`` through an affine onto ``like``'s grid, as the registration stages sample."""
+    data = _sample_affine(moving, transform, _grid_axes(like.dims, like.spacing)).reshape(like.dims)
+    return ScalarVolume(data.astype(np.float32), like.spacing)
 
 
 def write_cine_dir(out, spec=TINY_CINE_SPEC, vendor="A", subject="subj"):

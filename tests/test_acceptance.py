@@ -22,7 +22,6 @@ from cineprop.registration import (
     _center_mm,
     register_affine,
     register_rigid,
-    resample_affine,
     _rotation_matrix,
 )
 from cineprop.style import SOURCE_BINS, build_reference, histogram_match, ks_statistic, vendor_transfer
@@ -32,6 +31,7 @@ from helpers import (
     dice_oracle,
     hausdorff_oracle,
     random_volume,
+    resample_affine,
     shift_volume,
     write_cine_dir,
 )

@@ -98,6 +98,14 @@ class TestPropagateCommand:
         code = run(["propagate", "--manifest", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o")])
         assert code == EXIT_IO
 
+    def test_non_finite_vox_offset_is_io_error(self, tmp_path):
+        mpath, _ = _write_cine_dir(tmp_path / "cine")
+        raw = bytearray(build_nifti_bytes(np.ones((20, 20, 20), dtype=np.float32)))
+        struct.pack_into("<f", raw, 108, float("nan"))
+        (tmp_path / "cine" / "frame_bad.nii").write_bytes(bytes(raw))
+        mpath.write_text(mpath.read_text().replace("frame_001.mvol", "frame_bad.nii"))
+        assert run(["propagate", "--manifest", str(mpath), "--out", str(tmp_path / "o")]) == EXIT_IO
+
     def test_default_flags_build_default_params(self, tmp_path, monkeypatch):
         mpath, _ = _write_cine_dir(tmp_path / "cine")
         seen = []

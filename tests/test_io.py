@@ -140,6 +140,16 @@ class TestNifti:
         with pytest.raises(FormatError, match="pixdim"):
             io.read_nifti1(path)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 352.5])
+    def test_bad_vox_offset_is_format_error(self, tmp_path, bad):
+        raw = bytearray(build_nifti_bytes(np.zeros((2, 2, 2), dtype=np.float32)))
+        struct.pack_into("<f", raw, 108, bad)  # build_nifti_bytes itself needs a whole offset
+        path = tmp_path / "v.nii"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError) as excinfo:
+            io.read_nifti1(path)
+        assert excinfo.value.field == "vox_offset"
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_voxels_are_format_error(self, tmp_path, bad):
         data = np.zeros((2, 2, 2), dtype=np.float32)

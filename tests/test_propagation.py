@@ -173,7 +173,7 @@ class TestPropagateSeries:
     def test_full_resolution_samples_per_frame(self, monkeypatch):
         # 40x40x32 voxels, above registration._MAX_OBJECTIVE_SAMPLES: the objectives stride, so every full-grid
         # sample is a stage's own.  Per template, rigid samples its result and the identity; affine only its
-        # result, its init carrying rigid's sample and score; deformable none, its init carrying affine's.
+        # result, starting from rigid's _Stage; deformable none, its affine-resampled image being affine's sample.
         spec = dataclasses.replace(
             TINY_SPEC,
             dims=(40, 40, 32),

@@ -28,12 +28,11 @@ from cineprop.registration import (
     register_affine,
     register_deformable,
     register_rigid,
-    resample_affine,
     warp_image,
     warp_label,
 )
 from cineprop.volume import LV, LabelMap, ScalarVolume, gaussian_smooth_array, trilinear_sample_many
-from helpers import fd_gradient, shift_volume, thick_slice_series, trilinear_long_hand
+from helpers import fd_gradient, resample_affine, shift_volume, thick_slice_series, trilinear_long_hand
 
 SMALL_SPEC = PhantomSpec(
     dims=(32, 32, 32),
@@ -597,71 +596,51 @@ class TestDeformable:
         assert float((nearest <= 1.0).mean()) >= 0.95
 
 
-class TestCarriedSample:
-    """A stage reuses the full-resolution sample a transform carries only for the very volumes it was taken on."""
+class TestStageRecord:
+    """The stages pass each judged transform on as a ``_Stage``; the public functions judge their own ``init``."""
 
     PARAMS = RegistrationParams(pyramid_levels=2, iterations_per_level=(3, 3))
 
-    @pytest.mark.parametrize("source", ["other-fixed", "other-moving", "other-grid"])
-    def test_transform_from_another_pair_is_sampled_afresh(self, source):
+    def test_stages_match_the_public_chain(self):
         series = thick_slice_series()
         fixed, moving = series.frames[1], series.frames[0]
-        # a rigid result registered on another pair carries that pair's sample and score: a self-registration's
-        # near-perfect score would make the affine stage fall back to it, another moving image's sample would
-        # start the deformable stage from the wrong image, and another grid's sample would not even fit
-        pair = {
-            "other-fixed": (moving, moving),
-            "other-moving": (fixed, fixed),
-            "other-grid": (ScalarVolume(fixed.data[:, :, 1:], fixed.spacing), moving),
-        }[source]
-        carried = register_rigid(*pair, self.PARAMS)
-        fresh = AffineTransform(carried.matrix, carried.translation)
-
-        got, want = (register_affine(fixed, moving, init, self.PARAMS) for init in (carried, fresh))
-        assert (got is carried) == (want is fresh)
-        assert got.matrix.tobytes() == want.matrix.tobytes()
-        assert got.translation.tobytes() == want.translation.tobytes()
-
-        got, want = (register_deformable(fixed, moving, init, self.PARAMS) for init in (carried, fresh))
+        rigid = register_rigid(fixed, moving, self.PARAMS)
+        affine = register_affine(fixed, moving, rigid, self.PARAMS)
+        want = register_deformable(fixed, moving, affine, self.PARAMS)
+        got = registration._register_stages(fixed, moving, self.PARAMS)
         assert got.vectors.tobytes() == want.vectors.tobytes()
 
-    def test_deformable_starts_from_the_carried_sample(self, monkeypatch):
+    def test_affine_fallback_returns_init_itself(self, monkeypatch):
         series = thick_slice_series()
         fixed, moving = series.frames[1], series.frames[0]
-        rigid = register_rigid(fixed, moving, self.PARAMS)
-        fresh = AffineTransform(rigid.matrix, rigid.translation)
-        sampled = []
-        sample_affine = registration._sample_affine
+        init = register_rigid(fixed, moving, self.PARAMS)
+        # a descent that ends far off scores worse than init at full resolution
+        descend = registration._descend
+        monkeypatch.setattr(registration, "_descend", lambda *a: (descend(*a)[0] + 0.5, None))
+        assert register_affine(fixed, moving, init, self.PARAMS) is init
 
-        def counting(vol, transform, grid):
-            sampled.append(transform)
-            return sample_affine(vol, transform, grid)
 
-        monkeypatch.setattr(registration, "_sample_affine", counting)
-        field = register_deformable(fixed, moving, rigid, self.PARAMS)
-        assert rigid not in sampled  # the sample rigid carries starts the deformable stage
-        assert register_deformable(fixed, moving, fresh, self.PARAMS).vectors.tobytes() == field.vectors.tobytes()
-        assert fresh in sampled
-
-    @pytest.mark.parametrize("falls_back", [False, True])
-    def test_init_is_left_as_given(self, monkeypatch, falls_back):
-        series = thick_slice_series()
-        fixed, moving = series.frames[1], series.frames[0]
-        rigid = register_rigid(fixed, moving, self.PARAMS)
-        init = AffineTransform(rigid.matrix, rigid.translation)
-        if falls_back:  # a descent that ends far off scores worse than init at full resolution
-            descend = registration._descend
-            monkeypatch.setattr(registration, "_descend", lambda *a: (descend(*a)[0] + 0.5, None))
-        result = register_affine(fixed, moving, init, self.PARAMS)
-        assert (result is init) == falls_back
-        assert "_full_res" not in vars(init)
-
-    def test_pickling_drops_the_carried_sample(self):
-        series = thick_slice_series()
-        rigid = register_rigid(series.frames[1], series.frames[0], self.PARAMS)
-        copy = pickle.loads(pickle.dumps(rigid))
-        assert "_full_res" in vars(rigid) and "_full_res" not in vars(copy)
-        assert copy.matrix.tobytes() == rigid.matrix.tobytes()
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ScalarVolume(np.arange(64, dtype=np.float32).reshape(4, 4, 4), (1.0, 1.5, 2.0)),
+        lambda: LabelMap(np.arange(64).reshape(4, 4, 4) % 4, (1.0, 1.5, 2.0)),
+        lambda: AffineTransform(np.diag([1.0, 2.0, 0.5]), np.array([1.0, -2.0, 3.0])),
+        lambda: DisplacementField(np.linspace(-1.0, 1.0, 192).reshape(4, 4, 4, 3), (1.0, 1.5, 2.0)),
+    ],
+    ids=["ScalarVolume", "LabelMap", "AffineTransform", "DisplacementField"],
+)
+def test_pickling_rebuilds_through_the_constructor(make):
+    original = make()
+    if isinstance(original, ScalarVolume):
+        original.half.half  # a cached pyramid stays behind
+    copy = pickle.loads(pickle.dumps(original))
+    arrays = {k: v for k, v in vars(original).items() if isinstance(v, np.ndarray)}
+    assert arrays
+    for name, array in arrays.items():
+        assert not getattr(copy, name).flags.writeable
+        assert getattr(copy, name).tobytes() == array.tobytes()
+    assert "half" not in vars(copy)
 
 
 class TestAffineToField:
