@@ -16,10 +16,10 @@ each pyramid level, coarse to fine, so its length sets the number of levels.
 Every stage scores with NCC.  The ``CINEPROP_WORKERS`` environment variable
 sets the default worker count; the ``--workers`` flag overrides it.  A worker
 count from either that is not an integer >= 1, an ``--iters`` that is empty,
-malformed or has a count below 1, an ``--n-ref-volumes`` below 1 and a
-``--bins`` below 2 are usage errors (exit code 2) that name the flag, found
-before any input is read.  ``--n-ref-volumes`` above the number of reference
-volumes is capped to it.
+malformed, has an empty entry or has a count below 1, an ``--n-ref-volumes``
+below 1 and a ``--bins`` below 2 are usage errors (exit code 2) that name the
+flag, found before any input is read.  ``--n-ref-volumes`` above the number of
+reference volumes is capped to it.
 """
 
 from __future__ import annotations
@@ -152,8 +152,8 @@ def _cmd_phantom(args) -> int:
 
 def _registration_params(args) -> RegistrationParams:
     try:
-        iters = tuple(int(x) for x in str(args.iters).split(",") if x.strip())
-    except ValueError:
+        iters = tuple(int(x) for x in str(args.iters).split(","))
+    except ValueError:  # also an empty entry, as in "5,,5" or "5,5,"
         iters = ()
     if not iters or min(iters) < 1:
         raise InvalidParameterError(f"--iters must be a non-empty comma list of integers >= 1, got {args.iters!r}")

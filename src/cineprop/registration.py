@@ -2,9 +2,10 @@
 
 The rigid and affine stages run one linear driver over different
 parametrizations: coarse-to-fine over Gaussian pyramids, conjugate-gradient
-descent over unit-normalized parameters, step halving on non-improvement,
-and a stop on small relative improvement.  Gradients are analytic: the
-NCC's derivative with respect to each warped sample, times the
+descent over unit-normalized parameters, a backtracking line search that
+interpolates its next step from a quadratic model and gives up at a 64th of a
+voxel or degree, and a stop on small relative improvement.  Gradients are
+analytic: the NCC's derivative with respect to each warped sample, times the
 moving image's central-difference gradient sampled at the warped point,
 times the derivative of that point with respect to the parameters
 (dS/dw . grad M(T(x)) . dT/dtheta, as in elastix).  The result never scores
@@ -54,7 +55,7 @@ from .volume import (
 
 _STEP_SIZE = 0.5  # rigid/affine: largest step per iteration, in parameter units (voxels, degrees)
 _DEMONS_SIGMA_VOX = 1.5  # Gaussian smoothing of each demons candidate field, in voxels
-_MIN_STEP_FRACTION = 1e-3  # line search gives up below this fraction of its largest step
+_MIN_STEP_FRACTION = 1 / 32  # line search gives up below this fraction of its largest step
 _CONVERGENCE_WINDOW = 5  # iterations over which relative improvement is measured
 _CONVERGENCE_TOL = 1e-4  # converged once a window improves by less than this, relative
 _MAX_OBJECTIVE_SAMPLES = 48_000  # rigid/affine objectives subsample above this
@@ -244,19 +245,32 @@ def _pyramid_levels(fixed: ScalarVolume, moving: ScalarVolume, params: Registrat
     return list(zip(*pyramids, params.iterations_per_level[-len(pyramids[0]) :]))
 
 
-def _line_search(objective, theta, direction, f_cur: float, lam: float):
-    """The first ``theta + lam * direction`` that scores below ``f_cur``, halving ``lam`` after each that does not.
+def _line_search(objective, theta, direction, f_cur: float, lam: float, slope: float):
+    """The first ``theta + lam * direction`` that scores below ``f_cur``, backtracking after each that does not.
 
-    Returns ``(theta, score, next_lam)``, the next step being the accepted one
-    grown by 1.5 up to ``_STEP_SIZE``; or None once ``lam`` falls below
-    ``_MIN_STEP_FRACTION * _STEP_SIZE``.
+    ``slope`` is the objective's derivative per unit ``lam`` along
+    ``direction``.  After a rejected candidate scoring ``f_cand``, the next
+    ``lam`` is the minimizer of the quadratic through ``f_cur``, ``slope`` and
+    ``f_cand``, but at least 0.1 of the rejected ``lam`` (safeguarded
+    quadratic backtracking, Nocedal & Wright, *Numerical Optimization*, 2nd
+    ed., section 3.5).  It is at most half of the rejected ``lam``, because
+    ``f_cand`` is no lower than ``f_cur``.  Where that quadratic has no
+    minimizer ahead (an infinite ``f_cand`` from a singular candidate, or a
+    direction that does not descend) ``lam`` is halved.  Returns
+    ``(theta, score, next_lam)``, the next step being the accepted one grown
+    by 1.5 up to ``_STEP_SIZE``; or None once ``lam`` falls below
+    ``_MIN_STEP_FRACTION * _STEP_SIZE``, a 64th of a voxel or degree.
     """
     while lam >= _MIN_STEP_FRACTION * _STEP_SIZE:
         moved = theta + lam * direction
         f_cand = objective(moved)
         if f_cand < f_cur:
             return moved, f_cand, min(lam * 1.5, _STEP_SIZE)
-        lam *= 0.5
+        curv = f_cand - f_cur - slope * lam
+        if slope < 0.0 and curv > 0.0 and math.isfinite(f_cand):
+            lam = max(-slope * lam * lam / (2.0 * curv), 0.1 * lam)
+        else:
+            lam *= 0.5
     return None
 
 
@@ -270,16 +284,23 @@ def _converged(window: list, f_cur: float) -> bool:
 
 
 def _descend(objective, gradient, theta0, units, iterations):
-    """Descent over unit-normalized parameters with step halving on non-improvement.
+    """Descent over unit-normalized parameters with quadratic backtracking on non-improvement.
 
     ``gradient(theta)`` is the objective's gradient with respect to theta; it
     is called once per iteration, and ``objective`` only at the start and in
     the line search.  Search directions are conjugate-gradient
     (Polak-Ribiere) combinations of the gradients per parameter unit, which
     follow the curved valleys that couple rotation/scale with translation far
-    better than raw steepest descent.  Failed line searches restart from the
-    plain gradient direction.  Returns (theta, trace); trace holds the
-    accepted objective values and is non-increasing by construction.
+    better than raw steepest descent.  The gradient also gives the
+    directional derivative from which ``_line_search`` interpolates each
+    backtracking step (Nocedal & Wright, *Numerical Optimization*, 2nd ed.,
+    section 3.5): the minimizer of a quadratic model, 0.1-0.5 of the rejected
+    step, or half of it where the model has no minimizer ahead.  A search
+    gives up below a 64th of a voxel or degree.  A failed conjugate-gradient
+    search restarts from the plain gradient direction at a quarter of the
+    largest step; a failed plain-gradient search ends the descent.  Returns
+    (theta, trace); trace holds the accepted objective values and is
+    non-increasing by construction.
     """
     theta = np.asarray(theta0, dtype=np.float64).copy()
     units = np.asarray(units, dtype=np.float64)
@@ -300,7 +321,7 @@ def _descend(objective, gradient, theta0, units, iterations):
         if norm == 0.0:
             break
         direction = (d / norm) * units
-        step = _line_search(objective, theta, direction, f_cur, lam)
+        step = _line_search(objective, theta, direction, f_cur, lam, float(grad_units @ d) / norm)
         if step is None:
             if d_prev is None:
                 break  # even the steepest direction fails: converged

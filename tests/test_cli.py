@@ -155,7 +155,9 @@ class TestPropagateCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "iters", [",", "5,x,5", "0,5", "5,-1"], ids=["iters-empty", "iters-malformed", "iters-zero", "iters-negative"]
+        "iters",
+        [",", "5,x,5", "0,5", "5,-1", "5,,5", "5,5,"],
+        ids=["iters-empty", "iters-malformed", "iters-zero", "iters-negative", "iters-empty-entry", "iters-trailing-comma"],
     )
     def test_invalid_registration_flag_is_usage_error(self, tmp_path, capsys, iters):
         # a missing manifest: the flag must be rejected before the manifest is read

@@ -27,25 +27,25 @@ NORM_RTOL = 1e-6
 
 # propagate_frame(thick_slice_series(), 1, iterations (2, 2, 2)): label-byte digest, template, ES and ED norms
 THICK_FRAME = (
-    "bec4efb69abef10669518619f749e83e6d2e511c6cf1d936cf1c8b3af0834f07",
-    Template.ES,
-    1.2991502316360313,
-    1.7193584946364542,
+    "e016fd5eb357f40ee0f28676cd67b6e35c9d377b73b1f6aa0dec6d989d9a0f69",
+    Template.ED,
+    1.5366249135801866,
+    0.9759891032452229,
 )
 
 # `phantom --frames 4`, then `propagate --iters 5,5,5`: file digest, template, ES and ED norms per pseudo-label
 CLI_PHANTOM = {
     "pseudo_label_001.mvol": (
-        "aa689717a5267e315b194b12269298e273270dcc2a53aa568f524d12cc8a56ca",
+        "efdfaa02ac6bd2dd7c02df9085916dcd1fb07a4340151fc6d418ae0fb04ad7b1",
         "ED",
-        1.2278121818418233,
-        1.0155640347966821,
+        1.1943358629479837,
+        1.1247053130169353,
     ),
     "pseudo_label_002.mvol": (
         "9bb540b1fe61b768e54fe2ed0f5410a0b474225a9f686b312959eec79c46bbf5",
         "ED",
-        2.657962042524813,
-        0.4372210163609655,
+        2.5900127910391726,
+        0.42942842968796296,
     ),
 }
 

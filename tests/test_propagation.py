@@ -199,6 +199,26 @@ class TestPropagateSeries:
         propagate_frame(series, 1, RegistrationParams(pyramid_levels=3, iterations_per_level=(2, 2, 2)))
         assert sizes.count(40 * 40 * 32) == 2 * 3
 
+    def test_linear_objective_evaluations_per_frame(self, monkeypatch):
+        # every rigid/affine objective value of one frame: each level's start value plus every line-search
+        # candidate, over 2 templates x 2 stages x 3 levels of 5 iterations.  Searches that halve down to a
+        # tiny step, instead of interpolating and stopping at 1/64 voxel or degree, raise this count.
+        calls = []
+        level_objective = registration._level_objective
+
+        def counting(*args):
+            objective, gradient = level_objective(*args)
+
+            def counted(theta):
+                calls.append(1)
+                return objective(theta)
+
+            return counted, gradient
+
+        monkeypatch.setattr(registration, "_level_objective", counting)
+        propagate_frame(thick_slice_series(), 1, RegistrationParams(pyramid_levels=3, iterations_per_level=(5, 5, 5)))
+        assert len(calls) == 77
+
     def test_workers_do_not_change_results(self, tiny_cine, series_results):
         par = propagate_series(tiny_cine.series, FAST, workers=3)
         assert len(par) == len(series_results)

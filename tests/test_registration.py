@@ -222,6 +222,65 @@ class TestDescend:
         assert len(trace) == 8
         assert calls == ["f"] + ["g", "f"] * 7
 
+    @pytest.mark.parametrize("fail", ["flat", "singular", "steep"])
+    def test_failing_search_stops_at_the_step_floor(self, fail):
+        # the steepest direction finds nothing, so the descent is its start value plus one search: at most
+        # 6 candidates from 0.5 down to the 1/64 floor, whether the model asks for halving, 0.1x steps or neither
+        calls = []
+        lowest = {"flat": 1.0, "singular": math.inf, "steep": 1e6}[fail]
+
+        def objective(theta):
+            calls.append(theta[0])
+            return 1.0 if theta[0] == 0.0 else lowest
+
+        theta, trace = _descend(objective, lambda theta: np.array([-1.0]), np.zeros(1), np.ones(1), 10)
+        assert trace == [1.0] and theta[0] == 0.0
+        assert 2 <= len(calls) <= 1 + 6
+        assert min(calls[1:]) >= registration._STEP_SIZE / 64
+
+
+class TestLineSearch:
+    """One backtracking search along a 1-D quadratic ``(x - m)^2`` from x = 0, first candidate 0.5."""
+
+    @staticmethod
+    def _search(m, slope=None, values=None):
+        lams = []
+
+        def objective(theta):
+            lams.append(float(theta[0]))
+            if values is not None:
+                return values(theta[0])
+            return float((theta[0] - m) ** 2)
+
+        slope = -2.0 * m if slope is None else slope
+        return registration._line_search(objective, np.zeros(1), np.ones(1), m * m, 0.5, slope), lams
+
+    def test_overshoot_steps_to_the_interpolated_minimizer(self):
+        # 0.5 overshoots m = 0.2; the quadratic through f(0), f'(0) and f(0.5) is the objective itself
+        step, lams = self._search(0.2)
+        assert lams == pytest.approx([0.5, 0.2], abs=1e-12)
+        theta, score, next_lam = step
+        assert theta[0] == pytest.approx(0.2, abs=1e-12)
+        assert score == pytest.approx(0.0, abs=1e-20)
+        assert next_lam == pytest.approx(0.3, abs=1e-12)
+
+    def test_interpolated_step_is_at_least_a_tenth(self):
+        # the minimizer 0.02 is below 0.1 * 0.5: the second candidate is 0.05, then 0.02 is within bounds
+        step, lams = self._search(0.02)
+        assert lams == pytest.approx([0.5, 0.05, 0.02], abs=1e-12)
+        assert step[0][0] == pytest.approx(0.02, abs=1e-12)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.1], ids=["flat-slope", "ascent-slope"])
+    def test_non_descent_slope_halves(self, slope):
+        _, lams = self._search(0.1, slope=slope)
+        assert lams[:2] == [0.5, 0.25]
+
+    def test_infinite_candidate_halves(self):
+        # a singular candidate scores inf; the next one is half as far, not the model's 0.1 floor
+        step, lams = self._search(0.2, values=lambda x: math.inf if x > 0.3 else float((x - 0.2) ** 2))
+        assert lams == [0.5, 0.25]
+        assert step[0][0] == 0.25
+
 
 def _ncc_by_dot(a, b) -> float:
     """Reference: negative NCC in its BLAS form, as ``np.dot`` reductions."""
