@@ -19,7 +19,10 @@ count from either that is not an integer >= 1, an ``--iters`` that is empty,
 malformed, has an empty entry or has a count below 1, an ``--n-ref-volumes``
 below 1 and a ``--bins`` below 2 are usage errors (exit code 2) that name the
 flag, found before any input is read.  ``--n-ref-volumes`` above the number of
-reference volumes is capped to it.
+reference volumes is capped to it.  ``transfer`` exits 3 before reading any
+volume when a from-vendor subject, which names its output files, is in two
+manifests or contains a path separator; ``evaluate``, pairing by trailing
+index, exits 3 when two label files of one directory share an index.
 """
 
 from __future__ import annotations
@@ -220,12 +223,27 @@ def _cmd_histmatch(args) -> int:
     return EXIT_OK
 
 
+def _check_transfer_subjects(manifests, from_vendor: str) -> None:
+    """Each from-vendor subject names its own output files: reject a repeated one, or one holding a path separator."""
+    seen = set()
+    for manifest in manifests:
+        if manifest.vendor != from_vendor:
+            continue
+        subject = manifest.subject_id
+        if any(sep and sep in subject for sep in (os.sep, os.altsep)):
+            raise FormatError("subject", f"from-vendor subject {subject!r} contains a path separator")
+        if subject in seen:
+            raise FormatError("subject", f"from-vendor subject {subject!r} is in more than one manifest")
+        seen.add(subject)
+
+
 def _cmd_transfer(args) -> int:
     n_ref = _integer_at_least(args.n_ref_volumes, 1, "--n-ref-volumes")
+    manifests = [io.read_manifest(mpath) for mpath in args.manifest]
+    _check_transfer_subjects(manifests, args.from_vendor)  # before any volume is read
     volumes = []
     sources = []  # (subject, frame_index) per from-vendor volume, in order
-    for mpath in args.manifest:
-        manifest = io.read_manifest(mpath)
+    for manifest in manifests:
         series = io.load_series(manifest)
         for t, frame in enumerate(series.frames):
             volumes.append((frame, manifest.vendor))
@@ -264,7 +282,21 @@ def _pair_label_files(pred_dir: Path, gt_dir: Path) -> list[tuple[str, Path, Pat
         matches = re.findall(r"(\d+)", path.stem)
         return int(matches[-1]) if matches else None
 
-    gt_by_index = {index_of(p): p for p in gt_files}
+    def by_index(files) -> dict:  # two files of one directory with one index would pair with one partner
+        found = {}
+        for p in files:
+            idx = index_of(p)
+            if idx is not None and found.setdefault(idx, p) is not p:
+                raise FormatError("payload", f"{found[idx].name} and {p.name} in {p.parent} share the index {idx}")
+        return found
+
+    def holds_scalars(path: Path) -> bool:  # an intensity frame (MVOL kind 0), as beside the labels of a series
+        with path.open("rb") as f:
+            head = f.read(len(io.MVOL_MAGIC) + 1)
+        return head == io.MVOL_MAGIC + bytes([io.KIND_SCALAR])
+
+    by_index(pred_files)
+    gt_by_index = by_index([p for p in gt_files if not holds_scalars(p)])
     pairs = []
     for p in pred_files:
         idx = index_of(p)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidTargetError, SeriesPropagationError
-from .registration import DisplacementField, RegistrationParams, _register_stages, warp_label
+from .registration import DisplacementField, RegistrationParams, _register_stages, _target, warp_label
 from .volume import CineSeries, LabelMap
 
 
@@ -46,16 +46,13 @@ class PropagationResult:
         return Template.ES if self.es_norm <= self.ed_norm else Template.ED
 
 
-def _register_template(series: CineSeries, template_index: int, target: int, params) -> DisplacementField:
-    """Total field of the three-stage registration of one template frame to the target."""
-    return _register_stages(series.frames[target], series.frames[template_index], params)
-
-
 def propagate_frame(series: CineSeries, target: int, params: RegistrationParams | None = None) -> PropagationResult:
     """Propagate the template labels to one unlabeled frame.
 
     Registers both templates to the target, compares the field norms, and
-    warps the winning template's label map onto the target grid.
+    warps the winning template's label map onto the target grid.  What both
+    registrations read of the target (its NCC statistics and its demons
+    levels) is built once.
     """
     params = params or RegistrationParams()
     if not 0 <= target < series.n_frames:
@@ -63,8 +60,10 @@ def propagate_frame(series: CineSeries, target: int, params: RegistrationParams 
     if target in (series.es_index, series.ed_index):
         raise InvalidTargetError(f"frame {target} is a template frame and already has a manual label")
 
-    es_field = _register_template(series, series.es_index, target, params)
-    ed_field = _register_template(series, series.ed_index, target, params)
+    fixed = series.frames[target]
+    shared = _target(fixed, params)
+    es_field = _register_stages(fixed, series.frames[series.es_index], params, shared)
+    ed_field = _register_stages(fixed, series.frames[series.ed_index], params, shared)
     result = PropagationResult(target, None, field_norm(es_field), field_norm(ed_field))  # label set below
     es_chosen = result.chosen_template is Template.ES
     label, field = (series.es_label, es_field) if es_chosen else (series.ed_label, ed_field)

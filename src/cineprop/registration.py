@@ -12,18 +12,25 @@ times the derivative of that point with respect to the parameters
 worse at full resolution than the stage's fallback (the identity for rigid,
 the initial transform for affine).  Each stage passes its full-resolution
 sample on to the next as a ``_Stage``; a public stage function samples its
-own ``init``.
+own ``init``.  Images are sampled in their own precision, float32, and the
+NCC sums over a sample are float64.  The identity on the fixed image's own
+grid needs no sampling: its sample is the moving image's voxels.
 The deformable stage is demons-style: on each pyramid level it moves a dense
 displacement field along the fixed-image gradient, scaled by the intensity
 difference, smooths the field with a Gaussian, and ends the level at the
-first such update that does not improve the NCC.  Each field is built,
-smoothed and warped in float32, which halves the memory traffic of the
-smoothing, the stage's largest cost; the NCC sums over the warped image stay
-float64.  Its output folds the affine initialization into one total field.
-Each pyramid level is the finer level's cached ``ScalarVolume.half``: the
-target's pyramid is built once per frame and each template's once per
-series; only the deformable stage's affine-resampled moving image gets a
-fresh pyramid.
+first such update that does not improve the NCC.  Its level images,
+gradients, update and field are float32 (half the memory traffic of float64
+in the smoothing, the stage's largest cost), both level images scaled by one
+power of two so that every float32 square stays in range and the update does
+not depend on the intensity scale; the NCC sums stay float64.  Fields are
+channel-major, ``(3, nx, ny, nz)``, until the output, which folds the affine
+initialization into one total ``DisplacementField``.  Each pyramid level is
+the finer level's cached ``ScalarVolume.half``: the target's pyramid is built
+once per frame and each template's once per series; only the deformable
+stage's affine-resampled moving image gets a fresh pyramid.  What every
+registration to one target reads of it (its full-resolution NCC statistics
+and its demons levels, ``_Target``) is built once, and ``propagate_frame``
+shares it between the ES and the ED template.
 
 Conventions:
 
@@ -148,18 +155,32 @@ def _affine_columns(m: np.ndarray, t: np.ndarray, x, y, z) -> tuple[np.ndarray, 
     return tuple(m[r, 0] * x + m[r, 1] * y + m[r, 2] * z + t[r] for r in range(3))
 
 
-def _ncc(fixed: np.ndarray):
+class _Centred(NamedTuple):
+    """The fixed side of an NCC: a sample's flat float64 deviations from its mean, and their sum of squares."""
+
+    ac: np.ndarray
+    va: float
+
+
+def _centred(fixed) -> _Centred:
+    a = np.asarray(fixed, dtype=np.float64).ravel()
+    ac = a - a.mean()
+    return _Centred(ac, float(np.sum(ac * ac)))
+
+
+def _ncc(fixed):
     """``(score, d_score)`` against one fixed sample: ``score(warped)``, lower is better, and its gradient per sample.
 
-    The score is the negative normalized cross-correlation in [-1, 1], 0 when
-    either image is constant.  The fixed side's float64 cast, centring and sum
-    of squares are computed once.  Sums are numpy's pairwise ``np.sum``, not
+    ``fixed`` is the sample or its ``_centred`` statistics, which a caller
+    that scores against one image many times computes once.  The score is
+    the negative normalized cross-correlation in [-1, 1], 0 when either image
+    is constant.  Both functions cast the warped sample to float64 first, so
+    a float32 sample is summed in float64 (its squares would overflow
+    float32 above about 1.8e19).  Sums are numpy's pairwise ``np.sum``, not
     BLAS dot products, so they run on the calling thread and round the same
     way every time.
     """
-    a = np.asarray(fixed, dtype=np.float64).ravel()
-    ac = a - a.mean()
-    va = float(np.sum(ac * ac))
+    ac, va = fixed if isinstance(fixed, _Centred) else _centred(fixed)
 
     def score(warped) -> float:
         b = np.asarray(warped, dtype=np.float64).ravel()
@@ -170,7 +191,8 @@ def _ncc(fixed: np.ndarray):
         return -float(np.sum(ac * bc)) / math.sqrt(va * vb)
 
     def d_score(warped) -> np.ndarray:
-        bc = warped - warped.mean()
+        b = np.asarray(warped, dtype=np.float64)
+        bc = b - b.mean()
         vb = float(np.sum(bc * bc))
         if va == 0.0 or vb == 0.0:
             return np.zeros_like(bc)  # the score is the constant 0 here
@@ -186,7 +208,7 @@ def _grid_axes(dims, spacing, stride: int = 1) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _sample_affine(moving: ScalarVolume, transform: AffineTransform, grid) -> np.ndarray:
-    """Moving intensities at the affine images of fixed-grid mm points, flat in C-index order."""
+    """Moving intensities (float32) at the affine images of fixed-grid mm points, flat in C-index order."""
     ms = moving.spacing
     x, y, z = _affine_columns(transform.matrix, transform.translation, *grid)
     return trilinear_sample_many(moving, (x / ms[0]).ravel(), (y / ms[1]).ravel(), (z / ms[2]).ravel())
@@ -199,30 +221,32 @@ def affine_to_field(transform: AffineTransform, dims, spacing) -> DisplacementFi
     return DisplacementField(np.stack([p - g for p, g in zip(moved, grid)], axis=-1), tuple(spacing))
 
 
-def _warp_positions(u: np.ndarray, spacing) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat voxel-unit sample positions: every voxel of ``u``'s grid moved by its mm offset.
+def _warp_positions(u, spacing) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat voxel-unit sample positions: every voxel of the grid moved by its mm offset.
 
+    ``u`` holds the three offset components, channel-major (``(3, nx, ny,
+    nz)``, or a ``DisplacementField``'s vectors moved to that layout);
     ``spacing`` is the sampled image's, which converts the offsets to voxels.
     """
-    grid = _grid_axes(u.shape[:3], (1.0, 1.0, 1.0))
-    return tuple((g + u[..., c] / spacing[c]).ravel() for c, g in enumerate(grid))
+    grid = _grid_axes(u[0].shape, (1.0, 1.0, 1.0))
+    return tuple((g + u[c] / spacing[c]).ravel() for c, g in enumerate(grid))
 
 
 def warp_image(moving: ScalarVolume, field: DisplacementField) -> ScalarVolume:
     """Sample the moving image at each fixed-grid point offset by the field."""
-    vals = trilinear_sample_many(moving, *_warp_positions(field.vectors, moving.spacing))
-    return ScalarVolume(vals.reshape(field.dims).astype(np.float32), field.spacing)
+    vals = trilinear_sample_many(moving, *_warp_positions(np.moveaxis(field.vectors, -1, 0), moving.spacing))
+    return ScalarVolume(vals.reshape(field.dims), field.spacing)
 
 
 def warp_label(moving: LabelMap, field: DisplacementField) -> LabelMap:
     """As warp_image but with nearest-neighbor lookup, so class codes never blend."""
-    labels = nearest_sample_many(moving, *_warp_positions(field.vectors, moving.spacing))
+    labels = nearest_sample_many(moving, *_warp_positions(np.moveaxis(field.vectors, -1, 0), moving.spacing))
     return LabelMap(labels.reshape(field.dims), field.spacing)
 
 
 def _warp_data(moving_data: np.ndarray, u: np.ndarray, spacing) -> np.ndarray:
-    """warp_image on a raw float64 moving array and a float32 or float64 field, for the demons iterations."""
-    return _trilinear(moving_data, *_warp_positions(u, spacing)).reshape(u.shape[:3])
+    """warp_image on a raw moving array and a channel-major ``(3, nx, ny, nz)`` field, in the moving array's dtype."""
+    return _trilinear(moving_data, *_warp_positions(u, spacing)).reshape(u.shape[1:])
 
 
 def _check_pair(fixed: ScalarVolume, moving: ScalarVolume) -> None:
@@ -234,14 +258,17 @@ def _check_pair(fixed: ScalarVolume, moving: ScalarVolume) -> None:
         raise DegenerateInputError("moving image is constant; no gradient signal")
 
 
+def _pyramid(vol: ScalarVolume, params: RegistrationParams) -> list[ScalarVolume]:
+    """Coarse-to-fine cached halves of ``vol``, at most ``params.pyramid_levels``, stopping when too small to halve."""
+    pyramid = [vol]
+    while len(pyramid) < params.pyramid_levels and max(pyramid[-1].dims) >= 4:
+        pyramid.append(pyramid[-1].half)
+    return pyramid[::-1]
+
+
 def _pyramid_levels(fixed: ScalarVolume, moving: ScalarVolume, params: RegistrationParams) -> list:
-    """Coarse-to-fine (fixed, moving, iterations) levels of cached halves, stopping when too small to halve."""
-    pyramids = []
-    for vol in (fixed, moving):
-        pyramid = [vol]
-        while len(pyramid) < params.pyramid_levels and max(pyramid[-1].dims) >= 4:
-            pyramid.append(pyramid[-1].half)
-        pyramids.append(pyramid[::-1])
+    """Coarse-to-fine (fixed, moving, iterations) levels of the two ``_pyramid``s."""
+    pyramids = [_pyramid(fixed, params), _pyramid(moving, params)]
     return list(zip(*pyramids, params.iterations_per_level[-len(pyramids[0]) :]))
 
 
@@ -396,12 +423,12 @@ def _transform_to_affine_params(transform: AffineTransform, center) -> np.ndarra
 
 
 def _value_and_gradient_images(data: np.ndarray) -> np.ndarray:
-    """``data`` and its central-difference gradient along each axis (voxel units), as 4 trailing channels.
+    """``data`` and its central-difference gradient along each axis (voxel units), channel-major: ``(4, nx, ny, nz)``.
 
     The gradient along an axis of length 1 is zero.
     """
     grads = [np.gradient(data, axis=a) if n > 1 else np.zeros_like(data) for a, n in enumerate(data.shape)]
-    return np.stack([data, *grads], axis=-1)
+    return np.stack([data, *grads])
 
 
 def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, to_transform, jacobian):
@@ -413,10 +440,11 @@ def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, to_t
     (row-major matrix entries, translation) with respect to theta.
 
     The gradient samples the moving image and its gradient images at the
-    warped points with one trilinear pass.  A point clamped along an axis
-    does not move with the transform along that axis, so its gradient
-    component there is zero.  The sums over the sparse grid are taken per
-    axis: ``sum(v * x)`` over the grid is ``sum(x * (v summed over y, z))``.
+    warped points with one float32 trilinear pass over their four planes.  A
+    point clamped along an axis does not move with the transform along that
+    axis, so its gradient component there is zero.  The sums over the sparse
+    grid are taken per axis: ``sum(v * x)`` over the grid is
+    ``sum(x * (v summed over y, z))``.
     """
     dims, spacing = fixed_level.dims, fixed_level.spacing
     n_total = dims[0] * dims[1] * dims[2]
@@ -440,12 +468,12 @@ def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, to_t
         points = _affine_columns(tf.matrix, tf.translation, *grid)
         pos = [(p / s).ravel() for p, s in zip(points, ms)]
         samples = _trilinear(channels, *pos)
-        dw = d_score(samples[:, 0])
+        dw = d_score(samples[0])
         d_affine = np.empty(12)  # d score / d (matrix entries, translation)
         for r in range(3):
             inside = (pos[r] >= 0.0) & (pos[r] <= m_dims[r] - 1.0)
             # d score / d point_r (mm) per sample, on the sample grid
-            v = ((dw * samples[:, 1 + r]) * inside).reshape(fixed_sample.shape) / ms[r]
+            v = ((dw * samples[1 + r]) * inside).reshape(fixed_sample.shape) / ms[r]
             v_xy = np.sum(v, axis=2)
             d_affine[3 * r] = np.sum(np.sum(v_xy, axis=1) * axes[0])
             d_affine[3 * r + 1] = np.sum(np.sum(v_xy, axis=0) * axes[1])
@@ -457,20 +485,86 @@ def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, to_t
 
 
 class _Stage(NamedTuple):
-    """A stage's transform, the full-grid float64 sample of ``moving`` through it, and that sample's NCC."""
+    """A stage's transform, the full-grid float32 sample of ``moving`` through it, and that sample's NCC."""
 
     transform: AffineTransform
     sample: np.ndarray
     score: float
 
 
-def _judge(fixed: ScalarVolume, moving: ScalarVolume, transform: AffineTransform) -> _Stage:
-    """Sample ``moving`` through ``transform`` on the full fixed grid and score it against ``fixed``."""
-    sample = _sample_affine(moving, transform, _grid_axes(fixed.dims, fixed.spacing))
-    return _Stage(transform, sample, _ncc(fixed.data)[0](sample))
+class _DemonsLevel(NamedTuple):
+    """One pyramid level of the fixed image as every demons iteration on it reads it.
+
+    ``data`` is the level image times ``scale``, the power of two ``2**-e``
+    with ``e`` the ``frexp`` exponent of its largest magnitude, so ``data``
+    lies within [-1, 1].  A power of two changes no rounding, keeps every
+    float32 square and product of the iterations in range, and makes the
+    update's absolute ``1e-12`` floor independent of the intensity scale.
+    ``grads`` is ``data``'s central-difference gradient per mm,
+    channel-major ``(3, nx, ny, nz)``, and ``g2`` its squared magnitude;
+    these three are float32.  ``ncc`` holds ``data``'s float64 NCC
+    statistics.
+    """
+
+    data: np.ndarray
+    spacing: tuple[float, float, float]
+    scale: float
+    grads: np.ndarray
+    g2: np.ndarray
+    ncc: _Centred
 
 
-def _register_linear(fixed, moving, params, theta, to_transform, jacobian, level_units, fallback: _Stage) -> _Stage:
+def _demons_level_data(level: ScalarVolume) -> _DemonsLevel | None:
+    """``level`` as the demons reads it; None when an axis is shorter than 2 voxels (no gradient: skip the level)."""
+    if min(level.dims) < 2:
+        return None
+    scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(level.data))))[1])
+    data = level.data * np.float32(scale)
+    grads = np.stack(np.gradient(data, *level.spacing))
+    g2 = grads[0] ** 2 + grads[1] ** 2 + grads[2] ** 2
+    return _DemonsLevel(data, level.spacing, scale, grads, g2, _centred(data))
+
+
+class _Target(NamedTuple):
+    """A fixed image and what every registration to it reads of it, built once per frame for both templates.
+
+    ``ncc`` holds the full-resolution image's NCC statistics, against which
+    every stage is judged; ``demons`` holds one ``_DemonsLevel`` (or None)
+    per pyramid level, coarse to fine, and is empty where no deformable stage
+    runs (``_linear_target``).
+    """
+
+    volume: ScalarVolume
+    ncc: _Centred
+    demons: tuple
+
+
+def _target(fixed: ScalarVolume, params: RegistrationParams) -> _Target:
+    return _Target(fixed, _centred(fixed.data), tuple(_demons_level_data(f_l) for f_l in _pyramid(fixed, params)))
+
+
+def _linear_target(fixed: ScalarVolume) -> _Target:
+    """``_target`` without the demons levels, which only the deformable stage reads."""
+    return _Target(fixed, _centred(fixed.data), ())
+
+
+def _judge(target: _Target, moving: ScalarVolume, transform: AffineTransform) -> _Stage:
+    """Sample ``moving`` through ``transform`` on the full fixed grid and score it against the target.
+
+    The identity on the fixed image's own grid (equal dims and spacing, as
+    between the frames of a series) lands on every voxel, so its sample is
+    ``moving``'s voxels themselves, with no pass through the kernel.
+    """
+    fixed = target.volume
+    identity = np.array_equal(transform.matrix, np.eye(3)) and not transform.translation.any()
+    if identity and fixed.dims == moving.dims and fixed.spacing == moving.spacing:
+        sample = moving.data.ravel()
+    else:
+        sample = _sample_affine(moving, transform, _grid_axes(fixed.dims, fixed.spacing))
+    return _Stage(transform, sample, _ncc(target.ncc)[0](sample))
+
+
+def _register_linear(target, moving, params, theta, to_transform, jacobian, level_units, fallback: _Stage) -> _Stage:
     """Coarse-to-fine descent of ``theta``, shared by the rigid and affine stages.
 
     ``to_transform(theta)`` builds the candidate transform, ``jacobian(theta)``
@@ -478,35 +572,35 @@ def _register_linear(fixed, moving, params, theta, to_transform, jacobian, level
     gives the parameter units of one pyramid level.  Returns ``fallback``
     itself when the result scores worse at full resolution.
     """
-    for f_l, m_l, n_iter in _pyramid_levels(fixed, moving, params):
+    for f_l, m_l, n_iter in _pyramid_levels(target.volume, moving, params):
         obj, grad = _level_objective(f_l, m_l, to_transform, jacobian)
         units = level_units(f_l.spacing)
         theta, _ = _descend(obj, grad, theta, units, n_iter)
-    result = _judge(fixed, moving, to_transform(theta))
+    result = _judge(target, moving, to_transform(theta))
     return fallback if result.score > fallback.score else result
 
 
-def _rigid(fixed: ScalarVolume, moving: ScalarVolume, params: RegistrationParams) -> _Stage:
-    center = _center_mm(fixed)
+def _rigid(target: _Target, moving: ScalarVolume, params: RegistrationParams) -> _Stage:
+    center = _center_mm(target.volume)
     deg = math.pi / 180.0
     return _register_linear(
-        fixed,
+        target,
         moving,
         params,
         np.zeros(6),
         lambda th: _pose_to_transform(th, center),
         lambda th: _pose_jacobian(th, center),
         lambda spacing: np.array([deg, deg, deg, *spacing]),
-        _judge(fixed, moving, AffineTransform.identity()),
+        _judge(target, moving, AffineTransform.identity()),
     )
 
 
-def _affine(fixed: ScalarVolume, moving: ScalarVolume, init: _Stage, params: RegistrationParams) -> _Stage:
-    center = _center_mm(fixed)
+def _affine(target: _Target, moving: ScalarVolume, init: _Stage, params: RegistrationParams) -> _Stage:
+    center = _center_mm(target.volume)
     half_diag = float(np.linalg.norm(center)) or 1.0
     jacobian = _affine_params_jacobian(center)
     return _register_linear(
-        fixed,
+        target,
         moving,
         params,
         _transform_to_affine_params(init.transform, center),
@@ -525,7 +619,7 @@ def register_rigid(fixed: ScalarVolume, moving: ScalarVolume, params: Registrati
     resolution; the rotation block is orthonormal by parametrization.
     """
     _check_pair(fixed, moving)
-    return _rigid(fixed, moving, params).transform
+    return _rigid(_linear_target(fixed), moving, params).transform
 
 
 def register_affine(
@@ -533,44 +627,39 @@ def register_affine(
 ) -> AffineTransform:
     """12-DOF refinement of an initial transform; where the refinement scores worse, ``init`` itself is returned."""
     _check_pair(fixed, moving)
-    return _affine(fixed, moving, _judge(fixed, moving, init), params).transform
+    target = _linear_target(fixed)
+    return _affine(target, moving, _judge(target, moving, init), params).transform
 
 
 def _upsample_field(u: np.ndarray, new_dims) -> np.ndarray:
-    """Resample a (nx,ny,nz,3) mm-valued field onto a finer grid (fine = coarse*2)."""
+    """Resample a channel-major ``(3, nx, ny, nz)`` mm field onto a finer grid (fine = coarse*2), in its dtype."""
     return _trilinear(u, *_grid_axes(new_dims, (0.5, 0.5, 0.5)))
 
 
-def _demons_level(fixed_level: ScalarVolume, moving_level: ScalarVolume, u: np.ndarray, n_iter: int) -> np.ndarray:
-    """Iterate intensity-difference updates on one pyramid level.
+def _demons_level(fixed_level: _DemonsLevel, moving_level: ScalarVolume, u: np.ndarray, n_iter: int) -> np.ndarray:
+    """Iterate intensity-difference updates on one pyramid level; ``u`` is a channel-major float32 field.
 
-    Each candidate is ``u`` plus the full update, rounded once to a float32
-    field, then smoothed in float32 and warped; the level ends at the first
-    one that does not improve the NCC.  The images, the gradients, the update
-    and the NCC sums stay float64.
+    ``fixed_level`` is the target's level, shared by both templates; the
+    moving level is scaled by the same power of two.  Each candidate is
+    ``u`` plus the full update, smoothed and warped; the level ends at the
+    first one that does not improve the NCC.  The images, gradients,
+    update, field and warp are float32; the NCC sums are float64.
     """
-    fdata = fixed_level.data.astype(np.float64)
-    spacing = fixed_level.spacing
-    mdata = moving_level.data.astype(np.float64)
-    grads = np.gradient(fdata, *spacing) if min(fdata.shape) > 1 else None
-    if grads is None:
-        return u
-    g2 = grads[0] ** 2 + grads[1] ** 2 + grads[2] ** 2
+    fdata, spacing = fixed_level.data, fixed_level.spacing
+    mdata = moving_level.data * np.float32(fixed_level.scale)
     mean_sq_spacing = float(np.mean(np.square(spacing)))
-
-    score = _ncc(fdata)[0]
-    grad_stack = np.stack(grads, axis=-1)
+    score = _ncc(fixed_level.ncc)[0]
     # the warp of the accepted field is carried into the next iteration, so no field is warped twice
     warped = _warp_data(mdata, u, spacing)
     f_cur = score(warped)
     window = [f_cur]
     for _ in range(n_iter):
         diff = warped - fdata
-        denom = g2 + diff * diff / mean_sq_spacing
+        denom = fixed_level.g2 + diff * diff / mean_sq_spacing
         scale = np.where(denom > 1e-12, -diff / np.maximum(denom, 1e-12), 0.0)
-        field = np.add(u, scale[..., None] * grad_stack, out=np.empty(u.shape, np.float32))
+        field = u + scale * fixed_level.grads
         for c in range(3):
-            field[..., c] = gaussian_smooth_array(field[..., c], _DEMONS_SIGMA_VOX)
+            field[c] = gaussian_smooth_array(field[c], _DEMONS_SIGMA_VOX)
         warped_field = _warp_data(mdata, field, spacing)
         f_field = score(warped_field)
         if f_field >= f_cur:
@@ -581,26 +670,22 @@ def _demons_level(fixed_level: ScalarVolume, moving_level: ScalarVolume, u: np.n
     return u
 
 
-def _deformable(
-    fixed: ScalarVolume, moving: ScalarVolume, init: _Stage, params: RegistrationParams
-) -> DisplacementField:
+def _deformable(target: _Target, moving: ScalarVolume, init: _Stage, params: RegistrationParams) -> DisplacementField:
     """``register_deformable`` from a judged ``init``: its sample is the affine-resampled moving image."""
-    affine = init.transform
-    moving_affine = ScalarVolume(init.sample.reshape(fixed.dims).astype(np.float32), fixed.spacing)
+    fixed, affine = target.volume, init.transform
+    moving_affine = ScalarVolume(init.sample.reshape(fixed.dims), fixed.spacing)
     u: np.ndarray | None = None
-    for f_l, m_l, n_iter in _pyramid_levels(fixed, moving_affine, params):
-        u = np.zeros((*f_l.dims, 3)) if u is None else _upsample_field(u, f_l.dims)
-        u = _demons_level(f_l, m_l, u, n_iter)
+    for level, (_, m_l, n_iter) in zip(target.demons, _pyramid_levels(fixed, moving_affine, params)):
+        u = np.zeros((3, *m_l.dims), np.float32) if u is None else _upsample_field(u, m_l.dims)
+        if level is not None:
+            u = _demons_level(level, m_l, u, n_iter)
 
     # total(v) = A(v_mm + u(v)) + b - v_mm : exact composition with the affine
     grid = _grid_axes(fixed.dims, fixed.spacing)
-    moved = _affine_columns(affine.matrix, affine.translation, *(g + u[..., c] for c, g in enumerate(grid)))
+    moved = _affine_columns(affine.matrix, affine.translation, *(g + u[c] for c, g in enumerate(grid)))
     total_field = DisplacementField(np.stack([p - g for p, g in zip(moved, grid)], axis=-1), fixed.spacing)
-
-    affine_field = affine_to_field(affine, fixed.dims, fixed.spacing)
-    score = _ncc(fixed.data)[0]
-    if score(warp_image(moving, total_field).data) > score(warp_image(moving, affine_field).data):
-        return affine_field
+    if _ncc(target.ncc)[0](warp_image(moving, total_field).data) > init.score:
+        return affine_to_field(affine, fixed.dims, fixed.spacing)  # the affine's own sample scored better
     return total_field
 
 
@@ -616,11 +701,19 @@ def register_deformable(
     affine-initialized warp.
     """
     _check_pair(fixed, moving)
-    return _deformable(fixed, moving, _judge(fixed, moving, init), params)
+    target = _target(fixed, params)
+    return _deformable(target, moving, _judge(target, moving, init), params)
 
 
-def _register_stages(fixed: ScalarVolume, moving: ScalarVolume, params: RegistrationParams) -> DisplacementField:
-    """``register_rigid``, ``register_affine`` and ``register_deformable`` chained, each stage's sample passed on."""
+def _register_stages(
+    fixed: ScalarVolume, moving: ScalarVolume, params: RegistrationParams, target: _Target | None = None
+) -> DisplacementField:
+    """``register_rigid``, ``register_affine`` and ``register_deformable`` chained, each stage's sample passed on.
+
+    ``target`` is ``_target(fixed, params)``, built here unless a caller
+    registering several templates to ``fixed`` passes the one it shares.
+    """
     _check_pair(fixed, moving)
-    rigid = _rigid(fixed, moving, params)
-    return _deformable(fixed, moving, _affine(fixed, moving, rigid, params), params)
+    target = _target(fixed, params) if target is None else target
+    rigid = _rigid(target, moving, params)
+    return _deformable(target, moving, _affine(target, moving, rigid, params), params)

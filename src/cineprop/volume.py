@@ -7,7 +7,11 @@ its pyramid, so each volume is downsampled once per level, however often used.
 Trilinear sampling (``_trilinear``) runs in blocks of ``_BLOCK_POINTS``
 positions, so a full-grid call works on cache-sized temporaries.  Each
 position goes through the same operations in the same order whichever block
-holds it, so the bytes do not depend on the blocking.
+holds it, so the bytes do not depend on the blocking.  It interpolates in the
+data's precision: a ``ScalarVolume`` (float32) samples to float32, float64
+data to float64.  Multi-channel data (gradient images, displacement fields
+inside registration) is channel-major, ``(C, nx, ny, nz)``, so each channel
+is gathered and interpolated as one contiguous plane.
 
 Conventions used throughout the package:
 
@@ -39,9 +43,9 @@ LABEL_CODES = (BACKGROUND, LV, MYO, RV)
 CLASS_NAMES = {LV: "LV", MYO: "MYO", RV: "RV"}
 FOREGROUND_CLASSES = (LV, MYO, RV)
 
-# positions per _trilinear block, tuned on single-channel data: its dozen 128 KiB temporaries fit a 2 MiB L2
-# cache.  On 96x96x12 grids (2-vCPU VM), 8k-point blocks ran about 10% slower and 32k-point blocks no faster;
-# for 3- and 4-channel data, blocks of 16k points divided by the channel count timed within noise of these.
+# positions per _trilinear block, tuned on single-channel float64 data: its dozen 128 KiB temporaries fit a 2 MiB
+# L2 cache.  On 96x96x12 grids (2-vCPU VM), 8k-point blocks ran about 10% slower and 32k-point blocks no faster.
+# A block's index and fraction arrays serve every channel plane, so the block size ignores the channel count.
 _BLOCK_POINTS = 16_384
 
 def _check_spacing(spacing) -> tuple[float, float, float]:
@@ -175,81 +179,80 @@ def _check_points(xs, ys, zs):
 
 
 def _trilinear(data: np.ndarray, xs, ys, zs) -> np.ndarray:
-    """Trilinear interpolation of a raw 3D array at float64 positions (voxel units, clamped).
+    """Trilinear interpolation of a raw 3D array at float64 positions (voxel units, clamped), in ``data``'s dtype.
 
-    The one lerp kernel behind volume and field sampling.  Trailing channel
-    axes of ``data``, ``(nx, ny, nz, ...)``, share one set of cell indices and
-    weights, and follow the positions' broadcast shape in the float64 result.
-    Positions are evaluated in blocks of at most ``_BLOCK_POINTS`` (or one
-    entry of the leading axis, if that is more) along the leading axis of
-    that shape, each written into one preallocated result, so a full-grid
-    call's temporaries stay in cache instead of being a dozen fresh
-    full-size arrays.  A position array of leading length 1 (as along
-    the other axes of a sparse grid) serves every block whole.  Each element
-    sees the same operations in the same order in whichever block it falls,
-    so the bytes do not depend on the blocking.  The positions are never
-    written (callers read them again).
+    The one lerp kernel behind volume and field sampling.  The result is
+    float32 for float32 data and float64 otherwise, with the positions'
+    broadcast shape; channel-major data, ``(C, nx, ny, nz)``, gives
+    ``(C, *shape)``, each channel plane sampled with the same cell indices
+    and weights.  Positions are evaluated in blocks of at most
+    ``_BLOCK_POINTS`` (or one entry of the leading axis, if that is more)
+    along the leading axis of that shape, each written into one
+    preallocated result, so a full-grid call's temporaries stay in cache
+    instead of being a dozen fresh full-size arrays.  A position array of
+    leading length 1 (as along the other axes of a sparse grid) serves every
+    block whole.  Each element sees the same operations in the same order in
+    whichever block it falls, so the bytes do not depend on the blocking.
+    The positions are never written (callers read them again).
     """
+    planes = data if data.ndim == 4 else data[None]
     shape = np.broadcast_shapes(np.shape(xs), np.shape(ys), np.shape(zs))
-    out = np.empty(shape + data.shape[3:], dtype=np.float64)
+    out = np.empty((len(planes), *shape), dtype=np.float32 if data.dtype == np.float32 else np.float64)
     if not shape:  # one position
-        return _trilinear_block(data, xs, ys, zs, out)
-    rows = max(1, _BLOCK_POINTS // max(1, math.prod(shape[1:])))  # leading-axis entries per block
-    # a position array spans the leading axis only if it has every axis and a leading length above 1
-    split = [np.ndim(p) == len(shape) and np.shape(p)[0] > 1 for p in (xs, ys, zs)]
-    for start in range(0, shape[0], rows):
-        block = slice(start, start + rows)
-        pos = [p[block] if s else p for p, s in zip((xs, ys, zs), split)]
-        _trilinear_block(data, *pos, out[block])
-    return out
+        _trilinear_block(planes, xs, ys, zs, out)
+    else:
+        rows = max(1, _BLOCK_POINTS // max(1, math.prod(shape[1:])))  # leading-axis entries per block
+        # a position array spans the leading axis only if it has every axis and a leading length above 1
+        split = [np.ndim(p) == len(shape) and np.shape(p)[0] > 1 for p in (xs, ys, zs)]
+        for start in range(0, shape[0], rows):
+            block = slice(start, start + rows)
+            pos = [p[block] if s else p for p, s in zip((xs, ys, zs), split)]
+            _trilinear_block(planes, *pos, out[:, block])
+    return out if data.ndim == 4 else out[0, ...]
 
 
-def _trilinear_block(data: np.ndarray, xs, ys, zs, result: np.ndarray) -> np.ndarray:
-    """One block of ``_trilinear``, into ``result`` (float64, the positions' broadcast shape plus channels).
+def _trilinear_block(planes: np.ndarray, xs, ys, zs, result: np.ndarray) -> np.ndarray:
+    """One block of ``_trilinear``: every plane of ``planes`` (C, nx, ny, nz) into ``result`` (C, block shape).
 
-    The 8 corners are taken from a flat ``(nx*ny*nz, ...)`` view at index
-    ``(x0*ny + y0)*nz + z0`` plus one offset per corner (0 along a length-1
-    axis), and the 7 lerps run in place.  Only ``c000`` is cast to float64, so
-    on float32 data ``c110-c010``, ``c101-c001`` and ``c111-c011`` are taken in
-    float32: byte-identical outputs depend on that rounding.
+    The cell indices are worked out in float64 and the three fractions are
+    then cast once to ``result``'s dtype, in which every corner difference
+    and lerp runs.  Each plane's 8 corners are taken from its flat
+    ``(nx*ny*nz,)`` view at index ``(x0*ny + y0)*nz + z0`` plus one offset
+    per corner (0 along a length-1 axis), and the 7 lerps run in place.
     """
-    nx, ny, nz = data.shape[:3]
-    flat = data.reshape(nx * ny * nz, *data.shape[3:])
-    channels = (..., *(None,) * (data.ndim - 3))  # broadcast the weights over channel axes
+    nx, ny, nz = planes.shape[1:]
+    dtype = result.dtype
     base, fracs = 0, []
     for pos, n in zip((xs, ys, zs), (nx, ny, nz)):
         frac = np.clip(pos, 0.0, n - 1.0)  # a fresh array, so the caller's positions stay as they are
         cell = np.minimum(np.floor(frac), n - 2 if n > 1 else 0)
         frac -= cell
         base = base * n + cell  # whole numbers, exact in float64: cast to indices once, below
-        fracs.append(frac[channels])
+        fracs.append(frac.astype(dtype, copy=False))
     base, (fx, fy, fz) = base.astype(np.intp), fracs
     dx, dy, dz = (ny * nz if nx > 1 else 0), (nz if ny > 1 else 0), (1 if nz > 1 else 0)  # one step along each axis
-    lo, hi = (np.empty(base.shape + data.shape[3:], dtype=data.dtype) for _ in range(2))
-
-    def corner(offset, out):  # flat[offset:] adds offset to each index; all are in range, "clip" skips a buffer
-        return np.take(flat[offset:], base, axis=0, out=out, mode="clip")
-
-    def x_lerp(offset, out):  # c + fx * (c' - c) into out, c at offset, c' at offset + dx, c' - c in data's dtype
-        np.multiply(fx, np.subtract(corner(offset + dx, hi), corner(offset, lo), out=hi), out=out)
-        return np.add(out, lo, out=out)
+    c1, hi, tmp = (np.empty(base.shape, dtype=dtype) for _ in range(3))
 
     def lerp(a, b, f):  # a + f * (b - a) into a; nested lerps are exact on lattice points and on constant volumes
         b -= a
         b *= f
         return np.add(a, b, out=a)
 
-    c0 = result
-    np.copyto(c0, corner(0, lo))  # c000 cast to float64 in the result
-    c1 = corner(dx, hi).astype(np.float64)
-    lerp(c0, c1, fx)  # c00
-    lerp(c0, x_lerp(dy, c1), fy)  # c0, from c00 and c10
-    lerp(x_lerp(dz, c1), x_lerp(dy + dz, np.empty_like(c1)), fy)  # c1, from c01 and c11
-    return lerp(c0, c1, fz)
+    def x_lerp(flat, offset, out):  # c + fx * (c' - c) into out, c at offset and c' at offset + dx in flat
+        # flat[offset:] adds offset to each index; all are in range, and "clip" skips a bounds-check buffer
+        np.take(flat[offset:], base, out=out, mode="clip")
+        return lerp(out, np.take(flat[offset + dx :], base, out=hi, mode="clip"), fx)
+
+    for c, plane in enumerate(planes):
+        flat, c0 = plane.reshape(-1), result[c, ...]  # c0 is a view, also for a single position
+        lerp(x_lerp(flat, 0, c0), x_lerp(flat, dy, c1), fy)  # c0, from c00 and c10
+        lerp(x_lerp(flat, dz, c1), x_lerp(flat, dy + dz, tmp), fy)  # c1, from c01 and c11
+        lerp(c0, c1, fz)
+    return result
 
 
 def trilinear_sample_many(vol: ScalarVolume, xs, ys, zs) -> np.ndarray:
-    """Trilinear interpolation at arrays of positions (voxel units, clamped)."""
+    """Trilinear interpolation at arrays of positions (voxel units, clamped), in the volume's float32."""
     return _trilinear(vol.data, *_check_points(xs, ys, zs))
 
 

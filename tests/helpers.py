@@ -181,13 +181,15 @@ def trilinear_long_hand(vol: ScalarVolume, x: float, y: float, z: float) -> floa
 
 
 def trilinear_oracle(data: np.ndarray, xs, ys, zs) -> np.ndarray:
-    """The fancy-index trilinear kernel that ``volume._trilinear`` replaced, kept bit for bit as its oracle.
+    """Trilinear interpolation by fancy indexing, the oracle ``volume._trilinear`` must match bit for bit.
 
-    Same clamping, broadcasting, channel axes and rounding: only ``c000`` is
-    cast to float64, so on float32 data the other corner differences are taken
-    in float32.
+    Same clamping and broadcasting; channel-major data ``(C, nx, ny, nz)``
+    gives ``(C, *shape)``.  The three fractions are cast once to the result
+    dtype (float32 for float32 data, float64 otherwise), and every corner
+    difference and lerp runs in that dtype.
     """
-    nx, ny, nz = data.shape[:3]
+    dtype = np.float32 if data.dtype == np.float32 else np.float64
+    nx, ny, nz = data.shape[-3:]
     xs = np.clip(xs, 0.0, nx - 1.0)
     ys = np.clip(ys, 0.0, ny - 1.0)
     zs = np.clip(zs, 0.0, nz - 1.0)
@@ -197,20 +199,19 @@ def trilinear_oracle(data: np.ndarray, xs, ys, zs) -> np.ndarray:
     x1 = np.minimum(x0 + 1, nx - 1)
     y1 = np.minimum(y0 + 1, ny - 1)
     z1 = np.minimum(z0 + 1, nz - 1)
-    channels = (..., *(None,) * (data.ndim - 3))  # broadcast the weights over channel axes
-    fx = (xs - x0)[channels]
-    fy = (ys - y0)[channels]
-    fz = (zs - z0)[channels]
-    del xs, ys, zs  # callers still hold the unclipped positions: free the clipped copies before the lerps
+    fx = (xs - x0).astype(dtype)  # trailing axes: the weights broadcast over a leading channel axis
+    fy = (ys - y0).astype(dtype)
+    fz = (zs - z0).astype(dtype)
+    data = data.astype(dtype, copy=False)
 
-    c000 = data[x0, y0, z0].astype(np.float64)
-    c100 = data[x1, y0, z0]
-    c010 = data[x0, y1, z0]
-    c110 = data[x1, y1, z0]
-    c001 = data[x0, y0, z1]
-    c101 = data[x1, y0, z1]
-    c011 = data[x0, y1, z1]
-    c111 = data[x1, y1, z1]
+    c000 = data[..., x0, y0, z0]
+    c100 = data[..., x1, y0, z0]
+    c010 = data[..., x0, y1, z0]
+    c110 = data[..., x1, y1, z0]
+    c001 = data[..., x0, y0, z1]
+    c101 = data[..., x1, y0, z1]
+    c011 = data[..., x0, y1, z1]
+    c111 = data[..., x1, y1, z1]
 
     # nested lerps: exact on lattice points and on constant volumes
     c00 = c000 + fx * (c100 - c000)

@@ -311,6 +311,24 @@ class TestTransferCommand:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("subjects", [("sa", "sa"), ("sa", "s/a")], ids=["repeated", "path-separator"])
+    def test_from_vendor_subject_names_one_series(self, tmp_path, capsys, monkeypatch, subjects):
+        # output files are named by subject: a second series of one subject would overwrite the first
+        manifests = []
+        for n, subject in enumerate(subjects):
+            manifests += ["--manifest", str(_write_cine_dir(tmp_path / f"s{n}", vendor="A", subject=subject)[0])]
+        m_b, _ = _write_cine_dir(tmp_path / "b", vendor="B", subject="sb")
+
+        def no_volumes(manifest):
+            raise AssertionError("a volume was read")
+
+        monkeypatch.setattr(io, "load_series", no_volumes)
+        out = tmp_path / "tr"
+        argv = ["transfer", *manifests, "--manifest", str(m_b), "--from-vendor", "A", "--to-vendor", "B"]
+        assert run([*argv, "--out", str(out)]) == EXIT_IO
+        assert repr(subjects[1]) in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluateCommand:
     def test_identical_dirs_all_dice_one(self, tmp_path, capsys):
@@ -341,6 +359,21 @@ class TestEvaluateCommand:
         assert code == EXIT_OK
         text = (out / "evaluation_report.txt").read_text()
         assert "mean.LV.dice = 1.0" in text
+
+    @pytest.mark.parametrize("gt_names", [("x_001", "y_001"), ("label_001",)], ids=["both-dirs", "pred-dir"])
+    def test_shared_trailing_index_is_io_error(self, tmp_path, capsys, gt_names):
+        # pairing by index would give a_001 and b_001 one ground truth, and ignore x_001
+        _, cine = _write_cine_dir(tmp_path / "cine")
+        pred, gt = tmp_path / "pred", tmp_path / "gt"
+        pred.mkdir()
+        gt.mkdir()
+        for name in ("a_001", "b_001"):
+            io.write_mvol(cine.ground_truth[1], pred / f"{name}.mvol")
+        for name in gt_names:
+            io.write_mvol(cine.ground_truth[1], gt / f"{name}.mvol")
+        assert run(["evaluate", "--pred", str(pred), "--gt", str(gt)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "a_001.mvol and b_001.mvol" in err and "index 1" in err
 
     def test_empty_dir_is_io_error(self, tmp_path):
         empty = tmp_path / "e"

@@ -29,22 +29,22 @@ NORM_RTOL = 1e-6
 THICK_FRAME = (
     "e016fd5eb357f40ee0f28676cd67b6e35c9d377b73b1f6aa0dec6d989d9a0f69",
     Template.ED,
-    1.5366249135801866,
+    1.5366267624344434,
     0.9759891032452229,
 )
 
 # `phantom --frames 4`, then `propagate --iters 5,5,5`: file digest, template, ES and ED norms per pseudo-label
 CLI_PHANTOM = {
     "pseudo_label_001.mvol": (
-        "efdfaa02ac6bd2dd7c02df9085916dcd1fb07a4340151fc6d418ae0fb04ad7b1",
+        "01834cb196c0544e77e1d4d8ff6c8782e88ac1450cae0225d6f506dd3e0132c7",
         "ED",
         1.1943358629479837,
-        1.1247053130169353,
+        1.1246427728746475,
     ),
     "pseudo_label_002.mvol": (
         "9bb540b1fe61b768e54fe2ed0f5410a0b474225a9f686b312959eec79c46bbf5",
         "ED",
-        2.5900127910391726,
+        2.5900099177330476,
         0.42942842968796296,
     ),
 }

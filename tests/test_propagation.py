@@ -172,8 +172,9 @@ class TestPropagateSeries:
 
     def test_full_resolution_samples_per_frame(self, monkeypatch):
         # 40x40x32 voxels, above registration._MAX_OBJECTIVE_SAMPLES: the objectives stride, so every full-grid
-        # sample is a stage's own.  Per template, rigid samples its result and the identity; affine only its
-        # result, starting from rigid's _Stage; deformable none, its affine-resampled image being affine's sample.
+        # sample is a stage's own.  Per template, rigid samples its result (the identity, on the target's own
+        # grid, takes the moving image's voxels); affine only its result, starting from rigid's _Stage; deformable
+        # none, its affine-resampled image and its fallback's score being affine's sample and score.
         spec = dataclasses.replace(
             TINY_SPEC,
             dims=(40, 40, 32),
@@ -197,7 +198,7 @@ class TestPropagateSeries:
 
         monkeypatch.setattr(registration, "_sample_affine", counting)
         propagate_frame(series, 1, RegistrationParams(pyramid_levels=3, iterations_per_level=(2, 2, 2)))
-        assert sizes.count(40 * 40 * 32) == 2 * 3
+        assert sizes.count(40 * 40 * 32) == 2 * 2
 
     def test_linear_objective_evaluations_per_frame(self, monkeypatch):
         # every rigid/affine objective value of one frame: each level's start value plus every line-search
@@ -218,6 +219,35 @@ class TestPropagateSeries:
         monkeypatch.setattr(registration, "_level_objective", counting)
         propagate_frame(thick_slice_series(), 1, RegistrationParams(pyramid_levels=3, iterations_per_level=(5, 5, 5)))
         assert len(calls) == 77
+
+    def test_demons_target_data_built_once_per_frame(self, monkeypatch):
+        # the demons gradient images of the target (np.gradient with the level spacing): one per pyramid
+        # level and frame, shared by ES and ED, not one per template: 2 frames x 3 levels
+        calls = []
+        gradient = np.gradient
+
+        def counting(f, *varargs, **kwargs):
+            if "axis" not in kwargs:  # the rigid/affine objectives take their moving gradients one axis at a time
+                calls.append(f.shape)
+            return gradient(f, *varargs, **kwargs)
+
+        monkeypatch.setattr(np, "gradient", counting)
+        params = RegistrationParams(pyramid_levels=3, iterations_per_level=(1, 1, 1))
+        assert [r.frame_index for r in propagate_series(thick_slice_series(), params, workers=1)] == [1, 2]
+        assert calls == [(8, 8, 2), (16, 16, 3), (32, 32, 6)] * 2
+
+    @pytest.mark.parametrize("exponent", [66, -66])
+    def test_intensity_scale_changes_nothing(self, exponent):
+        # float32 squares overflow above about 1.8e19, and the demons update's absolute 1e-12 floor would
+        # stop every update of a dim series: a power-of-two intensity scale must change no byte and no norm
+        series = thick_slice_series()
+        factor = np.float32(2.0**exponent)
+        scaled = dataclasses.replace(series, frames=[ScalarVolume(f.data * factor, f.spacing) for f in series.frames])
+        params = RegistrationParams(pyramid_levels=3, iterations_per_level=(5, 5, 5))
+        for target in (1, 2):
+            want, got = propagate_frame(series, target, params), propagate_frame(scaled, target, params)
+            assert got.pseudo_label.data.tobytes() == want.pseudo_label.data.tobytes()
+            assert (got.es_norm, got.ed_norm) == (want.es_norm, want.ed_norm)
 
     def test_workers_do_not_change_results(self, tiny_cine, series_results):
         par = propagate_series(tiny_cine.series, FAST, workers=3)

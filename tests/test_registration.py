@@ -402,11 +402,11 @@ class TestAnalyticGradient:
     def test_gradient_images_zero_along_single_slice(self):
         data = np.arange(20, dtype=np.float32).reshape(5, 4, 1) ** 2
         channels = _value_and_gradient_images(data)
-        assert channels.shape == (5, 4, 1, 4)
-        assert np.array_equal(channels[..., 0], data)
-        assert np.array_equal(channels[..., 1], np.gradient(data, axis=0))
-        assert np.array_equal(channels[..., 2], np.gradient(data, axis=1))
-        assert not np.any(channels[..., 3])
+        assert channels.shape == (4, 5, 4, 1) and channels.dtype == np.float32
+        assert np.array_equal(channels[0], data)
+        assert np.array_equal(channels[1], np.gradient(data, axis=0))
+        assert np.array_equal(channels[2], np.gradient(data, axis=1))
+        assert not np.any(channels[3])
 
     @pytest.mark.parametrize("stage", ["rigid", "affine"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -721,14 +721,14 @@ class TestUpsampleField:
         rng = np.random.default_rng(4)
         offset, slope = rng.normal(size=3), rng.normal(size=(3, 3))
 
-        def linear(positions):
+        def linear(positions):  # a channel-major (3, nx, ny, nz) field
             grid = np.meshgrid(*positions, indexing="ij")
-            return offset + sum(slope[:, a] * grid[a][..., None] for a in range(3))
+            return offset[:, None, None, None] + sum(slope[:, a, None, None, None] * grid[a] for a in range(3))
 
         u = linear([np.arange(n, dtype=np.float64) for n in coarse_dims])
         out = _upsample_field(u, fine_dims)
         # fine index i sits at coarse position i/2; positions past the last coarse voxel clamp to it
         coarse_pos = [np.minimum(np.arange(n) / 2.0, c - 1.0) for n, c in zip(fine_dims, coarse_dims)]
-        assert out.shape == (*fine_dims, 3)
+        assert out.shape == (3, *fine_dims)
         np.testing.assert_allclose(out, linear(coarse_pos), rtol=0, atol=1e-12)
-        assert np.array_equal(out[-1, -1, -1], u[-1, -1, -1])
+        assert np.array_equal(out[:, -1, -1, -1], u[:, -1, -1, -1])

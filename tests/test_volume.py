@@ -105,12 +105,14 @@ class TestTrilinear:
         assert trilinear_sample(vol, (0.25, 0, 0)) == pytest.approx(2.5, abs=1e-12)
 
     def test_matches_long_hand_oracle(self):
+        # float64 data is interpolated in float64; a volume's float32 result is pinned bit for bit by the oracle below
         rng = np.random.default_rng(2)
         vol = random_volume(rng, max_dim=6)
+        data = vol.data.astype(np.float64)
         for _ in range(50):
             p = rng.uniform(-2, 8, size=3)
             expected = trilinear_long_hand(vol, *p)
-            assert trilinear_sample(vol, tuple(p)) == pytest.approx(expected, abs=1e-9)
+            assert float(_trilinear(data, *p)) == pytest.approx(expected, abs=1e-9)
 
     def test_convex_bounds(self):
         rng = np.random.default_rng(3)
@@ -118,27 +120,28 @@ class TestTrilinear:
         lo, hi = float(vol.data.min()), float(vol.data.max())
         pts = rng.uniform(-1, 6, size=(200, 3))
         vals = trilinear_sample_many(vol, pts[:, 0], pts[:, 1], pts[:, 2])
+        assert vals.dtype == np.float32  # the volume's own precision
         assert np.all(vals >= lo - 1e-9) and np.all(vals <= hi + 1e-9)
 
     @pytest.mark.parametrize("shape", [(5, 4, 3), (5, 4, 1)])
     def test_channels_match_per_channel_calls(self, shape):
-        # one call over trailing channels shares cell indices and weights, bit for bit
+        # one call over channel-major planes shares cell indices and weights, bit for bit
         rng = np.random.default_rng(4)
-        data = rng.normal(size=(*shape, 4)).astype(np.float32)
+        data = rng.normal(size=(4, *shape)).astype(np.float32)
         pts = rng.uniform(-1.5, 6.5, size=(3, 300))
         out = _trilinear(data, *pts)
-        assert out.shape == (300, 4)
+        assert out.shape == (4, 300) and out.dtype == np.float32
         for c in range(4):
-            assert np.array_equal(out[:, c], _trilinear(np.ascontiguousarray(data[..., c]), *pts))
+            assert np.array_equal(out[c], _trilinear(data[c], *pts))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n_channels", [1, 3, 4])
     @pytest.mark.parametrize("shape", [(5, 4, 3), (1, 4, 3), (5, 1, 3), (5, 4, 1)])
     def test_matches_fancy_index_oracle(self, shape, n_channels, dtype):
-        # raw bits, not values: the float32 corner differences must round exactly as before
+        # raw bits, not values: every float32 fraction, corner difference and lerp must round as the oracle's
         rng = np.random.default_rng(5)
         # mixed signs: a float32 difference of two corners then rounds, so float64 differences would show
-        data = rng.normal(0.0, 100.0, size=shape if n_channels == 1 else (*shape, n_channels)).astype(dtype)
+        data = rng.normal(0.0, 100.0, size=shape if n_channels == 1 else (n_channels, *shape)).astype(dtype)
         # inside and beyond every face, plus integers: lattice points, the faces and one voxel past them
         scattered = [np.concatenate([rng.uniform(-2.0, n + 1.0, 250), rng.integers(-1, n + 1, 50)]) for n in shape]
         # the sparse broadcast grid of registration._upsample_field: fine index i at coarse position i/2
@@ -148,15 +151,15 @@ class TestTrilinear:
         for pts in (scattered, sparse, single):
             out = _trilinear(data, *pts)
             expected = trilinear_oracle(data, *pts)
-            assert out.shape == expected.shape and out.dtype == np.float64
-            assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+            assert out.shape == expected.shape and out.dtype == expected.dtype == dtype
+            assert out.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("dtype, n_channels", [(np.float32, 3), (np.float64, 1), (np.float64, 3)])
     def test_blocks_match_fancy_index_oracle(self, dtype, n_channels):
         # calls of several blocks, the last one partial: which block a position falls in must not change a bit
         rng = np.random.default_rng(8)
         shape = (30, 20, 6)
-        data = rng.normal(0.0, 100.0, size=shape if n_channels == 1 else (*shape, n_channels)).astype(dtype)
+        data = rng.normal(0.0, 100.0, size=shape if n_channels == 1 else (n_channels, *shape)).astype(dtype)
         n = 2 * _BLOCK_POINTS + 123
         scattered = [np.concatenate([rng.uniform(-2.0, d + 1.0, n - 50), rng.integers(-1, d + 1, 50)]) for d in shape]
         # registration._upsample_field's sparse grid: x is split across the blocks, while y and z have
@@ -169,14 +172,14 @@ class TestTrilinear:
         for pts in (scattered, sparse):
             out = _trilinear(data, *pts)
             expected = trilinear_oracle(data, *pts)
-            assert out.shape == expected.shape and out.dtype == np.float64
-            assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+            assert out.shape == expected.shape and out.dtype == expected.dtype == dtype
+            assert out.tobytes() == expected.tobytes()
 
     def test_leaves_positions_unchanged(self):
         # _level_objective's gradient reads its positions again after the call, for the clamp mask
         rng = np.random.default_rng(6)
-        data = rng.normal(size=(5, 4, 3, 4)).astype(np.float32)
-        pts = [rng.uniform(-3.0, n + 3.0, 200) for n in data.shape[:3]]
+        data = rng.normal(size=(4, 5, 4, 3)).astype(np.float32)
+        pts = [rng.uniform(-3.0, n + 3.0, 200) for n in data.shape[1:]]
         before = [p.copy() for p in pts]
         for p in pts:
             p.flags.writeable = False  # an in-place write raises instead of passing unnoticed
