@@ -22,7 +22,8 @@ flag, found before any input is read.  ``--n-ref-volumes`` above the number of
 reference volumes is capped to it.  ``transfer`` exits 3 before reading any
 volume when a from-vendor subject, which names its output files, is in two
 manifests or contains a path separator; ``evaluate``, pairing by trailing
-index, exits 3 when two label files of one directory share an index.
+index, exits 3 when two label files of one directory share an index, and
+exits 3 naming both files when a pair differs in dims or spacing.
 """
 
 from __future__ import annotations
@@ -310,8 +311,14 @@ def _cmd_evaluate(args) -> int:
     pairs = _pair_label_files(Path(args.pred), Path(args.gt))
     cases = []
     for name, pred_path, gt_path in pairs:
-        report = evaluate_case(io.read_labels(pred_path), io.read_labels(gt_path))
-        cases.append((name, report))
+        pred, gt = io.read_labels(pred_path), io.read_labels(gt_path)
+        if (pred.dims, pred.spacing) != (gt.dims, gt.spacing):
+            raise FormatError(
+                "grid",
+                f"{pred_path} has dims {pred.dims} and spacing {pred.spacing}, "
+                f"{gt_path} has dims {gt.dims} and spacing {gt.spacing}",
+            )
+        cases.append((name, evaluate_case(pred, gt)))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

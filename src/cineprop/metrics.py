@@ -22,8 +22,13 @@ other mask, read at the query voxels; it equals the pairwise brute force
 The first pass takes the nearest site before and after each voxel of a line
 (linear time); the second runs only on the site-holding lines and the
 query-holding columns, the third only at the query voxels.  All passes work on
-the bounding box of P∪G.  Apart from the first pass's result (one float per
-voxel of the box) and its table of squared gaps, each temporary holds at most
+the bounding box of P∪G.  A voxel inside the other mask is at distance 0, so
+the queries are only the voxels of P∖G (toward G) and of G∖P (toward P).  The
+box, and the lines that hold a site, come from reductions along contiguous
+memory: ``any(axis=0)`` gives the extents along axes 1 and 2, and
+``reshape(n0, -1).any(axis=1)`` the extent along axis 0.  Apart from the
+first pass's result (one float per voxel of the box), its table of squared
+gaps and the flat indices of the queries, each temporary holds at most
 ``_BLOCK`` floats or one cross-section of the box.
 """
 
@@ -54,10 +59,10 @@ def dice(pred: LabelMap, gt: LabelMap, label: int) -> float:
     _check_grids(pred, gt)
     p = pred.data == label
     g = gt.data == label
-    np_, ng = int(p.sum()), int(g.sum())
+    np_, ng = int(np.count_nonzero(p)), int(np.count_nonzero(g))
     if np_ + ng == 0:
         return 1.0
-    return 2.0 * int(np.logical_and(p, g).sum()) / (np_ + ng)
+    return 2.0 * int(np.count_nonzero(p & g)) / (np_ + ng)
 
 
 def _nearest_along_first(sites: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -83,56 +88,75 @@ def _nearest_along_first(sites: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out.reshape(sites.shape)
 
 
+def _held(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices along axes 1 and 2 at which ``mask`` holds a voxel.
+
+    One reduction over the leading axis runs along contiguous rows; the two
+    reductions of its (n1, n2) result are small.
+    """
+    plane = mask.any(axis=0)
+    return np.flatnonzero(plane.any(axis=1)), np.flatnonzero(plane.any(axis=0))
+
+
 def _farthest_sq(queries: np.ndarray, sites: np.ndarray, coords: list[np.ndarray]) -> float:
     """Max over the ``queries`` voxels of the squared distance to the nearest ``sites`` voxel.
 
     ``coords[k]`` holds the scaled absolute position of every index along axis k.
     """
     c0, c1, c2 = coords
-    cols = np.flatnonzero(sites.any(axis=(0, 2)))
-    slices = np.flatnonzero(sites.any(axis=(0, 1)))
+    cols, slices = _held(sites)
     near = _nearest_along_first(sites[:, cols][:, :, slices], c0)  # d0²
 
     # axis 1, only at the (i0, i1) columns that hold a query: d0² + d1²
-    row0, row1 = np.nonzero(queries.any(axis=2))
-    through = np.empty((len(row0), len(slices)))
+    n1, n2 = queries.shape[1:]
+    columns = np.flatnonzero(queries.reshape(-1, n2).any(axis=1))  # as i0 * n1 + i1
+    row0, row1 = np.divmod(columns, n1)
+    through = np.empty((len(columns), len(slices)))
     step = max(1, _BLOCK // near[0].size)
-    for s in range(0, len(row0), step):
+    for s in range(0, len(columns), step):
         block = near[row0[s : s + step]]
         block += ((c1[row1[s : s + step]][:, None] - c1[cols][None, :]) ** 2)[:, :, None]
         through[s : s + step] = block.min(axis=1)
 
     # axis 2, at each query voxel: (d0² + d1²) + d2²
-    column = np.zeros(queries.shape[:2], dtype=np.intp)
-    column[row0, row1] = np.arange(len(row0))
+    rank = np.zeros(len(queries) * n1, dtype=np.intp)  # each query column's row of ``through``
+    rank[columns] = np.arange(len(columns))
     flat = np.flatnonzero(queries)
     worst = 0.0
     step = max(1, _BLOCK // len(slices))
     for s in range(0, len(flat), step):
-        q0, q1, q2 = np.unravel_index(flat[s : s + step], queries.shape)
-        block = through[column[q0, q1]]
+        column, q2 = np.divmod(flat[s : s + step], n2)
+        block = through[rank[column]]
         block += (c2[q2][:, None] - c2[slices][None, :]) ** 2
         worst = max(worst, float(block.min(axis=1).max()))
     return worst
 
 
 def hausdorff(pred: LabelMap, gt: LabelMap, label: int) -> float:
-    """Symmetric Hausdorff distance between class-voxel centers, in mm."""
+    """Symmetric Hausdorff distance between class-voxel centers, in mm.
+
+    Equal bit for bit to the pairwise brute force.  A voxel of P inside G is
+    at distance 0 from G, so the distance from P to G is read only at the
+    voxels of P∖G, and from G to P only at G∖P; a direction without such
+    voxels adds 0 and runs no distance transform.  Both are measured on the
+    bounding box of P∪G.
+    """
     _check_grids(pred, gt)
     p = pred.data == label
     g = gt.data == label
     if not p.any() or not g.any():
         raise EmptyMaskError(f"class {label} empty in {'pred' if not p.any() else 'gt'}")
     both = p | g
-    box = []
-    for axis in range(3):
-        hit = np.flatnonzero(both.any(axis=tuple(a for a in range(3) if a != axis)))
-        box.append(slice(hit[0], hit[-1] + 1))
-    p, g = p[tuple(box)], g[tuple(box)]
+    held = (np.flatnonzero(both.reshape(len(both), -1).any(axis=1)), *_held(both))
+    box = tuple(slice(hit[0], hit[-1] + 1) for hit in held)
+    p, g = p[box], g[box]
     base = min(pred.spacing)
     ratio = np.asarray(pred.spacing, dtype=np.float64) / base
     coords = [np.arange(b.start, b.stop, dtype=np.float64) * r for b, r in zip(box, ratio)]
-    worst_sq = max(_farthest_sq(p, g, coords), _farthest_sq(g, p, coords))
+    worst_sq = 0.0
+    for queries, sites in ((p & ~g, g), (g & ~p, p)):
+        if queries.any():
+            worst_sq = max(worst_sq, _farthest_sq(queries, sites, coords))
     return base * float(np.sqrt(worst_sq))
 
 
@@ -159,8 +183,8 @@ def evaluate_case(pred: LabelMap, gt: LabelMap) -> CaseReport:
     _check_grids(pred, gt)
     entries: dict[str, ClassReport] = {}
     for label in FOREGROUND_CLASSES:
-        n_pred = int((pred.data == label).sum())
-        n_gt = int((gt.data == label).sum())
+        n_pred = int(np.count_nonzero(pred.data == label))
+        n_gt = int(np.count_nonzero(gt.data == label))
         d = dice(pred, gt, label)
         hd = None if n_pred == 0 or n_gt == 0 else hausdorff(pred, gt, label)
         entries[CLASS_NAMES[label]] = ClassReport(d, hd, n_pred, n_gt)

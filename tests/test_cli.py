@@ -18,7 +18,7 @@ from cineprop import cli
 from cineprop.cli import EXIT_DEGENERATE, EXIT_IO, EXIT_OK, EXIT_USAGE, run
 from cineprop.phantom import PhantomSpec
 from cineprop.registration import RegistrationParams
-from cineprop.volume import ScalarVolume
+from cineprop.volume import LabelMap, ScalarVolume
 from helpers import TINY_CINE_SPEC, build_nifti_bytes
 from helpers import write_cine_dir as _write_cine_dir
 
@@ -374,6 +374,23 @@ class TestEvaluateCommand:
         assert run(["evaluate", "--pred", str(pred), "--gt", str(gt)]) == EXIT_IO
         err = capsys.readouterr().err
         assert "a_001.mvol and b_001.mvol" in err and "index 1" in err
+
+    @pytest.mark.parametrize("change", ["dims", "spacing"])
+    def test_grid_mismatch_is_io_error(self, tmp_path, capsys, change):
+        pred, gt = tmp_path / "pred", tmp_path / "gt"
+        pred.mkdir()
+        gt.mkdir()
+        data = np.zeros((8, 8, 4), dtype=np.uint8)
+        data[2:6, 2:6, 1:3] = 1
+        io.write_mvol(LabelMap(data), pred / "case_000.mvol")
+        if change == "dims":
+            other = LabelMap(np.concatenate([data, data[:, :, :1]], axis=2))
+        else:
+            other = LabelMap(data, (1.0, 1.0, 2.0))
+        io.write_mvol(other, gt / "case_000.mvol")
+        assert run(["evaluate", "--pred", str(pred), "--gt", str(gt)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(pred / "case_000.mvol") in err and str(gt / "case_000.mvol") in err
 
     def test_empty_dir_is_io_error(self, tmp_path):
         empty = tmp_path / "e"

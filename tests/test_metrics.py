@@ -125,14 +125,20 @@ class TestHausdorff:
 class TestHausdorffExactness:
     """Exact agreement with the brute-force oracle beyond dyadic spacings."""
 
-    @pytest.mark.parametrize("kind", ["float-spacing", "clinical-spacing", "thin-grid"])
+    KINDS = {"float-spacing": 20, "clinical-spacing": 21, "thin-grid": 22, "nested": 23, "edge-voxel": 24}
+
+    @pytest.mark.parametrize("kind", list(KINDS))
     def test_matches_brute_force_exactly(self, kind):
-        rng = np.random.default_rng({"float-spacing": 20, "clinical-spacing": 21, "thin-grid": 22}[kind])
+        # "nested": each class of a lies inside the same class of b, so one
+        # direction has no voxel outside the other mask; "edge-voxel": a and b
+        # differ in one voxel on the grid's boundary, so every class has at
+        # most one such voxel in all
+        rng = np.random.default_rng(self.KINDS[kind])
         checked = 0
         while checked < 600:
             dims = [int(rng.integers(1, 11)) for _ in range(3)]
             spacing = (1.25, 1.25, 8.0)
-            if kind == "float-spacing":
+            if kind in ("float-spacing", "nested"):
                 spacing = tuple(float(s) for s in rng.uniform(0.2, 10.0, size=3))
             elif kind == "thin-grid":
                 for axis in rng.choice(3, size=int(rng.integers(1, 3)), replace=False):
@@ -140,9 +146,19 @@ class TestHausdorffExactness:
                 spacing = tuple(float(s) for s in rng.uniform(0.2, 10.0, size=3))
             a = LabelMap(rng.integers(0, 4, size=dims).astype(np.uint8), spacing)
             b = LabelMap(rng.integers(0, 4, size=dims).astype(np.uint8), spacing)
+            if kind == "nested":
+                a = LabelMap(np.where(rng.random(dims) < 0.6, b.data, 0).astype(np.uint8), spacing)
+            elif kind == "edge-voxel":
+                voxel = [int(rng.integers(0, n)) for n in dims]
+                axis = int(rng.integers(0, 3))
+                voxel[axis] = int(rng.choice([0, dims[axis] - 1]))
+                changed = a.data.copy()
+                changed[tuple(voxel)] = (changed[tuple(voxel)] + rng.integers(1, 4)) % 4
+                b = LabelMap(changed, spacing)
             for label in (1, 2, 3):
                 if (a.data == label).any() and (b.data == label).any():
                     assert hausdorff(a, b, label) == hausdorff_oracle(a, b, label)
+                    assert hausdorff(b, a, label) == hausdorff_oracle(b, a, label)
                     checked += 1
 
     def test_sum_grouping_follows_oracle(self):
@@ -240,5 +256,6 @@ class TestEvaluateCase:
         report = evaluate_case(pred, gt)
         for label, name in ((LV, "LV"), (MYO, "MYO"), (RV, "RV")):
             assert report.entries[name].dice == dice_oracle(pred, gt, label)
+            assert type(report.entries[name].dice) is float and type(report.entries[name].pred_voxels) is int
             if report.entries[name].hausdorff_mm is not None:
                 assert report.entries[name].hausdorff_mm == hausdorff_oracle(pred, gt, label)
