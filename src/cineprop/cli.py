@@ -17,13 +17,14 @@ Every stage scores with NCC.  The ``CINEPROP_WORKERS`` environment variable
 sets the default worker count; the ``--workers`` flag overrides it.  A worker
 count from either that is not an integer >= 1, an ``--iters`` that is empty,
 malformed, has an empty entry or has a count below 1, an ``--n-ref-volumes``
-below 1 and a ``--bins`` below 2 are usage errors (exit code 2) that name the
-flag, found before any input is read.  ``--n-ref-volumes`` above the number of
-reference volumes is capped to it.  ``transfer`` exits 3 before reading any
-volume when a from-vendor subject, which names its output files, is in two
-manifests or contains a path separator; ``evaluate``, pairing by trailing
-index, exits 3 when two label files of one directory share an index, and
-exits 3 naming both files when a pair differs in dims or spacing.
+below 1, a ``--seed`` below 0 and a ``--bins`` below 2 are usage errors (exit
+code 2) that name the flag, found before any input is read or any directory
+made.  ``--n-ref-volumes`` above the number of reference volumes is capped to
+it.  ``transfer`` exits 3 before reading any volume when a from-vendor
+subject, which names its output files, is in two manifests or contains a path
+separator; ``evaluate``, pairing by trailing index, exits 3 when two label
+files of one directory share an index, and exits 3 naming both files when a
+pair differs in dims or spacing.
 """
 
 from __future__ import annotations
@@ -113,11 +114,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_phantom(args) -> int:
+    seed = _integer_at_least(args.seed, 0, "--seed")
     spec = PhantomSpec(  # validated before the output directory is made
         frames=args.frames,
         es_index=0,
         ed_index=args.frames - 1,
-        seed=args.seed,
+        seed=seed,
         noise_sigma=10.0,
     )
     out = Path(args.out)
@@ -145,7 +147,7 @@ def _cmd_phantom(args) -> int:
         {
             "command": "phantom",
             "frames": spec.frames,
-            "seed": args.seed,
+            "seed": seed,
             "dims": "x".join(str(d) for d in spec.dims),
             "manifest": "manifest.txt",
         },
@@ -198,11 +200,12 @@ def _cmd_propagate(args) -> int:
 
 def _cmd_histmatch(args) -> int:
     n_ref = _integer_at_least(args.n_ref_volumes, 1, "--n-ref-volumes")
+    seed = _integer_at_least(args.seed, 0, "--seed")
     manifest = io.read_manifest(args.manifest)
     series = io.load_series(manifest)
     corpus = list(series.frames)
     n = min(n_ref, len(corpus))
-    ref = build_reference(corpus, n, args.seed)
+    ref = build_reference(corpus, n, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     degenerate = 0
@@ -216,7 +219,7 @@ def _cmd_histmatch(args) -> int:
             "subject": manifest.subject_id,
             "matched": len(series.frames),
             "n_ref_volumes": n,
-            "seed": args.seed,
+            "seed": seed,
             "degenerate": degenerate,
         },
         out / "summary.txt",
@@ -240,6 +243,7 @@ def _check_transfer_subjects(manifests, from_vendor: str) -> None:
 
 def _cmd_transfer(args) -> int:
     n_ref = _integer_at_least(args.n_ref_volumes, 1, "--n-ref-volumes")
+    seed = _integer_at_least(args.seed, 0, "--seed")
     manifests = [io.read_manifest(mpath) for mpath in args.manifest]
     _check_transfer_subjects(manifests, args.from_vendor)  # before any volume is read
     volumes = []
@@ -250,9 +254,7 @@ def _cmd_transfer(args) -> int:
             volumes.append((frame, manifest.vendor))
             if manifest.vendor == args.from_vendor:
                 sources.append((manifest.subject_id, t))
-    transferred = vendor_transfer(
-        volumes, args.from_vendor, args.to_vendor, args.seed, n_ref=n_ref
-    )
+    transferred = vendor_transfer(volumes, args.from_vendor, args.to_vendor, seed, n_ref=n_ref)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for (subject, t), vol in zip(sources, transferred):
@@ -263,7 +265,7 @@ def _cmd_transfer(args) -> int:
             "from_vendor": args.from_vendor,
             "to_vendor": args.to_vendor,
             "transferred": len(transferred),
-            "seed": args.seed,
+            "seed": seed,
         },
         out / "summary.txt",
     )
@@ -319,20 +321,17 @@ def _cmd_evaluate(args) -> int:
                 f"{gt_path} has dims {gt.dims} and spacing {gt.spacing}",
             )
         cases.append((name, evaluate_case(pred, gt)))
+    text = io.evaluation_report(cases)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        io.write_evaluation_report(cases, out / "evaluation_report.txt")
+        io.write_text(text, out / "evaluation_report.txt")
         io.write_summary(
             {"command": "evaluate", "cases": len(cases), "report": "evaluation_report.txt"},
             out / "summary.txt",
         )
     else:
-        lines = [f"cases = {len(cases)}"]
-        for name, report in cases:
-            lines.append(f"case = {name}")
-            lines.extend(io.format_case_report(report))
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -348,7 +347,7 @@ def _cmd_report(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        io._atomic_write(out / "histogram_report.txt", text.encode())
+        io.write_text(text, out / "histogram_report.txt")
         io.write_summary(
             {"command": "report", "groups": len(groups), "bins": bins},
             out / "summary.txt",

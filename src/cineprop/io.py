@@ -64,6 +64,11 @@ def _atomic_write(path, payload: bytes) -> None:
         raise
 
 
+def write_text(text: str, path) -> None:
+    """Write a text report atomically, UTF-8 encoded."""
+    _atomic_write(path, text.encode())
+
+
 def write_mvol(obj, path) -> None:
     """Write a ScalarVolume or LabelMap to ``path`` in MVOL format."""
     if isinstance(obj, ScalarVolume):
@@ -304,7 +309,7 @@ def write_manifest(manifest: CineManifest, path) -> None:
         f"ed_label = {rel(manifest.ed_label_path)}",
     ]
     lines += [f"frame = {rel(p)}" for p in manifest.frame_paths]
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    write_text("\n".join(lines) + "\n", path)
 
 
 def load_series(manifest: CineManifest) -> CineSeries:
@@ -328,28 +333,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def format_case_report(report) -> list[str]:
-    """Serialize a metrics CaseReport as ``key = value`` lines."""
-    lines = [f"classes = {','.join(report.class_names())}"]
-    for name in report.class_names():
-        entry = report.entries[name]
-        lines.append(f"{name}.dice = {_fmt(entry.dice)}")
-        hd = "absent" if entry.hausdorff_mm is None else _fmt(entry.hausdorff_mm)
-        lines.append(f"{name}.hausdorff_mm = {hd}")
-        lines.append(f"{name}.pred_voxels = {entry.pred_voxels}")
-        lines.append(f"{name}.gt_voxels = {entry.gt_voxels}")
-    return lines
-
-
-def write_evaluation_report(cases, path) -> None:
-    """Write per-case metric reports plus per-class means.
+def evaluation_report(cases) -> str:
+    """The text of ``evaluation_report.txt``: per-case metric reports as ``key = value`` lines, then per-class means.
 
     ``cases`` is a sequence of ``(name, CaseReport)`` pairs.
     """
     lines: list[str] = [f"cases = {len(cases)}"]
     for name, report in cases:
-        lines.append(f"case = {name}")
-        lines.extend(format_case_report(report))
+        lines += [f"case = {name}", f"classes = {','.join(report.class_names())}"]
+        for cls in report.class_names():
+            entry = report.entries[cls]
+            hd = "absent" if entry.hausdorff_mm is None else _fmt(entry.hausdorff_mm)
+            lines.append(f"{cls}.dice = {_fmt(entry.dice)}")
+            lines.append(f"{cls}.hausdorff_mm = {hd}")
+            lines.append(f"{cls}.pred_voxels = {entry.pred_voxels}")
+            lines.append(f"{cls}.gt_voxels = {entry.gt_voxels}")
     if cases:
         class_names = cases[0][1].class_names()
         for cls in class_names:
@@ -359,7 +357,7 @@ def write_evaluation_report(cases, path) -> None:
             defined = [h for h in hds if h is not None]
             mean_hd = repr(sum(defined) / len(defined)) if defined else "absent"
             lines.append(f"mean.{cls}.hausdorff_mm = {mean_hd}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    return "\n".join(lines) + "\n"
 
 
 def write_propagation_report(results, series_info: dict, path) -> None:
@@ -371,7 +369,7 @@ def write_propagation_report(results, series_info: dict, path) -> None:
         lines.append(f"chosen = {res.chosen_template.value}")
         lines.append(f"es_norm_mm = {_fmt(float(res.es_norm))}")
         lines.append(f"ed_norm_mm = {_fmt(float(res.ed_norm))}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    write_text("\n".join(lines) + "\n", path)
 
 
 def read_propagation_report(path) -> list[dict]:
@@ -396,4 +394,4 @@ def read_propagation_report(path) -> list[dict]:
 def write_summary(info: dict, path) -> None:
     """Write the machine-readable run summary (``key = value`` lines)."""
     lines = [f"{k} = {_fmt(v)}" for k, v in info.items()]
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    write_text("\n".join(lines) + "\n", path)

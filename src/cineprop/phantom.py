@@ -48,6 +48,8 @@ class PhantomSpec:
             raise InvalidParameterError("rv_radius must be positive")
         if self.noise_sigma < 0:
             raise InvalidParameterError("noise_sigma must be >= 0")
+        if self.seed < 0:
+            raise InvalidParameterError("seed must be >= 0")
         if len(set(self.intensities)) != 4:
             raise InvalidParameterError("class intensity levels must be pairwise distinct")
         self._check_bounds()

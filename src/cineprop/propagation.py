@@ -29,8 +29,8 @@ class Template(enum.Enum):
 
 def field_norm(field: DisplacementField) -> float:
     """Mean per-voxel Euclidean displacement magnitude, in mm."""
-    v = field.vectors.reshape(-1, 3)
-    return float(np.mean(np.sqrt(np.sum(v * v, axis=1))))
+    v = field.vectors
+    return float(np.mean(np.sqrt(np.sum(v * v, axis=0))))
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,9 @@ def propagate_frame(series: CineSeries, target: int, params: RegistrationParams 
     if target in (series.es_index, series.ed_index):
         raise InvalidTargetError(f"frame {target} is a template frame and already has a manual label")
 
-    fixed = series.frames[target]
-    shared = _target(fixed, params)
-    es_field = _register_stages(fixed, series.frames[series.es_index], params, shared)
-    ed_field = _register_stages(fixed, series.frames[series.ed_index], params, shared)
+    shared = _target(series.frames[target], params)
+    es_field = _register_stages(shared, series.frames[series.es_index], params)
+    ed_field = _register_stages(shared, series.frames[series.ed_index], params)
     result = PropagationResult(target, None, field_norm(es_field), field_norm(ed_field))  # label set below
     es_chosen = result.chosen_template is Template.ES
     label, field = (series.es_label, es_field) if es_chosen else (series.ed_label, ed_field)

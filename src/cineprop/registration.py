@@ -22,23 +22,23 @@ first such update that does not improve the NCC.  Its level images,
 gradients, update and field are float32 (half the memory traffic of float64
 in the smoothing, the stage's largest cost), both level images scaled by one
 power of two so that every float32 square stays in range and the update does
-not depend on the intensity scale; the NCC sums stay float64.  Fields are
-channel-major, ``(3, nx, ny, nz)``, until the output, which folds the affine
-initialization into one total ``DisplacementField``.  Each pyramid level is
-the finer level's cached ``ScalarVolume.half``: the target's pyramid is built
-once per frame and each template's once per series; only the deformable
-stage's affine-resampled moving image gets a fresh pyramid.  What every
-registration to one target reads of it (its full-resolution NCC statistics
-and its demons levels, ``_Target``) is built once, and ``propagate_frame``
-shares it between the ES and the ED template.
+not depend on the intensity scale; the NCC sums stay float64.  The output
+folds the affine initialization into one total ``DisplacementField``.  Each
+pyramid level is the finer level's cached ``ScalarVolume.half``: the target's
+pyramid is built once per frame and each template's once per series; only
+the deformable stage's affine-resampled moving image gets a fresh pyramid.
+What every registration to one target reads of it (its full-resolution NCC
+statistics and its demons levels, ``_Target``) is built once, and
+``propagate_frame`` shares it between the ES and the ED template.
 
 Conventions:
 
 * ``AffineTransform`` maps fixed-image physical points (mm) to moving-image
   physical points: ``p_moving = matrix @ p_fixed + translation``.
-* ``DisplacementField`` lives on the fixed grid; ``vectors[i,j,k]`` is the
-  mm offset added to voxel ``(i,j,k)``'s position before sampling the moving
-  image (pull-back convention).
+* ``DisplacementField`` lives on the fixed grid; ``vectors[:, i, j, k]`` is
+  the mm offset added to voxel ``(i, j, k)``'s position before sampling the
+  moving image (pull-back convention).  Every field, inside the stages and
+  out, is channel-major: ``(3, nx, ny, nz)``.
 """
 
 from __future__ import annotations
@@ -97,15 +97,15 @@ class AffineTransform:
 
 @dataclass(frozen=True, eq=False)
 class DisplacementField:
-    """Per-voxel mm displacements on the fixed grid."""
+    """Per-voxel mm displacements on the fixed grid, channel-major: ``vectors`` is ``(3, nx, ny, nz)``."""
 
     vectors: np.ndarray
     spacing: tuple[float, float, float]
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=np.float64)
-        if v.ndim != 4 or v.shape[3] != 3:
-            raise InvalidParameterError(f"field must have shape (nx, ny, nz, 3), got {v.shape}")
+        if v.ndim != 4 or v.shape[0] != 3:
+            raise InvalidParameterError(f"field must have shape (3, nx, ny, nz), got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise InvalidParameterError("field contains non-finite components")
         v = np.ascontiguousarray(v)
@@ -115,7 +115,7 @@ class DisplacementField:
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        return self.vectors.shape[:3]
+        return self.vectors.shape[1:]
 
     def __reduce__(self):  # unpickled through the constructor, so ``vectors`` is checked and read-only again
         return type(self), (self.vectors, self.spacing)
@@ -168,11 +168,11 @@ def _centred(fixed) -> _Centred:
     return _Centred(ac, float(np.sum(ac * ac)))
 
 
-def _ncc(fixed):
+def _ncc(fixed: _Centred):
     """``(score, d_score)`` against one fixed sample: ``score(warped)``, lower is better, and its gradient per sample.
 
-    ``fixed`` is the sample or its ``_centred`` statistics, which a caller
-    that scores against one image many times computes once.  The score is
+    ``fixed`` is the sample's ``_centred`` statistics, which a caller that
+    scores against one image many times computes once.  The score is
     the negative normalized cross-correlation in [-1, 1], 0 when either image
     is constant.  Both functions cast the warped sample to float64 first, so
     a float32 sample is summed in float64 (its squares would overflow
@@ -180,7 +180,7 @@ def _ncc(fixed):
     BLAS dot products, so they run on the calling thread and round the same
     way every time.
     """
-    ac, va = fixed if isinstance(fixed, _Centred) else _centred(fixed)
+    ac, va = fixed
 
     def score(warped) -> float:
         b = np.asarray(warped, dtype=np.float64).ravel()
@@ -207,25 +207,33 @@ def _grid_axes(dims, spacing, stride: int = 1) -> tuple[np.ndarray, np.ndarray, 
     return tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
 
 
+def _affine_positions(transform: AffineTransform, grid, spacing) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat voxel-unit positions, in an image of ``spacing``, of the affine images of fixed-grid mm points."""
+    points = _affine_columns(transform.matrix, transform.translation, *grid)
+    return tuple((p / s).ravel() for p, s in zip(points, spacing))
+
+
 def _sample_affine(moving: ScalarVolume, transform: AffineTransform, grid) -> np.ndarray:
     """Moving intensities (float32) at the affine images of fixed-grid mm points, flat in C-index order."""
-    ms = moving.spacing
-    x, y, z = _affine_columns(transform.matrix, transform.translation, *grid)
-    return trilinear_sample_many(moving, (x / ms[0]).ravel(), (y / ms[1]).ravel(), (z / ms[2]).ravel())
+    return trilinear_sample_many(moving, *_affine_positions(transform, grid, moving.spacing))
+
+
+def _composed_field(transform: AffineTransform, u, dims, spacing) -> DisplacementField:
+    """The field of ``transform`` applied after the mm offsets ``u``: ``A(v + u(v)) + b - v`` at each grid point v."""
+    grid = _grid_axes(dims, spacing)
+    moved = _affine_columns(transform.matrix, transform.translation, *(g + u[c] for c, g in enumerate(grid)))
+    return DisplacementField(np.stack([p - g for p, g in zip(moved, grid)]), tuple(spacing))
 
 
 def affine_to_field(transform: AffineTransform, dims, spacing) -> DisplacementField:
     """The displacement field realizing an affine on a given fixed grid."""
-    grid = _grid_axes(dims, spacing)
-    moved = _affine_columns(transform.matrix, transform.translation, *grid)
-    return DisplacementField(np.stack([p - g for p, g in zip(moved, grid)], axis=-1), tuple(spacing))
+    return _composed_field(transform, np.zeros(3), dims, spacing)
 
 
 def _warp_positions(u, spacing) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat voxel-unit sample positions: every voxel of the grid moved by its mm offset.
 
-    ``u`` holds the three offset components, channel-major (``(3, nx, ny,
-    nz)``, or a ``DisplacementField``'s vectors moved to that layout);
+    ``u`` holds the three offset components of a ``(3, nx, ny, nz)`` field;
     ``spacing`` is the sampled image's, which converts the offsets to voxels.
     """
     grid = _grid_axes(u[0].shape, (1.0, 1.0, 1.0))
@@ -234,13 +242,13 @@ def _warp_positions(u, spacing) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def warp_image(moving: ScalarVolume, field: DisplacementField) -> ScalarVolume:
     """Sample the moving image at each fixed-grid point offset by the field."""
-    vals = trilinear_sample_many(moving, *_warp_positions(np.moveaxis(field.vectors, -1, 0), moving.spacing))
+    vals = trilinear_sample_many(moving, *_warp_positions(field.vectors, moving.spacing))
     return ScalarVolume(vals.reshape(field.dims), field.spacing)
 
 
 def warp_label(moving: LabelMap, field: DisplacementField) -> LabelMap:
     """As warp_image but with nearest-neighbor lookup, so class codes never blend."""
-    labels = nearest_sample_many(moving, *_warp_positions(np.moveaxis(field.vectors, -1, 0), moving.spacing))
+    labels = nearest_sample_many(moving, *_warp_positions(field.vectors, moving.spacing))
     return LabelMap(labels.reshape(field.dims), field.spacing)
 
 
@@ -451,7 +459,7 @@ def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, to_t
     stride = max(1, round(np.cbrt(n_total / _MAX_OBJECTIVE_SAMPLES) + 0.49999))
     grid = _grid_axes(dims, spacing, stride)
     fixed_sample = fixed_level.data[::stride, ::stride, ::stride]
-    score, d_score = _ncc(fixed_sample)
+    score, d_score = _ncc(_centred(fixed_sample))
     channels = _value_and_gradient_images(moving_level.data)
     axes = [g.ravel() for g in grid]
     ms, m_dims = moving_level.spacing, moving_level.dims
@@ -464,9 +472,7 @@ def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, to_t
         return score(_sample_affine(moving_level, tf, grid))
 
     def gradient(theta) -> np.ndarray:
-        tf = to_transform(theta)
-        points = _affine_columns(tf.matrix, tf.translation, *grid)
-        pos = [(p / s).ravel() for p, s in zip(points, ms)]
+        pos = _affine_positions(to_transform(theta), grid, ms)
         samples = _trilinear(channels, *pos)
         dw = d_score(samples[0])
         d_affine = np.empty(12)  # d score / d (matrix entries, translation)
@@ -530,8 +536,7 @@ class _Target(NamedTuple):
 
     ``ncc`` holds the full-resolution image's NCC statistics, against which
     every stage is judged; ``demons`` holds one ``_DemonsLevel`` (or None)
-    per pyramid level, coarse to fine, and is empty where no deformable stage
-    runs (``_linear_target``).
+    per pyramid level, coarse to fine.
     """
 
     volume: ScalarVolume
@@ -541,11 +546,6 @@ class _Target(NamedTuple):
 
 def _target(fixed: ScalarVolume, params: RegistrationParams) -> _Target:
     return _Target(fixed, _centred(fixed.data), tuple(_demons_level_data(f_l) for f_l in _pyramid(fixed, params)))
-
-
-def _linear_target(fixed: ScalarVolume) -> _Target:
-    """``_target`` without the demons levels, which only the deformable stage reads."""
-    return _Target(fixed, _centred(fixed.data), ())
 
 
 def _judge(target: _Target, moving: ScalarVolume, transform: AffineTransform) -> _Stage:
@@ -619,7 +619,7 @@ def register_rigid(fixed: ScalarVolume, moving: ScalarVolume, params: Registrati
     resolution; the rotation block is orthonormal by parametrization.
     """
     _check_pair(fixed, moving)
-    return _rigid(_linear_target(fixed), moving, params).transform
+    return _rigid(_target(fixed, params), moving, params).transform
 
 
 def register_affine(
@@ -627,7 +627,7 @@ def register_affine(
 ) -> AffineTransform:
     """12-DOF refinement of an initial transform; where the refinement scores worse, ``init`` itself is returned."""
     _check_pair(fixed, moving)
-    target = _linear_target(fixed)
+    target = _target(fixed, params)
     return _affine(target, moving, _judge(target, moving, init), params).transform
 
 
@@ -680,10 +680,7 @@ def _deformable(target: _Target, moving: ScalarVolume, init: _Stage, params: Reg
         if level is not None:
             u = _demons_level(level, m_l, u, n_iter)
 
-    # total(v) = A(v_mm + u(v)) + b - v_mm : exact composition with the affine
-    grid = _grid_axes(fixed.dims, fixed.spacing)
-    moved = _affine_columns(affine.matrix, affine.translation, *(g + u[c] for c, g in enumerate(grid)))
-    total_field = DisplacementField(np.stack([p - g for p, g in zip(moved, grid)], axis=-1), fixed.spacing)
+    total_field = _composed_field(affine, u, fixed.dims, fixed.spacing)
     if _ncc(target.ncc)[0](warp_image(moving, total_field).data) > init.score:
         return affine_to_field(affine, fixed.dims, fixed.spacing)  # the affine's own sample scored better
     return total_field
@@ -705,15 +702,12 @@ def register_deformable(
     return _deformable(target, moving, _judge(target, moving, init), params)
 
 
-def _register_stages(
-    fixed: ScalarVolume, moving: ScalarVolume, params: RegistrationParams, target: _Target | None = None
-) -> DisplacementField:
+def _register_stages(target: _Target, moving: ScalarVolume, params: RegistrationParams) -> DisplacementField:
     """``register_rigid``, ``register_affine`` and ``register_deformable`` chained, each stage's sample passed on.
 
-    ``target`` is ``_target(fixed, params)``, built here unless a caller
-    registering several templates to ``fixed`` passes the one it shares.
+    ``target`` is ``_target(fixed, params)``, which a caller registering
+    several templates to one fixed image builds once and shares.
     """
-    _check_pair(fixed, moving)
-    target = _target(fixed, params) if target is None else target
+    _check_pair(target.volume, moving)
     rigid = _rigid(target, moving, params)
     return _deformable(target, moving, _affine(target, moving, rigid, params), params)

@@ -58,6 +58,8 @@ def build_reference(corpus: list[ScalarVolume], n: int, seed: int) -> ReferenceH
         raise InvalidParameterError("corpus is empty")
     if not 1 <= n <= len(corpus):
         raise InvalidParameterError(f"n must be in [1, {len(corpus)}], got {n}")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(corpus), size=n, replace=False)
     slices = []
@@ -84,13 +86,12 @@ def histogram_match(vol: ScalarVolume, ref: ReferenceHistogram) -> MatchResult:
         filled = np.full(vol.dims, ref.median, dtype=np.float32)
         return MatchResult(ScalarVolume(filled, vol.spacing), True)
     # the source CDF, quantized to SOURCE_BINS bins over the volume's own range, at mid-rank per bin
-    values = vol.data.ravel()
-    lo, hi = float(values.min()), float(values.max())
-    counts, _ = np.histogram(values, bins=np.linspace(lo, hi, SOURCE_BINS + 1))
-    cum = np.cumsum(counts, dtype=np.float64)
-    midrank = (np.concatenate([[0.0], cum[:-1]]) + cum) / (2.0 * cum[-1])
+    lo, hi = float(vol.data.min()), float(vol.data.max())
     bins = ((vol.data.astype(np.float64) - lo) / (hi - lo) * SOURCE_BINS).astype(np.int64)
-    matched = ref.quantile(midrank)[np.clip(bins, 0, SOURCE_BINS - 1)].astype(np.float32)
+    bins = np.minimum(bins, SOURCE_BINS - 1)  # the maximum closes the last bin
+    cum = np.cumsum(np.bincount(bins.ravel(), minlength=SOURCE_BINS), dtype=np.float64)
+    midrank = (np.concatenate([[0.0], cum[:-1]]) + cum) / (2.0 * cum[-1])
+    matched = ref.quantile(midrank)[bins].astype(np.float32)
     return MatchResult(ScalarVolume(matched, vol.spacing), False)
 
 

@@ -345,6 +345,21 @@ class TestEvaluateCommand:
             if ".dice = " in line and not line.startswith("mean"):
                 assert line.endswith("= 1.0")
 
+    def test_stdout_is_the_written_report(self, tmp_path, capsys):
+        _, cine = _write_cine_dir(tmp_path / "cine")
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for t, label in enumerate(cine.ground_truth):  # one frame off by a voxel, so the means are not all 1.0
+            data = np.roll(label.data, 1, axis=0) if t == 1 else label.data
+            io.write_mvol(LabelMap(data, label.spacing), pred / f"label_{t:03d}.mvol")
+        argv = ["evaluate", "--pred", str(pred), "--gt", str(tmp_path / "cine")]
+        assert run(argv + ["--out", str(tmp_path / "eval")]) == EXIT_OK
+        capsys.readouterr()
+        assert run(argv) == EXIT_OK
+        written = (tmp_path / "eval" / "evaluation_report.txt").read_bytes()
+        assert b"\nmean.LV.dice = " in written
+        assert capsys.readouterr().out.encode() == written
+
     def test_pairs_by_index_when_names_differ(self, tmp_path):
         _, cine = _write_cine_dir(tmp_path / "cine")
         pred = tmp_path / "pred"
@@ -459,13 +474,27 @@ class TestUsageErrors:
             ("transfer", "--n-ref-volumes", "0"),
             ("report", "--bins", "0"),
             ("report", "--bins", "1"),
+            ("phantom", "--seed", "-1"),
+            ("histmatch", "--seed", "-1"),
+            ("transfer", "--seed", "-1"),
         ],
-        ids=["histmatch-n-ref-0", "histmatch-n-ref--3", "transfer-n-ref-0", "report-bins-0", "report-bins-1"],
+        ids=[
+            "histmatch-n-ref-0",
+            "histmatch-n-ref--3",
+            "transfer-n-ref-0",
+            "report-bins-0",
+            "report-bins-1",
+            "phantom-seed--1",
+            "histmatch-seed--1",
+            "transfer-seed--1",
+        ],
     )
     def test_reference_and_bin_counts_checked_before_input(self, tmp_path, capsys, command, flag, value):
         # a missing manifest: the flag must be rejected, by name, before the manifest is read
         out = tmp_path / "out"
-        argv = [command, "--manifest", str(tmp_path / "nope.txt"), "--out", str(out), flag, value]
+        argv = [command, "--out", str(out), flag, value]
+        if command != "phantom":  # phantom reads no input, so it must fail before making its directory
+            argv += ["--manifest", str(tmp_path / "nope.txt")]
         if command == "transfer":
             argv += ["--from-vendor", "A", "--to-vendor", "B"]
         assert run(argv) == EXIT_USAGE

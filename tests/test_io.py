@@ -341,7 +341,7 @@ class TestReports:
         assert records[0]["es_norm_mm"] == 0.25
         assert records[1]["ed_norm_mm"] == 0.3
 
-    def test_case_report_format(self, tmp_path):
+    def test_case_report_format(self):
         from cineprop.metrics import CaseReport, ClassReport
 
         report = CaseReport(
@@ -351,11 +351,9 @@ class TestReports:
                 "RV": ClassReport(0.0, None, 0, 7),
             }
         )
-        lines = io.format_case_report(report)
-        assert "classes = LV,MYO,RV" in lines
+        lines = io.evaluation_report([("case0", report)]).splitlines()
+        assert lines[:3] == ["cases = 1", "case = case0", "classes = LV,MYO,RV"]
         assert "LV.dice = 1.0" in lines
         assert "RV.hausdorff_mm = absent" in lines
-        io.write_evaluation_report([("case0", report)], tmp_path / "eval.txt")
-        text = (tmp_path / "eval.txt").read_text()
-        assert "mean.LV.dice = 1.0" in text
-        assert "mean.RV.hausdorff_mm = absent" in text
+        assert "mean.LV.dice = 1.0" in lines
+        assert "mean.RV.hausdorff_mm = absent" in lines

@@ -30,6 +30,10 @@ class TestSpecValidation:
         with pytest.raises(InvalidParameterError, match="bounds"):
             PhantomSpec(dims=(24, 24, 24))  # default radii exceed a 24-voxel grid
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidParameterError, match="seed"):
+            PhantomSpec(seed=-1)
+
     def test_equal_templates_rejected(self):
         with pytest.raises(InvalidParameterError):
             PhantomSpec(es_index=2, ed_index=2)

@@ -51,25 +51,25 @@ def series_results(tiny_cine):
 
 class TestFieldNorm:
     def test_zero_field(self):
-        field = DisplacementField(np.zeros((3, 3, 3, 3)), (1, 1, 1))
+        field = DisplacementField(np.zeros((3, 5, 6, 4)), (1, 1, 1))
         assert field_norm(field) == 0.0
 
     def test_uniform_field_closed_form(self):
-        u = np.zeros((4, 4, 4, 3))
-        u[..., 0] = 3.0
-        u[..., 1] = 4.0
+        u = np.zeros((3, 5, 6, 4))
+        u[0] = 3.0
+        u[1] = 4.0
         assert field_norm(DisplacementField(u, (1, 1, 1))) == pytest.approx(5.0, abs=1e-12)
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(0)
-        u = rng.normal(0, 2, size=(4, 4, 4, 3))
+        u = rng.normal(0, 2, size=(3, 5, 6, 4))
         field = DisplacementField(u, (1, 1, 1))
         total = 0.0
-        for i in range(4):
-            for j in range(4):
+        for i in range(5):
+            for j in range(6):
                 for k in range(4):
-                    total += float(np.sqrt(u[i, j, k] @ u[i, j, k]))
-        assert field_norm(field) == pytest.approx(total / 64, abs=1e-12)
+                    total += float(np.sqrt(u[:, i, j, k] @ u[:, i, j, k]))
+        assert field_norm(field) == pytest.approx(total / 120, abs=1e-12)
 
 
 class TestCandidateInvariants:

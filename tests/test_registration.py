@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cineprop.registration import (
     _affine_params_jacobian,
     _affine_params_to_transform,
     _center_mm,
+    _centred,
     _descend,
     _level_objective,
     _ncc,
@@ -73,12 +75,12 @@ def _smooth_random(seed, dims=(12, 12, 12)):
 class TestSimilarity:
     def test_identical_ncc_minus_one(self):
         vol = _smooth_random(1)
-        assert _ncc(vol.data)[0](vol.data) == pytest.approx(-1.0, abs=1e-12)
+        assert _ncc(_centred(vol.data))[0](vol.data) == pytest.approx(-1.0, abs=1e-12)
 
     def test_constant_ncc_is_zero(self):
         a = ScalarVolume(np.full((3, 3, 3), 5.0))
         b = _smooth_random(2, dims=(3, 3, 3))
-        assert _ncc(a.data)[0](b.data) == 0.0
+        assert _ncc(_centred(a.data))[0](b.data) == 0.0
 
 
 class TestAffineTransform:
@@ -98,8 +100,12 @@ class TestDisplacementField:
         with pytest.raises(InvalidParameterError):
             DisplacementField(np.zeros((2, 2, 2)), (1, 1, 1))
 
+    def test_channel_last_rejected(self):
+        with pytest.raises(InvalidParameterError, match=re.escape("(3, nx, ny, nz)")):
+            DisplacementField(np.zeros((5, 6, 4, 3)), (1, 1, 1))
+
     def test_non_finite_rejected(self):
-        v = np.zeros((2, 2, 2, 3))
+        v = np.zeros((3, 5, 6, 4))
         v[0, 0, 0, 0] = np.inf
         with pytest.raises(InvalidParameterError):
             DisplacementField(v, (1, 1, 1))
@@ -137,30 +143,30 @@ class TestParams:
 
 class TestWarpImage:
     def test_zero_field_identity(self):
-        vol = _smooth_random(3)
-        field = DisplacementField(np.zeros((*vol.dims, 3)), vol.spacing)
+        vol = _smooth_random(3, dims=(7, 6, 5))
+        field = DisplacementField(np.zeros((3, *vol.dims)), vol.spacing)
         out = warp_image(vol, field)
         assert np.array_equal(out.data, vol.data)
 
     def test_uniform_shift_one_voxel(self):
-        vol = _smooth_random(4)
-        u = np.zeros((*vol.dims, 3))
-        u[..., 0] = vol.spacing[0]  # +1 voxel along x in mm
+        vol = _smooth_random(4, dims=(7, 6, 5))
+        u = np.zeros((3, *vol.dims))
+        u[0] = vol.spacing[0]  # +1 voxel along x in mm
         out = warp_image(vol, DisplacementField(u, vol.spacing))
         assert np.array_equal(out.data[:-1], vol.data[1:])
 
     def test_matches_per_voxel_oracle(self):
         vol = _smooth_random(5, dims=(7, 6, 5))
         rng = np.random.default_rng(6)
-        u = rng.normal(0, 0.8, size=(*vol.dims, 3))
+        u = rng.normal(0, 0.8, size=(3, *vol.dims))
         out = warp_image(vol, DisplacementField(u, vol.spacing))
         for _ in range(60):
             i, j, k = (int(rng.integers(0, n)) for n in vol.dims)
             expected = trilinear_long_hand(
                 vol,
-                i + u[i, j, k, 0] / vol.spacing[0],
-                j + u[i, j, k, 1] / vol.spacing[1],
-                k + u[i, j, k, 2] / vol.spacing[2],
+                i + u[0, i, j, k] / vol.spacing[0],
+                j + u[1, i, j, k] / vol.spacing[1],
+                k + u[2, i, j, k] / vol.spacing[2],
             )
             assert float(out.data[i, j, k]) == pytest.approx(expected, abs=1e-5)
 
@@ -168,22 +174,22 @@ class TestWarpImage:
 class TestWarpLabel:
     def test_zero_field_identity(self):
         rng = np.random.default_rng(7)
-        lm = LabelMap(rng.integers(0, 4, size=(6, 6, 6)).astype(np.uint8))
-        field = DisplacementField(np.zeros((6, 6, 6, 3)), lm.spacing)
+        lm = LabelMap(rng.integers(0, 4, size=(7, 6, 5)).astype(np.uint8))
+        field = DisplacementField(np.zeros((3, 7, 6, 5)), lm.spacing)
         assert np.array_equal(warp_label(lm, field).data, lm.data)
 
     def test_uniform_shift_preserves_interior(self):
         rng = np.random.default_rng(8)
-        lm = LabelMap(rng.integers(0, 4, size=(8, 8, 8)).astype(np.uint8))
-        u = np.zeros((8, 8, 8, 3))
-        u[..., 0] = 1.0
+        lm = LabelMap(rng.integers(0, 4, size=(8, 6, 5)).astype(np.uint8))
+        u = np.zeros((3, 8, 6, 5))
+        u[0] = 1.0
         out = warp_label(lm, DisplacementField(u, lm.spacing))
         assert np.array_equal(out.data[:-1], lm.data[1:])
 
     def test_never_emits_absent_label(self):
         rng = np.random.default_rng(9)
-        lm = LabelMap((rng.integers(0, 2, size=(6, 6, 6)) * 3).astype(np.uint8))  # only {0, 3}
-        u = rng.normal(0, 2.0, size=(6, 6, 6, 3))
+        lm = LabelMap((rng.integers(0, 2, size=(7, 6, 5)) * 3).astype(np.uint8))  # only {0, 3}
+        u = rng.normal(0, 2.0, size=(3, 7, 6, 5))
         out = warp_label(lm, DisplacementField(u, lm.spacing))
         assert set(np.unique(out.data)) <= {0, 3}
 
@@ -318,7 +324,7 @@ class TestBlasFreeArithmetic:
     def test_similarity_matches_dot_forms(self):
         rng = np.random.default_rng(1)
         fixed = rng.normal(100.0, 30.0, size=self.N).astype(np.float32)
-        score_ncc = _ncc(fixed)[0]
+        score_ncc = _ncc(_centred(fixed))[0]
         for sign in (1.0, -1.0):  # the fixed-side terms are reused across calls
             warped = sign * fixed + rng.normal(0.0, 20.0, size=self.N)
             ref = _ncc_by_dot(fixed, warped)
@@ -486,7 +492,7 @@ class TestAffine:
         init = AffineTransform.identity()
         params = RegistrationParams()
         tf = register_affine(vol, moving, init, params)
-        score = _ncc(vol.data)[0]
+        score = _ncc(_centred(vol.data))[0]
         f_init = score(resample_affine(moving, init, vol).data)
         f_final = score(resample_affine(moving, tf, vol).data)
         assert f_final <= f_init
@@ -506,7 +512,7 @@ class TestDeformable:
     def test_self_registration_near_zero_field(self, small_phantom):
         vol, _ = small_phantom
         field = register_deformable(vol, vol, AffineTransform.identity(), RegistrationParams())
-        mags = np.sqrt((field.vectors**2).sum(axis=-1))
+        mags = np.sqrt((field.vectors**2).sum(axis=0))
         assert float(mags.mean()) < 0.05 * min(vol.spacing)
 
     def test_constant_fixed_degenerate(self):
@@ -522,7 +528,7 @@ class TestDeformable:
         rigid = register_rigid(fixed, moving, params)
         affine = register_affine(fixed, moving, rigid, params)
         field = register_deformable(fixed, moving, affine, params)
-        score = _ncc(fixed.data)[0]
+        score = _ncc(_centred(fixed.data))[0]
         f_before = score(resample_affine(moving, AffineTransform.identity(), fixed).data)
         f_rigid = score(resample_affine(moving, rigid, fixed).data)
         f_affine = score(resample_affine(moving, affine, fixed).data)
@@ -666,7 +672,7 @@ class TestStageRecord:
         rigid = register_rigid(fixed, moving, self.PARAMS)
         affine = register_affine(fixed, moving, rigid, self.PARAMS)
         want = register_deformable(fixed, moving, affine, self.PARAMS)
-        got = registration._register_stages(fixed, moving, self.PARAMS)
+        got = registration._register_stages(registration._target(fixed, self.PARAMS), moving, self.PARAMS)
         assert got.vectors.tobytes() == want.vectors.tobytes()
 
     def test_affine_fallback_returns_init_itself(self, monkeypatch):
@@ -685,7 +691,7 @@ class TestStageRecord:
         lambda: ScalarVolume(np.arange(64, dtype=np.float32).reshape(4, 4, 4), (1.0, 1.5, 2.0)),
         lambda: LabelMap(np.arange(64).reshape(4, 4, 4) % 4, (1.0, 1.5, 2.0)),
         lambda: AffineTransform(np.diag([1.0, 2.0, 0.5]), np.array([1.0, -2.0, 3.0])),
-        lambda: DisplacementField(np.linspace(-1.0, 1.0, 192).reshape(4, 4, 4, 3), (1.0, 1.5, 2.0)),
+        lambda: DisplacementField(np.linspace(-1.0, 1.0, 360).reshape(3, 5, 6, 4), (1.0, 1.5, 2.0)),
     ],
     ids=["ScalarVolume", "LabelMap", "AffineTransform", "DisplacementField"],
 )
@@ -704,14 +710,17 @@ def test_pickling_rebuilds_through_the_constructor(make):
 
 class TestAffineToField:
     def test_identity_gives_zero_field(self):
-        field = affine_to_field(AffineTransform.identity(), (4, 4, 4), (1.0, 1.0, 1.0))
+        field = affine_to_field(AffineTransform.identity(), (5, 6, 4), (1.0, 1.5, 2.0))
+        assert field.vectors.shape == (3, 5, 6, 4)
         assert np.all(field.vectors == 0.0)
 
     def test_translation_field(self):
         tf = AffineTransform(np.eye(3), np.array([1.5, 0.0, -2.0]))
-        field = affine_to_field(tf, (3, 3, 3), (1.0, 1.0, 1.0))
-        assert np.all(field.vectors[..., 0] == 1.5)
-        assert np.all(field.vectors[..., 2] == -2.0)
+        field = affine_to_field(tf, (5, 6, 4), (1.0, 1.5, 2.0))
+        assert field.vectors.shape == (3, 5, 6, 4)
+        assert np.all(field.vectors[0] == 1.5)
+        assert np.all(field.vectors[1] == 0.0)
+        assert np.all(field.vectors[2] == -2.0)
 
 
 class TestUpsampleField:

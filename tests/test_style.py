@@ -27,6 +27,17 @@ def _z_replicated(rng, dims=(12, 12, 8)):
     return ScalarVolume(np.repeat(plate[:, :, None], dims[2], axis=2))
 
 
+def _on_bin_edges(rng):
+    """Values on, and one float32 step either side of, every source-bin edge of an irregular range.
+
+    One z-slice, so the slice is the whole volume; the range's ends are its extremes.
+    """
+    lo, hi = np.float32(-37.3), np.float32(211.9)
+    edges = np.linspace(float(lo), float(hi), SOURCE_BINS + 1).astype(np.float32)
+    values = np.concatenate([np.nextafter(edges, lo), edges, np.nextafter(edges, hi)])
+    return ScalarVolume(rng.permutation(values).reshape(-1, 3, 1))
+
+
 class TestBuildReference:
     def test_single_constant_volume(self):
         vol = ScalarVolume(np.full((4, 4, 4), 7.0, dtype=np.float32))
@@ -66,16 +77,21 @@ class TestBuildReference:
         with pytest.raises(InvalidParameterError):
             build_reference([vol], 2, seed=0)
 
+    def test_negative_seed_rejected(self):
+        vol = ScalarVolume(np.zeros((2, 2, 2)))
+        with pytest.raises(InvalidParameterError, match="seed"):
+            build_reference([vol], 1, seed=-1)
+
 
 class TestHistogramMatch:
     def test_self_match_within_one_quantization_step(self):
         rng = np.random.default_rng(5)
-        vol = _z_replicated(rng)
-        ref = build_reference([vol], 1, seed=6)
-        matched, degenerate = histogram_match(vol, ref)
-        assert not degenerate
-        step = (float(vol.data.max()) - float(vol.data.min())) / SOURCE_BINS
-        assert float(np.abs(matched.data - vol.data).max()) <= step + 1e-5
+        for vol in (_z_replicated(rng), _on_bin_edges(rng)):
+            ref = build_reference([vol], 1, seed=6)
+            matched, degenerate = histogram_match(vol, ref)
+            assert not degenerate
+            step = (float(vol.data.max()) - float(vol.data.min())) / SOURCE_BINS
+            assert float(np.abs(matched.data - vol.data).max()) <= step + 1e-5
 
     def test_two_point_mapping(self):
         from cineprop.style import ReferenceHistogram
