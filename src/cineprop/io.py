@@ -229,11 +229,15 @@ _MANIFEST_KEYS = ("subject", "vendor", "center", "es_index", "ed_index", "es_lab
 
 
 def read_manifest(path) -> CineManifest:
-    """Parse and validate a cine manifest file."""
+    """Parse and validate a cine manifest file, UTF-8 encoded as ``write_manifest`` writes it."""
     path = Path(path)
     values: dict[str, str] = {}
     frames: list[str] = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestError("encoding", f"{path}: not valid UTF-8 (byte {exc.start})") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -376,7 +380,7 @@ def read_propagation_report(path) -> list[dict]:
     """Parse a propagation report back into per-frame records (for tooling/tests)."""
     records: list[dict] = []
     current: dict | None = None
-    for line in Path(path).read_text().splitlines():
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if not line or "=" not in line:
             continue

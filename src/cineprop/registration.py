@@ -6,15 +6,21 @@ descent over unit-normalized parameters, a backtracking line search that
 interpolates its next step from a quadratic model and gives up at a 64th of a
 voxel or degree, and a stop on small relative improvement.  Gradients are
 analytic: the NCC's derivative with respect to each warped sample, times the
-moving image's central-difference gradient sampled at the warped point,
-times the derivative of that point with respect to the parameters
-(dS/dw . grad M(T(x)) . dT/dtheta, as in elastix).  The result never scores
-worse at full resolution than the stage's fallback (the identity for rigid,
-the initial transform for affine).  Each stage passes its full-resolution
-sample on to the next as a ``_Stage``; a public stage function samples its
-own ``init``.  Images are sampled in their own precision, float32, and the
-NCC sums over a sample are float64.  The identity on the fixed image's own
-grid needs no sampling: its sample is the moving image's voxels.
+moving image's central-difference gradient sampled at the warped point, times
+the derivative of that point with respect to the parameters (dS/dw . grad
+M(T(x)) . dT/dtheta, as in elastix).  Each level's objective scores a strided
+sample of about ``_MAX_OBJECTIVE_SAMPLES`` fixed voxels or fewer (4,096 at the
+finest level of a 96x96x12 or 48^3 grid), a few thousand being enough for a
+linear registration objective (Klein et al. 2007, *IEEE TIP* 16(12)).
+Scoring a candidate keeps its positions and their trilinear plan, and the
+gradient at that candidate samples the moving image's gradient images through
+the same plan.  The result never scores worse at full resolution than the
+stage's fallback (the identity for rigid, the initial transform for affine).
+Each stage passes its full-resolution sample on to the next as a ``_Stage``;
+a public stage function samples its own ``init``.  Images are sampled in
+their own precision, float32, and the NCC sums over a sample are float64.
+The identity on the fixed image's own grid needs no sampling: its sample is
+the moving image's voxels.
 The deformable stage is demons-style: on each pyramid level it moves a dense
 displacement field along the fixed-image gradient, scaled by the intensity
 difference, smooths the field with a Gaussian, and ends the level at the
@@ -54,7 +60,11 @@ from .errors import DegenerateInputError, InvalidParameterError
 from .volume import (
     LabelMap,
     ScalarVolume,
+    _cells,
+    _Plan,
     _trilinear,
+    _trilinear_apply,
+    _trilinear_plan,
     gaussian_smooth_array,
     nearest_sample_many,
     trilinear_sample_many,
@@ -65,7 +75,7 @@ _DEMONS_SIGMA_VOX = 1.5  # Gaussian smoothing of each demons candidate field, in
 _MIN_STEP_FRACTION = 1 / 32  # line search gives up below this fraction of its largest step
 _CONVERGENCE_WINDOW = 5  # iterations over which relative improvement is measured
 _CONVERGENCE_TOL = 1e-4  # converged once a window improves by less than this, relative
-_MAX_OBJECTIVE_SAMPLES = 48_000  # rigid/affine objectives subsample above this
+_MAX_OBJECTIVE_SAMPLES = 12_000  # rigid/affine objectives subsample above this
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,6 +293,8 @@ def _pyramid_levels(fixed: ScalarVolume, moving: ScalarVolume, params: Registrat
 def _line_search(objective, theta, direction, f_cur: float, lam: float, slope: float):
     """The first ``theta + lam * direction`` that scores below ``f_cur``, backtracking after each that does not.
 
+    ``objective(theta)`` returns ``(score, record)`` (see ``_descend``).
+
     ``slope`` is the objective's derivative per unit ``lam`` along
     ``direction``.  After a rejected candidate scoring ``f_cand``, the next
     ``lam`` is the minimizer of the quadratic through ``f_cur``, ``slope`` and
@@ -292,15 +304,15 @@ def _line_search(objective, theta, direction, f_cur: float, lam: float, slope: f
     ``f_cand`` is no lower than ``f_cur``.  Where that quadratic has no
     minimizer ahead (an infinite ``f_cand`` from a singular candidate, or a
     direction that does not descend) ``lam`` is halved.  Returns
-    ``(theta, score, next_lam)``, the next step being the accepted one grown
-    by 1.5 up to ``_STEP_SIZE``; or None once ``lam`` falls below
+    ``(theta, score, record, next_lam)``, the next step being the accepted
+    one grown by 1.5 up to ``_STEP_SIZE``; or None once ``lam`` falls below
     ``_MIN_STEP_FRACTION * _STEP_SIZE``, a 64th of a voxel or degree.
     """
     while lam >= _MIN_STEP_FRACTION * _STEP_SIZE:
         moved = theta + lam * direction
-        f_cand = objective(moved)
+        f_cand, record = objective(moved)
         if f_cand < f_cur:
-            return moved, f_cand, min(lam * 1.5, _STEP_SIZE)
+            return moved, f_cand, record, min(lam * 1.5, _STEP_SIZE)
         curv = f_cand - f_cur - slope * lam
         if slope < 0.0 and curv > 0.0 and math.isfinite(f_cand):
             lam = max(-slope * lam * lam / (2.0 * curv), 0.1 * lam)
@@ -321,9 +333,13 @@ def _converged(window: list, f_cur: float) -> bool:
 def _descend(objective, gradient, theta0, units, iterations):
     """Descent over unit-normalized parameters with quadratic backtracking on non-improvement.
 
-    ``gradient(theta)`` is the objective's gradient with respect to theta; it
-    is called once per iteration, and ``objective`` only at the start and in
-    the line search.  Search directions are conjugate-gradient
+    ``objective(theta)`` returns ``(score, record)``, and
+    ``gradient(theta, record)`` is the objective's gradient with respect to
+    theta, given the record of the same theta, so it can reuse what scoring
+    it computed.  The descent holds the record of its current theta: from
+    the start or from the last accepted search.  The gradient is called once
+    per iteration, and ``objective`` only at the start and in the line
+    search.  Search directions are conjugate-gradient
     (Polak-Ribiere) combinations of the gradients per parameter unit, which
     follow the curved valleys that couple rotation/scale with translation far
     better than raw steepest descent.  The gradient also gives the
@@ -339,14 +355,14 @@ def _descend(objective, gradient, theta0, units, iterations):
     """
     theta = np.asarray(theta0, dtype=np.float64).copy()
     units = np.asarray(units, dtype=np.float64)
-    f_cur = objective(theta)
+    f_cur, record = objective(theta)
     trace = [f_cur]
     lam = _STEP_SIZE
     g_prev = None
     d_prev = None
     window = [f_cur]
     for _ in range(iterations):
-        grad_units = gradient(theta) * units  # change per unit step of each parameter
+        grad_units = gradient(theta, record) * units  # change per unit step of each parameter
         if g_prev is not None:
             beta = max(0.0, float(grad_units @ (grad_units - g_prev)) / float(g_prev @ g_prev))
             d = -grad_units + beta * d_prev
@@ -360,10 +376,10 @@ def _descend(objective, gradient, theta0, units, iterations):
         if step is None:
             if d_prev is None:
                 break  # even the steepest direction fails: converged
-            g_prev = d_prev = None  # restart from the plain gradient
+            g_prev = d_prev = None  # restart from the plain gradient, at the same theta and record
             lam = 0.25 * _STEP_SIZE
             continue
-        theta, f_cur, lam = step
+        theta, f_cur, record, lam = step
         trace.append(f_cur)
         g_prev, d_prev = grad_units, d
         if _converged(window, f_cur):
@@ -430,29 +446,48 @@ def _transform_to_affine_params(transform: AffineTransform, center) -> np.ndarra
     return np.concatenate([transform.matrix.ravel(), t_center])
 
 
-def _value_and_gradient_images(data: np.ndarray) -> np.ndarray:
-    """``data`` and its central-difference gradient along each axis (voxel units), channel-major: ``(4, nx, ny, nz)``.
+def _gradient_images(data: np.ndarray) -> np.ndarray:
+    """``data``'s central-difference gradient along each axis (voxel units), channel-major: ``(3, nx, ny, nz)``.
 
     The gradient along an axis of length 1 is zero.
     """
-    grads = [np.gradient(data, axis=a) if n > 1 else np.zeros_like(data) for a, n in enumerate(data.shape)]
-    return np.stack([data, *grads])
+    return np.stack([np.gradient(data, axis=a) if n > 1 else np.zeros_like(data) for a, n in enumerate(data.shape)])
+
+
+class _Candidate(NamedTuple):
+    """What a level objective computed to score one theta, kept for the gradient at that theta.
+
+    ``positions`` are the flat voxel-unit sample positions in the moving
+    level, ``plan`` the ``_Plan`` that samples them, and ``sample`` the
+    moving level's float32 values there.
+    """
+
+    positions: tuple
+    plan: _Plan
+    sample: np.ndarray
 
 
 def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, to_transform, jacobian):
     """``(objective, gradient)`` over a deterministic sample of the fixed grid.
 
-    Above _MAX_OBJECTIVE_SAMPLES voxels the grid is strided, which keeps one
-    evaluation cheap at fine pyramid levels without giving up determinism.
-    ``jacobian(theta)`` is the 12xP derivative of ``to_transform(theta)``'s
-    (row-major matrix entries, translation) with respect to theta.
+    Above _MAX_OBJECTIVE_SAMPLES voxels the grid is strided by the smallest
+    whole stride that brings the sample to about that count or below: on
+    96x96x12 and 48^3 grids the finest level strides 3 (4,096 points) and
+    the next strides 2 (1,728 points).  This keeps one evaluation cheap
+    without giving up determinism.  ``jacobian(theta)`` is the 12xP
+    derivative of ``to_transform(theta)``'s (row-major matrix entries,
+    translation) with respect to theta.
 
-    The gradient samples the moving image and its gradient images at the
-    warped points with one float32 trilinear pass over their four planes.  A
-    point clamped along an axis does not move with the transform along that
-    axis, so its gradient component there is zero.  The sums over the sparse
-    grid are taken per axis: ``sum(v * x)`` over the grid is
-    ``sum(x * (v summed over y, z))``.
+    ``objective(theta)`` returns ``(score, candidate)``: the score and a
+    ``_Candidate`` holding the positions, their trilinear plan and the value
+    sample, or ``(inf, None)`` for a singular transform.  The positions come
+    from a finite transform, so they skip ``trilinear_sample_many``'s finite
+    check.  ``gradient(theta, candidate)`` samples the moving image's three
+    gradient images through the candidate's plan, so it works out no
+    position or cell again.  A point clamped along an axis does not move
+    with the transform along that axis, so its gradient component there is
+    zero.  The sums over the sparse grid are taken per axis: ``sum(v * x)``
+    over the grid is ``sum(x * (v summed over y, z))``.
     """
     dims, spacing = fixed_level.dims, fixed_level.spacing
     n_total = dims[0] * dims[1] * dims[2]
@@ -460,26 +495,29 @@ def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, to_t
     grid = _grid_axes(dims, spacing, stride)
     fixed_sample = fixed_level.data[::stride, ::stride, ::stride]
     score, d_score = _ncc(_centred(fixed_sample))
-    channels = _value_and_gradient_images(moving_level.data)
+    moving = moving_level.data
+    grads = _gradient_images(moving)
     axes = [g.ravel() for g in grid]
     ms, m_dims = moving_level.spacing, moving_level.dims
 
-    def objective(theta) -> float:
+    def objective(theta):
         try:
             tf = to_transform(theta)
         except InvalidParameterError:
-            return math.inf  # singular candidate: reject, the line search backs off
-        return score(_sample_affine(moving_level, tf, grid))
+            return math.inf, None  # singular candidate: reject, the line search backs off
+        pos = _affine_positions(tf, grid, ms)
+        plan = _trilinear_plan(m_dims, moving.dtype, *pos)
+        sample = _trilinear_apply(plan, moving)
+        return score(sample), _Candidate(pos, plan, sample)
 
-    def gradient(theta) -> np.ndarray:
-        pos = _affine_positions(to_transform(theta), grid, ms)
-        samples = _trilinear(channels, *pos)
-        dw = d_score(samples[0])
+    def gradient(theta, candidate: _Candidate) -> np.ndarray:
+        pos, samples = candidate.positions, _trilinear_apply(candidate.plan, grads)
+        dw = d_score(candidate.sample)
         d_affine = np.empty(12)  # d score / d (matrix entries, translation)
         for r in range(3):
             inside = (pos[r] >= 0.0) & (pos[r] <= m_dims[r] - 1.0)
             # d score / d point_r (mm) per sample, on the sample grid
-            v = ((dw * samples[1 + r]) * inside).reshape(fixed_sample.shape) / ms[r]
+            v = ((dw * samples[r]) * inside).reshape(fixed_sample.shape) / ms[r]
             v_xy = np.sum(v, axis=2)
             d_affine[3 * r] = np.sum(np.sum(v_xy, axis=1) * axes[0])
             d_affine[3 * r + 1] = np.sum(np.sum(v_xy, axis=0) * axes[1])
@@ -632,8 +670,24 @@ def register_affine(
 
 
 def _upsample_field(u: np.ndarray, new_dims) -> np.ndarray:
-    """Resample a channel-major ``(3, nx, ny, nz)`` mm field onto a finer grid (fine = coarse*2), in its dtype."""
-    return _trilinear(u, *_grid_axes(new_dims, (0.5, 0.5, 0.5)))
+    """Resample a channel-major ``(3, nx, ny, nz)`` mm field onto a finer grid (fine = coarse*2), in its dtype.
+
+    Fine index i samples coarse position i/2 (clamped), trilinearly, as
+    ``_trilinear(u, *_grid_axes(new_dims, (0.5, 0.5, 0.5)))`` does and bit
+    for bit: three separable lerp passes, along x, then y, then z, with the
+    kernel's cells and fractions and its lerp ``a + f * (b - a)``.  The
+    kernel lerps x first, then y, then z, so each output sees the same
+    operations in the same order, and no point is gathered 8 times.
+    """
+    for axis, n_fine in enumerate(new_dims, start=1):
+        n = u.shape[axis]
+        cell, frac = _cells(np.arange(n_fine, dtype=np.float64) * 0.5, n)
+        lo = cell.astype(np.intp)
+        lower, upper = np.take(u, lo, axis=axis), np.take(u, lo + 1 if n > 1 else lo, axis=axis)
+        upper -= lower
+        upper *= frac.astype(u.dtype).reshape([-1 if a == axis else 1 for a in range(u.ndim)])
+        u = np.add(lower, upper, out=lower)
+    return u
 
 
 def _demons_level(fixed_level: _DemonsLevel, moving_level: ScalarVolume, u: np.ndarray, n_iter: int) -> np.ndarray:

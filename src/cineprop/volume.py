@@ -4,14 +4,19 @@ Volumes are immutable.  A ``ScalarVolume`` keeps one lazily computed value,
 its ``half`` (``downsample2x`` of itself): registration walks that chain as
 its pyramid, so each volume is downsampled once per level, however often used.
 
-Trilinear sampling (``_trilinear``) runs in blocks of ``_BLOCK_POINTS``
-positions, so a full-grid call works on cache-sized temporaries.  Each
-position goes through the same operations in the same order whichever block
-holds it, so the bytes do not depend on the blocking.  It interpolates in the
-data's precision: a ``ScalarVolume`` (float32) samples to float32, float64
-data to float64.  Multi-channel data (gradient images, displacement fields
-inside registration) is channel-major, ``(C, nx, ny, nz)``, so each channel
-is gathered and interpolated as one contiguous plane.
+Trilinear sampling has two halves: a plan (``_trilinear_plan``), which works
+out each position's flat cell index and fractions, and an apply step
+(``_trilinear_apply``), which gathers 8 corners and runs 7 lerps per plane
+through it.  ``_trilinear`` is one plan applied once; registration's linear
+objectives apply one plan to the moving image and again to its gradient
+images.  Both halves run in blocks of ``_BLOCK_POINTS`` positions, so a
+full-grid call works on cache-sized temporaries.  Each position goes through
+the same operations in the same order whichever block holds it, so the bytes
+do not depend on the blocking.  It interpolates in the data's precision: a
+``ScalarVolume`` (float32) samples to float32, float64 data to float64.
+Multi-channel data (gradient images, displacement fields inside
+registration) is channel-major, ``(C, nx, ny, nz)``, so each channel is
+gathered and interpolated as one contiguous plane.
 
 Conventions used throughout the package:
 
@@ -30,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -178,58 +184,119 @@ def _check_points(xs, ys, zs):
     return xs, ys, zs
 
 
-def _trilinear(data: np.ndarray, xs, ys, zs) -> np.ndarray:
-    """Trilinear interpolation of a raw 3D array at float64 positions (voxel units, clamped), in ``data``'s dtype.
+class _Plan(NamedTuple):
+    """Where a trilinear sampling reads each position on a ``dims`` grid: the set-up half of ``_trilinear``.
 
-    The one lerp kernel behind volume and field sampling.  The result is
-    float32 for float32 data and float64 otherwise, with the positions'
-    broadcast shape; channel-major data, ``(C, nx, ny, nz)``, gives
-    ``(C, *shape)``, each channel plane sampled with the same cell indices
-    and weights.  Positions are evaluated in blocks of at most
-    ``_BLOCK_POINTS`` (or one entry of the leading axis, if that is more)
-    along the leading axis of that shape, each written into one
-    preallocated result, so a full-grid call's temporaries stay in cache
-    instead of being a dozen fresh full-size arrays.  A position array of
-    leading length 1 (as along the other axes of a sparse grid) serves every
-    block whole.  Each element sees the same operations in the same order in
-    whichever block it falls, so the bytes do not depend on the blocking.
-    The positions are never written (callers read them again).
+    ``shape`` is the positions' broadcast shape.  ``blocks`` holds, per
+    block of at most ``_BLOCK_POINTS`` positions, ``(index, base, fx, fy,
+    fz)``: the block's index into the leading axis of ``shape``, the flat
+    cell index ``(x0*ny + y0)*nz + z0`` of each position, and its three
+    fractions in ``dtype``, the precision every lerp runs in.  One plan
+    serves any number of planes on that grid.
     """
-    planes = data if data.ndim == 4 else data[None]
-    shape = np.broadcast_shapes(np.shape(xs), np.shape(ys), np.shape(zs))
-    out = np.empty((len(planes), *shape), dtype=np.float32 if data.dtype == np.float32 else np.float64)
+
+    dims: tuple[int, int, int]
+    dtype: np.dtype
+    shape: tuple
+    blocks: Iterable
+
+
+def _cells(pos, n: int):
+    """Float64 lower cell index and fraction of voxel-unit positions along an axis of ``n`` voxels (clamped).
+
+    The cell is at most ``n - 2``, so its upper neighbour exists (the cell
+    is 0 when ``n`` is 1): a position on the last voxel has fraction 1.
+    ``pos`` is never written.
+    """
+    frac = np.clip(pos, 0.0, n - 1.0)  # a fresh array, so the caller's positions stay as they are
+    cell = np.minimum(np.floor(frac), n - 2 if n > 1 else 0)
+    frac -= cell
+    return cell, frac
+
+
+def _plan_blocks(dims, dtype, shape, xs, ys, zs) -> Iterator[tuple]:
+    """``_Plan.blocks``, one block at a time, along the leading axis of ``shape``.
+
+    A block is at most ``_BLOCK_POINTS`` positions (or one entry of the
+    leading axis, if that is more).  A position array of leading length 1
+    (as along the other axes of a sparse grid) serves every block whole.
+    The cell indices are worked out in float64 and cast to indices once;
+    each fraction is cast once to ``dtype``.  The positions are never
+    written (callers read them again).
+    """
     if not shape:  # one position
-        _trilinear_block(planes, xs, ys, zs, out)
+        blocks = [(Ellipsis, (xs, ys, zs))]
     else:
         rows = max(1, _BLOCK_POINTS // max(1, math.prod(shape[1:])))  # leading-axis entries per block
         # a position array spans the leading axis only if it has every axis and a leading length above 1
         split = [np.ndim(p) == len(shape) and np.shape(p)[0] > 1 for p in (xs, ys, zs)]
-        for start in range(0, shape[0], rows):
-            block = slice(start, start + rows)
-            pos = [p[block] if s else p for p, s in zip((xs, ys, zs), split)]
-            _trilinear_block(planes, *pos, out[:, block])
+        blocks = (
+            (block, [p[block] if s else p for p, s in zip((xs, ys, zs), split)])
+            for block in (slice(start, start + rows) for start in range(0, shape[0], rows))
+        )
+    for block, pos in blocks:
+        base, fracs = 0, []
+        for p, n in zip(pos, dims):
+            cell, frac = _cells(p, n)
+            base = base * n + cell  # whole numbers, exact in float64: cast to indices once, below
+            fracs.append(frac.astype(dtype, copy=False))
+        yield (block, base.astype(np.intp), *fracs)
+
+
+def _trilinear_plan(dims, dtype, xs, ys, zs, once: bool = False) -> _Plan:
+    """The ``_Plan`` of float64 positions (voxel units, clamped) on a ``dims`` grid, sampled in ``dtype``.
+
+    Built once, it samples several images at the same positions with no
+    index set-up after the first.  With ``once``, for a plan applied once,
+    its blocks are a generator instead: each is built just before its
+    lerps, so a full-grid call holds one block's indices at a time.
+    """
+    shape = np.broadcast_shapes(np.shape(xs), np.shape(ys), np.shape(zs))
+    blocks = _plan_blocks(dims, dtype, shape, xs, ys, zs)
+    return _Plan(tuple(dims), dtype, shape, blocks if once else tuple(blocks))
+
+
+def _trilinear_apply(plan: _Plan, data: np.ndarray) -> np.ndarray:
+    """Sample ``data``, ``(nx, ny, nz)`` or channel-major ``(C, nx, ny, nz)``, through ``plan``: the lerp half.
+
+    ``data`` has the plan's dims and is gathered into the plan's dtype.
+    The result has the positions' shape, ``(C, *shape)`` for channel-major
+    data, each block written into one preallocated result, so a full-grid
+    call's temporaries stay in cache instead of being a dozen fresh
+    full-size arrays.  Each element sees the same operations in the same
+    order in whichever block it falls, so the bytes do not depend on the
+    blocking.
+    """
+    planes = data if data.ndim == 4 else data[None]
+    if planes.shape[1:] != plan.dims:
+        raise InvalidParameterError(f"a plan on a {plan.dims} grid cannot sample data of shape {data.shape}")
+    out = np.empty((len(planes), *plan.shape), dtype=plan.dtype)
+    for block, base, fx, fy, fz in plan.blocks:
+        _lerp_block(planes, base, fx, fy, fz, out[:, block])
     return out if data.ndim == 4 else out[0, ...]
 
 
-def _trilinear_block(planes: np.ndarray, xs, ys, zs, result: np.ndarray) -> np.ndarray:
-    """One block of ``_trilinear``: every plane of ``planes`` (C, nx, ny, nz) into ``result`` (C, block shape).
+def _trilinear(data: np.ndarray, xs, ys, zs) -> np.ndarray:
+    """Trilinear interpolation of a raw 3D array at float64 positions (voxel units, clamped), in ``data``'s dtype.
 
-    The cell indices are worked out in float64 and the three fractions are
-    then cast once to ``result``'s dtype, in which every corner difference
-    and lerp runs.  Each plane's 8 corners are taken from its flat
-    ``(nx*ny*nz,)`` view at index ``(x0*ny + y0)*nz + z0`` plus one offset
-    per corner (0 along a length-1 axis), and the 7 lerps run in place.
+    A plan applied once: float32 for float32 data and float64 otherwise,
+    each channel plane of channel-major data sampled with the same cell
+    indices and weights.
+    """
+    dtype = np.float32 if data.dtype == np.float32 else np.float64
+    return _trilinear_apply(_trilinear_plan(data.shape[-3:], dtype, xs, ys, zs, once=True), data)
+
+
+def _lerp_block(planes: np.ndarray, base, fx, fy, fz, result: np.ndarray) -> np.ndarray:
+    """One block of ``_trilinear_apply``: every plane of ``planes`` (C, nx, ny, nz) into ``result`` (C, block shape).
+
+    Every corner difference and lerp runs in ``result``'s dtype.  Each
+    plane's 8 corners are taken from its flat ``(nx*ny*nz,)`` view at
+    ``base`` plus one offset per corner (0 along a length-1 axis), and the
+    7 lerps run in place.
     """
     nx, ny, nz = planes.shape[1:]
     dtype = result.dtype
-    base, fracs = 0, []
-    for pos, n in zip((xs, ys, zs), (nx, ny, nz)):
-        frac = np.clip(pos, 0.0, n - 1.0)  # a fresh array, so the caller's positions stay as they are
-        cell = np.minimum(np.floor(frac), n - 2 if n > 1 else 0)
-        frac -= cell
-        base = base * n + cell  # whole numbers, exact in float64: cast to indices once, below
-        fracs.append(frac.astype(dtype, copy=False))
-    base, (fx, fy, fz) = base.astype(np.intp), fracs
     dx, dy, dz = (ny * nz if nx > 1 else 0), (nz if ny > 1 else 0), (1 if nz > 1 else 0)  # one step along each axis
     c1, hi, tmp = (np.empty(base.shape, dtype=dtype) for _ in range(3))
 

@@ -98,6 +98,14 @@ class TestPropagateCommand:
         code = run(["propagate", "--manifest", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o")])
         assert code == EXIT_IO
 
+    def test_undecodable_manifest_is_io_error(self, tmp_path, capsys):
+        # a byte that is not UTF-8, whatever the locale's encoding: an error naming the file, not a traceback
+        mpath = tmp_path / "m.txt"
+        mpath.write_bytes(b"subject = a\xff\n")
+        assert run(["propagate", "--manifest", str(mpath), "--out", str(tmp_path / "o")]) == EXIT_IO
+        assert "m.txt" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_non_finite_vox_offset_is_io_error(self, tmp_path):
         mpath, _ = _write_cine_dir(tmp_path / "cine")
         raw = bytearray(build_nifti_bytes(np.ones((20, 20, 20), dtype=np.float32)))

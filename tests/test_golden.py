@@ -36,16 +36,16 @@ THICK_FRAME = (
 # `phantom --frames 4`, then `propagate --iters 5,5,5`: file digest, template, ES and ED norms per pseudo-label
 CLI_PHANTOM = {
     "pseudo_label_001.mvol": (
-        "01834cb196c0544e77e1d4d8ff6c8782e88ac1450cae0225d6f506dd3e0132c7",
+        "63f2120e9e77352fda79b6d95435f0c60f93f3927992cce0d7fdc77ee77d681d",
         "ED",
-        1.1943358629479837,
-        1.1246427728746475,
+        1.7357399649918839,
+        1.1696229943734333,
     ),
     "pseudo_label_002.mvol": (
         "9bb540b1fe61b768e54fe2ed0f5410a0b474225a9f686b312959eec79c46bbf5",
         "ED",
-        2.5900099177330476,
-        0.42942842968796296,
+        2.6005432779418904,
+        0.44236338497326216,
     ),
 }
 

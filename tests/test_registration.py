@@ -20,12 +20,12 @@ from cineprop.registration import (
     _center_mm,
     _centred,
     _descend,
+    _gradient_images,
     _level_objective,
     _ncc,
     _pose_jacobian,
     _pose_to_transform,
     _upsample_field,
-    _value_and_gradient_images,
     affine_to_field,
     register_affine,
     register_deformable,
@@ -33,7 +33,7 @@ from cineprop.registration import (
     warp_image,
     warp_label,
 )
-from cineprop.volume import LV, LabelMap, ScalarVolume, gaussian_smooth_array, trilinear_sample_many
+from cineprop.volume import LV, LabelMap, ScalarVolume, _trilinear, gaussian_smooth_array, trilinear_sample_many
 from helpers import fd_gradient, resample_affine, shift_volume, thick_slice_series, trilinear_long_hand
 
 SMALL_SPEC = PhantomSpec(
@@ -200,9 +200,9 @@ class TestDescend:
 
         def objective(theta):
             d = theta - target
-            return float(d @ d)
+            return float(d @ d), None
 
-        def gradient(theta):
+        def gradient(theta, record):
             return 2.0 * (theta - target)
 
         theta, trace = _descend(objective, gradient, np.zeros(3), np.ones(3), 100)
@@ -218,15 +218,33 @@ class TestDescend:
         def objective(theta):
             calls.append("f")
             d = theta - target
-            return float(d @ d)
+            return float(d @ d), theta.copy()
 
-        def gradient(theta):
+        def gradient(theta, record):
             calls.append("g")
+            assert np.array_equal(record, theta)  # the record of the theta the gradient is asked for
             return 2.0 * (theta - target)
 
         _, trace = _descend(objective, gradient, np.zeros(3), np.ones(3), 7)
         assert len(trace) == 8
         assert calls == ["f"] + ["g", "f"] * 7
+
+    def test_restart_keeps_the_record_of_its_theta(self):
+        # the conjugate direction overshoots a narrow valley and its search fails; the plain-gradient
+        # restart starts from the same theta, and its gradient gets that theta's record, not a rejected one
+        records = []
+
+        def objective(theta):
+            return float(theta[0] ** 2 + 100.0 * theta[1] ** 2), theta.copy()
+
+        def gradient(theta, record):
+            records.append(record)
+            assert np.array_equal(record, theta)
+            return np.array([2.0 * theta[0], 200.0 * theta[1]])
+
+        _descend(objective, gradient, np.array([3.0, 0.05]), np.ones(2), 20)
+        # a restart asks for the gradient at the theta of the failed search: two calls in a row, one record
+        assert any(a is b for a, b in zip(records, records[1:]))
 
     @pytest.mark.parametrize("fail", ["flat", "singular", "steep"])
     def test_failing_search_stops_at_the_step_floor(self, fail):
@@ -237,9 +255,9 @@ class TestDescend:
 
         def objective(theta):
             calls.append(theta[0])
-            return 1.0 if theta[0] == 0.0 else lowest
+            return (1.0 if theta[0] == 0.0 else lowest), None
 
-        theta, trace = _descend(objective, lambda theta: np.array([-1.0]), np.zeros(1), np.ones(1), 10)
+        theta, trace = _descend(objective, lambda theta, record: np.array([-1.0]), np.zeros(1), np.ones(1), 10)
         assert trace == [1.0] and theta[0] == 0.0
         assert 2 <= len(calls) <= 1 + 6
         assert min(calls[1:]) >= registration._STEP_SIZE / 64
@@ -255,8 +273,8 @@ class TestLineSearch:
         def objective(theta):
             lams.append(float(theta[0]))
             if values is not None:
-                return values(theta[0])
-            return float((theta[0] - m) ** 2)
+                return values(theta[0]), None
+            return float((theta[0] - m) ** 2), None
 
         slope = -2.0 * m if slope is None else slope
         return registration._line_search(objective, np.zeros(1), np.ones(1), m * m, 0.5, slope), lams
@@ -265,7 +283,7 @@ class TestLineSearch:
         # 0.5 overshoots m = 0.2; the quadratic through f(0), f'(0) and f(0.5) is the objective itself
         step, lams = self._search(0.2)
         assert lams == pytest.approx([0.5, 0.2], abs=1e-12)
-        theta, score, next_lam = step
+        theta, score, _, next_lam = step
         assert theta[0] == pytest.approx(0.2, abs=1e-12)
         assert score == pytest.approx(0.0, abs=1e-20)
         assert next_lam == pytest.approx(0.3, abs=1e-12)
@@ -343,15 +361,16 @@ class TestBlasFreeArithmetic:
         )
         theta = np.concatenate([(np.eye(3) + rng.normal(scale=0.005, size=(3, 3))).ravel(), [0.5, -0.4, 1.0]])
         tf = _affine_params_to_transform(theta, center)
-        # the reference strides the 110k-voxel grid exactly as the objective does (stride 2)
-        axes = [np.arange(0, n, 2, dtype=np.float64) * s for n, s in zip(fixed.dims, spacing)]
+        # the reference strides the 110k-voxel grid exactly as the objective does, by its own formula
+        stride = max(1, round(np.cbrt(self.N / registration._MAX_OBJECTIVE_SAMPLES) + 0.49999))
+        axes = [np.arange(0, n, stride, dtype=np.float64) * s for n, s in zip(fixed.dims, spacing)]
         grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
         pts = grid @ tf.matrix.T + tf.translation
         warped = trilinear_sample_many(moving, pts[:, 0] / 1.5, pts[:, 1] / 1.5, pts[:, 2] / 8.0)
-        ref = _ncc_by_dot(fixed.data[::2, ::2, ::2], warped)
+        ref = _ncc_by_dot(fixed.data[::stride, ::stride, ::stride], warped)
         assert abs(ref) > 0.5
-        assert math.isclose(objective(theta), ref, rel_tol=self.RTOL, abs_tol=0.0)
-        assert objective(np.zeros(12)) == math.inf  # singular candidate: the line search must back off
+        assert math.isclose(objective(theta)[0], ref, rel_tol=self.RTOL, abs_tol=0.0)
+        assert objective(np.zeros(12)) == (math.inf, None)  # singular candidate: the line search must back off
 
 
 def _ramped_blob(shape, spacing, offset=(0.0, 0.0)):
@@ -375,7 +394,7 @@ class TestAnalyticGradient:
     """The level objective's analytic gradient against central finite differences of the objective.
 
     96x96x12 voxels at 1.5x1.5x8 mm: the full-resolution level of the
-    thick-slice workload, whose objective strides its grid by 2.  Gradients
+    thick-slice workload, whose objective strides its grid by 3.  Gradients
     are compared per parameter unit, the scale the descent steps in; the
     probe is 0.1 unit.
     """
@@ -400,19 +419,18 @@ class TestAnalyticGradient:
         """Cosine and largest error relative to the largest oracle component; ``moving_offset`` is in mm."""
         fixed, moving, to_transform, jacobian, units = self._setup(stage, moving_offset)
         objective, gradient = _level_objective(fixed, moving, to_transform, jacobian)
-        analytic = gradient(theta) * units
-        oracle = fd_gradient(objective, theta, units) * units
+        analytic = gradient(theta, objective(theta)[1]) * units
+        oracle = fd_gradient(lambda th: objective(th)[0], theta, units) * units
         cosine = float(analytic @ oracle) / float(np.linalg.norm(analytic) * np.linalg.norm(oracle))
         return cosine, float(np.max(np.abs(analytic - oracle)) / np.max(np.abs(oracle)))
 
     def test_gradient_images_zero_along_single_slice(self):
         data = np.arange(20, dtype=np.float32).reshape(5, 4, 1) ** 2
-        channels = _value_and_gradient_images(data)
-        assert channels.shape == (4, 5, 4, 1) and channels.dtype == np.float32
-        assert np.array_equal(channels[0], data)
-        assert np.array_equal(channels[1], np.gradient(data, axis=0))
-        assert np.array_equal(channels[2], np.gradient(data, axis=1))
-        assert not np.any(channels[3])
+        channels = _gradient_images(data)
+        assert channels.shape == (3, 5, 4, 1) and channels.dtype == np.float32
+        assert np.array_equal(channels[0], np.gradient(data, axis=0))
+        assert np.array_equal(channels[1], np.gradient(data, axis=1))
+        assert not np.any(channels[2])
 
     @pytest.mark.parametrize("stage", ["rigid", "affine"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -441,6 +459,77 @@ class TestAnalyticGradient:
         # read 0.99990-1 and 0.003-0.016; without the clamp mask 0.9950-0.99985 and 0.063-0.29
         assert cosine >= 0.9999
         assert rel <= 0.03
+
+
+class TestSharedPlan:
+    """The gradient samples through the plan of the candidate the objective scored at the same theta."""
+
+    SHAPE, SPACING = TestAnalyticGradient.SHAPE, TestAnalyticGradient.SPACING
+
+    def _level(self):
+        fixed = _ramped_blob(self.SHAPE, self.SPACING)
+        moving = _ramped_blob(self.SHAPE, self.SPACING, (2.0, -3.0))
+        center = _center_mm(fixed)
+        jac = _affine_params_jacobian(center)
+        return fixed, moving, (lambda th: _affine_params_to_transform(th, center)), (lambda th: jac)
+
+    def test_gradient_works_out_no_positions(self, monkeypatch):
+        # one descent on one level: every position set comes from an objective evaluation, none from a gradient
+        fixed, moving, to_transform, jacobian = self._level()
+        positions, evals, grads = [], [], []
+        affine_positions = registration._affine_positions
+        monkeypatch.setattr(registration, "_affine_positions", lambda *a: positions.append(1) or affine_positions(*a))
+        objective, gradient = _level_objective(fixed, moving, to_transform, jacobian)
+
+        def counted_objective(theta):
+            evals.append(1)
+            return objective(theta)
+
+        def counted_gradient(theta, record):
+            grads.append(1)
+            return gradient(theta, record)
+
+        theta0 = registration._transform_to_affine_params(AffineTransform.identity(), _center_mm(fixed))
+        units = np.array([0.05] * 9 + list(self.SPACING))
+        _descend(counted_objective, counted_gradient, theta0, units, 5)
+        assert len(grads) >= 3
+        assert len(positions) == len(evals)
+
+    def test_gradient_matches_the_four_plane_form(self):
+        # the form the shared plan replaced: the value and the three gradient images stacked and sampled
+        # together at freshly computed positions.  A 9 mm z shift and a tilt clamp part of the top
+        # sampled slice, and a 20 mm x shift part of the last columns, so the clamp mask takes effect.
+        fixed, moving, to_transform, jacobian = self._level()
+        theta = np.concatenate([np.eye(3).ravel(), [20.0, 0.0, 9.0]])
+        theta[7] = 0.1
+        objective, gradient = _level_objective(fixed, moving, to_transform, jacobian)
+        score, record = objective(theta)
+
+        n = math.prod(fixed.dims)
+        stride = max(1, round(np.cbrt(n / registration._MAX_OBJECTIVE_SAMPLES) + 0.49999))
+        grid = registration._grid_axes(fixed.dims, fixed.spacing, stride)
+        fixed_sample = fixed.data[::stride, ::stride, ::stride]
+        d_score = _ncc(_centred(fixed_sample))[1]
+        pos = registration._affine_positions(to_transform(theta), grid, moving.spacing)
+        samples = _trilinear(np.stack([moving.data, *_gradient_images(moving.data)]), *pos)
+        axes = [g.ravel() for g in grid]
+        dw = d_score(samples[0])
+        d_affine = np.empty(12)
+        clamped = 0
+        for r in range(3):
+            inside = (pos[r] >= 0.0) & (pos[r] <= moving.dims[r] - 1.0)
+            clamped += int(np.count_nonzero(~inside))
+            v = ((dw * samples[1 + r]) * inside).reshape(fixed_sample.shape) / moving.spacing[r]
+            v_xy = np.sum(v, axis=2)
+            d_affine[3 * r] = np.sum(np.sum(v_xy, axis=1) * axes[0])
+            d_affine[3 * r + 1] = np.sum(np.sum(v_xy, axis=0) * axes[1])
+            d_affine[3 * r + 2] = np.sum(np.sum(v, axis=(0, 1)) * axes[2])
+            d_affine[9 + r] = np.sum(v_xy)
+        want = np.sum(d_affine[:, None] * jacobian(theta), axis=0)
+        assert clamped > 0
+        assert record.sample.tobytes() == samples[0].tobytes()
+        assert score == _ncc(_centred(fixed_sample))[0](samples[0])
+        assert gradient(theta, record).tobytes() == want.tobytes()
 
 
 class TestRigid:
@@ -724,6 +813,27 @@ class TestAffineToField:
 
 
 class TestUpsampleField:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "coarse_dims, fine_dims",
+        [
+            ((48, 48, 6), (96, 96, 12)),
+            ((24, 24, 3), (48, 48, 6)),
+            ((24, 24, 3), (47, 48, 5)),
+            ((5, 1, 4), (10, 1, 8)),
+            ((7, 6, 5), (13, 11, 9)),
+        ],
+    )
+    def test_separable_passes_equal_the_kernel(self, coarse_dims, fine_dims, dtype):
+        # bit for bit the trilinear kernel at coarse position i/2, including the last fine index of an even
+        # axis, which lerps from cell n-2 at fraction 1, and a -0.0 that the lerp turns into 0.0
+        u = np.random.default_rng(5).normal(size=(3, *coarse_dims)).astype(dtype)
+        u[0, 0, 0, 0] = -0.0
+        want = _trilinear(u, *registration._grid_axes(fine_dims, (0.5, 0.5, 0.5)))
+        got = _upsample_field(u, fine_dims)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("fine_dims", [(10, 8, 6), (9, 7, 5)])
     def test_linear_field_reproduced_and_clamped(self, fine_dims):
         coarse_dims = (5, 4, 3)
