@@ -24,7 +24,8 @@ it.  ``transfer`` exits 3 before reading any volume when a from-vendor
 subject, which names its output files, is in two manifests or contains a path
 separator; ``evaluate``, pairing by trailing index, exits 3 when two label
 files of one directory share an index, and exits 3 naming both files when a
-pair differs in dims or spacing.
+pair differs in dims or spacing; a series whose frames or labels differ from
+its first frame in dims or spacing exits 3 too, naming both files.
 """
 
 from __future__ import annotations

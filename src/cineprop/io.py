@@ -317,14 +317,20 @@ def write_manifest(manifest: CineManifest, path) -> None:
 
 
 def load_series(manifest: CineManifest) -> CineSeries:
-    """Load every referenced file of a manifest into an in-memory series."""
+    """Load every file a manifest references into an in-memory series; a file off frame 0's grid is a FormatError."""
     frames = tuple(read_volume(p) for p in manifest.frame_paths)
+    labels = read_labels(manifest.es_label_path), read_labels(manifest.ed_label_path)
+    paths = (*manifest.frame_paths, manifest.es_label_path, manifest.ed_label_path)
+    grid = (frames[0].dims, frames[0].spacing)
+    for path, vol in zip(paths, (*frames, *labels)):
+        if (vol.dims, vol.spacing) != grid:
+            raise FormatError("grid", f"{path} has dims and spacing {(vol.dims, vol.spacing)}, {paths[0]} has {grid}")
     return CineSeries(
         frames=frames,
         es_index=manifest.es_index,
         ed_index=manifest.ed_index,
-        es_label=read_labels(manifest.es_label_path),
-        ed_label=read_labels(manifest.ed_label_path),
+        es_label=labels[0],
+        ed_label=labels[1],
         subject=manifest.subject_id,
         vendor=manifest.vendor,
         center=manifest.center,

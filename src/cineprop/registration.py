@@ -166,49 +166,38 @@ def _affine_columns(m: np.ndarray, t: np.ndarray, x, y, z) -> tuple[np.ndarray, 
 
 
 class _Centred(NamedTuple):
-    """The fixed side of an NCC: a sample's flat float64 deviations from its mean, and their sum of squares."""
+    """One side of an NCC: a sample's flat float64 deviations from its mean, and their sum of squares.
+
+    The sample is cast to float64 first: a float32 square overflows above about 1.8e19.
+    """
 
     ac: np.ndarray
     va: float
 
 
-def _centred(fixed) -> _Centred:
-    a = np.asarray(fixed, dtype=np.float64).ravel()
+def _centred(sample) -> _Centred:
+    a = np.asarray(sample, dtype=np.float64).ravel()
     ac = a - a.mean()
     return _Centred(ac, float(np.sum(ac * ac)))
 
 
-def _ncc(fixed: _Centred):
-    """``(score, d_score)`` against one fixed sample: ``score(warped)``, lower is better, and its gradient per sample.
+def _ncc(fixed: _Centred, warped: _Centred) -> float:
+    """The negative normalized cross-correlation of two ``_centred`` samples in [-1, 1], 0 if either is constant.
 
-    ``fixed`` is the sample's ``_centred`` statistics, which a caller that
-    scores against one image many times computes once.  The score is
-    the negative normalized cross-correlation in [-1, 1], 0 when either image
-    is constant.  Both functions cast the warped sample to float64 first, so
-    a float32 sample is summed in float64 (its squares would overflow
-    float32 above about 1.8e19).  Sums are numpy's pairwise ``np.sum``, not
-    BLAS dot products, so they run on the calling thread and round the same
-    way every time.
+    Sums are numpy's pairwise ``np.sum``, not BLAS dot products, so they run
+    on the calling thread and round the same way every time.
     """
-    ac, va = fixed
+    if fixed.va == 0.0 or warped.va == 0.0:
+        return 0.0
+    return -float(np.sum(fixed.ac * warped.ac)) / math.sqrt(fixed.va * warped.va)
 
-    def score(warped) -> float:
-        b = np.asarray(warped, dtype=np.float64).ravel()
-        bc = b - b.mean()
-        vb = float(np.sum(bc * bc))
-        if va == 0.0 or vb == 0.0:
-            return 0.0
-        return -float(np.sum(ac * bc)) / math.sqrt(va * vb)
 
-    def d_score(warped) -> np.ndarray:
-        b = np.asarray(warped, dtype=np.float64)
-        bc = b - b.mean()
-        vb = float(np.sum(bc * bc))
-        if va == 0.0 or vb == 0.0:
-            return np.zeros_like(bc)  # the score is the constant 0 here
-        return (-ac + (float(np.sum(ac * bc)) / vb) * bc) / math.sqrt(va * vb)
-
-    return score, d_score
+def _d_ncc(fixed: _Centred, warped: _Centred) -> np.ndarray:
+    """``_ncc``'s gradient with respect to each sample of ``warped``, from the statistics scoring computed."""
+    if fixed.va == 0.0 or warped.va == 0.0:
+        return np.zeros_like(warped.ac)  # the score is the constant 0 here
+    scale = float(np.sum(fixed.ac * warped.ac)) / warped.va
+    return (-fixed.ac + scale * warped.ac) / math.sqrt(fixed.va * warped.va)
 
 
 def _grid_axes(dims, spacing, stride: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -446,12 +435,13 @@ def _transform_to_affine_params(transform: AffineTransform, center) -> np.ndarra
     return np.concatenate([transform.matrix.ravel(), t_center])
 
 
-def _gradient_images(data: np.ndarray) -> np.ndarray:
-    """``data``'s central-difference gradient along each axis (voxel units), channel-major: ``(3, nx, ny, nz)``.
+def _gradient_images(data: np.ndarray, spacing=(1.0, 1.0, 1.0)) -> np.ndarray:
+    """``data``'s central-difference gradient per unit of ``spacing`` (voxels), channel-major: ``(3, nx, ny, nz)``.
 
     The gradient along an axis of length 1 is zero.
     """
-    return np.stack([np.gradient(data, axis=a) if n > 1 else np.zeros_like(data) for a, n in enumerate(data.shape)])
+    axes = enumerate(zip(data.shape, spacing))
+    return np.stack([np.gradient(data, s, axis=a) if n > 1 else np.zeros_like(data) for a, (n, s) in axes])
 
 
 class _Candidate(NamedTuple):
@@ -459,12 +449,12 @@ class _Candidate(NamedTuple):
 
     ``positions`` are the flat voxel-unit sample positions in the moving
     level, ``plan`` the ``_Plan`` that samples them, and ``sample`` the
-    moving level's float32 values there.
+    ``_centred`` moving level's values there, read by the score and the gradient.
     """
 
     positions: tuple
     plan: _Plan
-    sample: np.ndarray
+    sample: _Centred
 
 
 def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, to_transform, jacobian):
@@ -479,10 +469,10 @@ def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, to_t
     translation) with respect to theta.
 
     ``objective(theta)`` returns ``(score, candidate)``: the score and a
-    ``_Candidate`` holding the positions, their trilinear plan and the value
-    sample, or ``(inf, None)`` for a singular transform.  The positions come
-    from a finite transform, so they skip ``trilinear_sample_many``'s finite
-    check.  ``gradient(theta, candidate)`` samples the moving image's three
+    ``_Candidate`` holding the positions, their trilinear plan and the
+    centred value sample, or ``(inf, None)`` for a singular transform.  The
+    positions come from a finite transform, so they skip
+    ``trilinear_sample_many``'s finite check.  ``gradient(theta, candidate)`` samples the moving image's three
     gradient images through the candidate's plan, so it works out no
     position or cell again.  A point clamped along an axis does not move
     with the transform along that axis, so its gradient component there is
@@ -494,7 +484,7 @@ def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, to_t
     stride = max(1, round(np.cbrt(n_total / _MAX_OBJECTIVE_SAMPLES) + 0.49999))
     grid = _grid_axes(dims, spacing, stride)
     fixed_sample = fixed_level.data[::stride, ::stride, ::stride]
-    score, d_score = _ncc(_centred(fixed_sample))
+    fixed_ncc = _centred(fixed_sample)
     moving = moving_level.data
     grads = _gradient_images(moving)
     axes = [g.ravel() for g in grid]
@@ -507,12 +497,12 @@ def _level_objective(fixed_level: ScalarVolume, moving_level: ScalarVolume, to_t
             return math.inf, None  # singular candidate: reject, the line search backs off
         pos = _affine_positions(tf, grid, ms)
         plan = _trilinear_plan(m_dims, moving.dtype, *pos)
-        sample = _trilinear_apply(plan, moving)
-        return score(sample), _Candidate(pos, plan, sample)
+        sample = _centred(_trilinear_apply(plan, moving))
+        return _ncc(fixed_ncc, sample), _Candidate(pos, plan, sample)
 
     def gradient(theta, candidate: _Candidate) -> np.ndarray:
         pos, samples = candidate.positions, _trilinear_apply(candidate.plan, grads)
-        dw = d_score(candidate.sample)
+        dw = _d_ncc(fixed_ncc, candidate.sample)
         d_affine = np.empty(12)  # d score / d (matrix entries, translation)
         for r in range(3):
             inside = (pos[r] >= 0.0) & (pos[r] <= m_dims[r] - 1.0)
@@ -564,7 +554,7 @@ def _demons_level_data(level: ScalarVolume) -> _DemonsLevel | None:
         return None
     scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(level.data))))[1])
     data = level.data * np.float32(scale)
-    grads = np.stack(np.gradient(data, *level.spacing))
+    grads = _gradient_images(data, level.spacing)
     g2 = grads[0] ** 2 + grads[1] ** 2 + grads[2] ** 2
     return _DemonsLevel(data, level.spacing, scale, grads, g2, _centred(data))
 
@@ -599,7 +589,7 @@ def _judge(target: _Target, moving: ScalarVolume, transform: AffineTransform) ->
         sample = moving.data.ravel()
     else:
         sample = _sample_affine(moving, transform, _grid_axes(fixed.dims, fixed.spacing))
-    return _Stage(transform, sample, _ncc(target.ncc)[0](sample))
+    return _Stage(transform, sample, _ncc(target.ncc, _centred(sample)))
 
 
 def _register_linear(target, moving, params, theta, to_transform, jacobian, level_units, fallback: _Stage) -> _Stage:
@@ -673,7 +663,7 @@ def _upsample_field(u: np.ndarray, new_dims) -> np.ndarray:
     """Resample a channel-major ``(3, nx, ny, nz)`` mm field onto a finer grid (fine = coarse*2), in its dtype.
 
     Fine index i samples coarse position i/2 (clamped), trilinearly, as
-    ``_trilinear(u, *_grid_axes(new_dims, (0.5, 0.5, 0.5)))`` does and bit
+    ``_trilinear`` at the raveled dense grid of those positions does and bit
     for bit: three separable lerp passes, along x, then y, then z, with the
     kernel's cells and fractions and its lerp ``a + f * (b - a)``.  The
     kernel lerps x first, then y, then z, so each output sees the same
@@ -702,10 +692,9 @@ def _demons_level(fixed_level: _DemonsLevel, moving_level: ScalarVolume, u: np.n
     fdata, spacing = fixed_level.data, fixed_level.spacing
     mdata = moving_level.data * np.float32(fixed_level.scale)
     mean_sq_spacing = float(np.mean(np.square(spacing)))
-    score = _ncc(fixed_level.ncc)[0]
     # the warp of the accepted field is carried into the next iteration, so no field is warped twice
     warped = _warp_data(mdata, u, spacing)
-    f_cur = score(warped)
+    f_cur = _ncc(fixed_level.ncc, _centred(warped))
     window = [f_cur]
     for _ in range(n_iter):
         diff = warped - fdata
@@ -715,7 +704,7 @@ def _demons_level(fixed_level: _DemonsLevel, moving_level: ScalarVolume, u: np.n
         for c in range(3):
             field[c] = gaussian_smooth_array(field[c], _DEMONS_SIGMA_VOX)
         warped_field = _warp_data(mdata, field, spacing)
-        f_field = score(warped_field)
+        f_field = _ncc(fixed_level.ncc, _centred(warped_field))
         if f_field >= f_cur:
             break
         u, warped, f_cur = field, warped_field, f_field
@@ -735,7 +724,7 @@ def _deformable(target: _Target, moving: ScalarVolume, init: _Stage, params: Reg
             u = _demons_level(level, m_l, u, n_iter)
 
     total_field = _composed_field(affine, u, fixed.dims, fixed.spacing)
-    if _ncc(target.ncc)[0](warp_image(moving, total_field).data) > init.score:
+    if _ncc(target.ncc, _centred(warp_image(moving, total_field).data)) > init.score:
         return affine_to_field(affine, fixed.dims, fixed.spacing)  # the affine's own sample scored better
     return total_field
 

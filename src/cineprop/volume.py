@@ -4,12 +4,13 @@ Volumes are immutable.  A ``ScalarVolume`` keeps one lazily computed value,
 its ``half`` (``downsample2x`` of itself): registration walks that chain as
 its pyramid, so each volume is downsampled once per level, however often used.
 
-Trilinear sampling has two halves: a plan (``_trilinear_plan``), which works
-out each position's flat cell index and fractions, and an apply step
+Trilinear sampling takes its positions as three flat float64 arrays of one
+length, and has two halves: a plan (``_trilinear_plan``), which works out each
+position's flat cell index and fractions, and an apply step
 (``_trilinear_apply``), which gathers 8 corners and runs 7 lerps per plane
 through it.  ``_trilinear`` is one plan applied once; registration's linear
 objectives apply one plan to the moving image and again to its gradient
-images.  Both halves run in blocks of ``_BLOCK_POINTS`` positions, so a
+images.  Both halves run in slices of ``_BLOCK_POINTS`` positions, so a
 full-grid call works on cache-sized temporaries.  Each position goes through
 the same operations in the same order whichever block holds it, so the bytes
 do not depend on the blocking.  It interpolates in the data's precision: a
@@ -176,28 +177,27 @@ class CineSeries:
 
 
 def _check_points(xs, ys, zs):
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    zs = np.asarray(zs, dtype=np.float64)
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys)) and np.all(np.isfinite(zs))):
+    """The positions as three flat float64 arrays of one length; anything else is an ``InvalidParameterError``."""
+    pos = tuple(np.asarray(p, dtype=np.float64) for p in (xs, ys, zs))
+    if any(p.ndim != 1 for p in pos) or not len(pos[0]) == len(pos[1]) == len(pos[2]):
+        raise InvalidParameterError(f"positions must be 1-D arrays of one length, got shapes {[p.shape for p in pos]}")
+    if not all(np.all(np.isfinite(p)) for p in pos):
         raise InvalidParameterError("sample positions must be finite")
-    return xs, ys, zs
+    return pos
 
 
 class _Plan(NamedTuple):
-    """Where a trilinear sampling reads each position on a ``dims`` grid: the set-up half of ``_trilinear``.
+    """Where a trilinear sampling reads ``size`` flat positions on a ``dims`` grid: the set-up half of ``_trilinear``.
 
-    ``shape`` is the positions' broadcast shape.  ``blocks`` holds, per
-    block of at most ``_BLOCK_POINTS`` positions, ``(index, base, fx, fy,
-    fz)``: the block's index into the leading axis of ``shape``, the flat
-    cell index ``(x0*ny + y0)*nz + z0`` of each position, and its three
-    fractions in ``dtype``, the precision every lerp runs in.  One plan
-    serves any number of planes on that grid.
+    ``blocks`` holds, per slice of at most ``_BLOCK_POINTS`` positions,
+    ``(block, base, fx, fy, fz)``: the slice, each position's flat cell index
+    ``(x0*ny + y0)*nz + z0``, and its three fractions in ``dtype``, the
+    precision every lerp runs in.  One plan serves any number of planes.
     """
 
     dims: tuple[int, int, int]
     dtype: np.dtype
-    shape: tuple
+    size: int
     blocks: Iterable
 
 
@@ -214,81 +214,59 @@ def _cells(pos, n: int):
     return cell, frac
 
 
-def _plan_blocks(dims, dtype, shape, xs, ys, zs) -> Iterator[tuple]:
-    """``_Plan.blocks``, one block at a time, along the leading axis of ``shape``.
+def _plan_blocks(dims, dtype, xs, ys, zs) -> Iterator[tuple]:
+    """``_Plan.blocks`` of three flat float64 position arrays of one length, one slice at a time.
 
-    A block is at most ``_BLOCK_POINTS`` positions (or one entry of the
-    leading axis, if that is more).  A position array of leading length 1
-    (as along the other axes of a sparse grid) serves every block whole.
-    The cell indices are worked out in float64 and cast to indices once;
-    each fraction is cast once to ``dtype``.  The positions are never
+    Each fraction is cast once to ``dtype``.  The positions are never
     written (callers read them again).
     """
-    if not shape:  # one position
-        blocks = [(Ellipsis, (xs, ys, zs))]
-    else:
-        rows = max(1, _BLOCK_POINTS // max(1, math.prod(shape[1:])))  # leading-axis entries per block
-        # a position array spans the leading axis only if it has every axis and a leading length above 1
-        split = [np.ndim(p) == len(shape) and np.shape(p)[0] > 1 for p in (xs, ys, zs)]
-        blocks = (
-            (block, [p[block] if s else p for p, s in zip((xs, ys, zs), split)])
-            for block in (slice(start, start + rows) for start in range(0, shape[0], rows))
-        )
-    for block, pos in blocks:
+    for start in range(0, len(xs), _BLOCK_POINTS):
+        block = slice(start, start + _BLOCK_POINTS)
         base, fracs = 0, []
-        for p, n in zip(pos, dims):
-            cell, frac = _cells(p, n)
+        for p, n in zip((xs, ys, zs), dims):
+            cell, frac = _cells(p[block], n)
             base = base * n + cell  # whole numbers, exact in float64: cast to indices once, below
             fracs.append(frac.astype(dtype, copy=False))
         yield (block, base.astype(np.intp), *fracs)
 
 
-def _trilinear_plan(dims, dtype, xs, ys, zs, once: bool = False) -> _Plan:
-    """The ``_Plan`` of float64 positions (voxel units, clamped) on a ``dims`` grid, sampled in ``dtype``.
-
-    Built once, it samples several images at the same positions with no
-    index set-up after the first.  With ``once``, for a plan applied once,
-    its blocks are a generator instead: each is built just before its
-    lerps, so a full-grid call holds one block's indices at a time.
-    """
-    shape = np.broadcast_shapes(np.shape(xs), np.shape(ys), np.shape(zs))
-    blocks = _plan_blocks(dims, dtype, shape, xs, ys, zs)
-    return _Plan(tuple(dims), dtype, shape, blocks if once else tuple(blocks))
+def _trilinear_plan(dims, dtype, xs, ys, zs) -> _Plan:
+    """The ``_Plan`` of flat float64 positions (voxel units, clamped) on a ``dims`` grid: one set-up, many images."""
+    return _Plan(tuple(dims), dtype, len(xs), tuple(_plan_blocks(dims, dtype, xs, ys, zs)))
 
 
 def _trilinear_apply(plan: _Plan, data: np.ndarray) -> np.ndarray:
     """Sample ``data``, ``(nx, ny, nz)`` or channel-major ``(C, nx, ny, nz)``, through ``plan``: the lerp half.
 
     ``data`` has the plan's dims and is gathered into the plan's dtype.
-    The result has the positions' shape, ``(C, *shape)`` for channel-major
-    data, each block written into one preallocated result, so a full-grid
-    call's temporaries stay in cache instead of being a dozen fresh
-    full-size arrays.  Each element sees the same operations in the same
-    order in whichever block it falls, so the bytes do not depend on the
-    blocking.
+    The result is ``(size,)``, or ``(C, size)`` for channel-major data, each
+    block written into one preallocated result, so a full-grid call's
+    temporaries stay in cache instead of being a dozen fresh full-size
+    arrays.  Each element sees the same operations in the same order in
+    whichever block it falls, so the bytes do not depend on the blocking.
     """
     planes = data if data.ndim == 4 else data[None]
     if planes.shape[1:] != plan.dims:
         raise InvalidParameterError(f"a plan on a {plan.dims} grid cannot sample data of shape {data.shape}")
-    out = np.empty((len(planes), *plan.shape), dtype=plan.dtype)
+    out = np.empty((len(planes), plan.size), dtype=plan.dtype)
     for block, base, fx, fy, fz in plan.blocks:
         _lerp_block(planes, base, fx, fy, fz, out[:, block])
-    return out if data.ndim == 4 else out[0, ...]
+    return out if data.ndim == 4 else out[0]
 
 
 def _trilinear(data: np.ndarray, xs, ys, zs) -> np.ndarray:
-    """Trilinear interpolation of a raw 3D array at float64 positions (voxel units, clamped), in ``data``'s dtype.
+    """Trilinear interpolation of a raw 3D array at flat float64 positions (voxel units, clamped), in its dtype.
 
-    A plan applied once: float32 for float32 data and float64 otherwise,
-    each channel plane of channel-major data sampled with the same cell
-    indices and weights.
+    A plan applied once, so its blocks are a generator: a full-grid call
+    holds one block's indices at a time.  Float32 for float32 data and
+    float64 otherwise; every channel plane shares the cell indices and weights.
     """
-    dtype = np.float32 if data.dtype == np.float32 else np.float64
-    return _trilinear_apply(_trilinear_plan(data.shape[-3:], dtype, xs, ys, zs, once=True), data)
+    dims, dtype = data.shape[-3:], np.float32 if data.dtype == np.float32 else np.float64
+    return _trilinear_apply(_Plan(dims, dtype, len(xs), _plan_blocks(dims, dtype, xs, ys, zs)), data)
 
 
-def _lerp_block(planes: np.ndarray, base, fx, fy, fz, result: np.ndarray) -> np.ndarray:
-    """One block of ``_trilinear_apply``: every plane of ``planes`` (C, nx, ny, nz) into ``result`` (C, block shape).
+def _lerp_block(planes: np.ndarray, base, fx, fy, fz, result: np.ndarray) -> None:
+    """One block of ``_trilinear_apply``: every plane of ``planes`` (C, nx, ny, nz) into ``result`` (C, block length).
 
     Every corner difference and lerp runs in ``result``'s dtype.  Each
     plane's 8 corners are taken from its flat ``(nx*ny*nz,)`` view at
@@ -311,15 +289,14 @@ def _lerp_block(planes: np.ndarray, base, fx, fy, fz, result: np.ndarray) -> np.
         return lerp(out, np.take(flat[offset + dx :], base, out=hi, mode="clip"), fx)
 
     for c, plane in enumerate(planes):
-        flat, c0 = plane.reshape(-1), result[c, ...]  # c0 is a view, also for a single position
+        flat, c0 = plane.reshape(-1), result[c]
         lerp(x_lerp(flat, 0, c0), x_lerp(flat, dy, c1), fy)  # c0, from c00 and c10
         lerp(x_lerp(flat, dz, c1), x_lerp(flat, dy + dz, tmp), fy)  # c1, from c01 and c11
         lerp(c0, c1, fz)
-    return result
 
 
 def trilinear_sample_many(vol: ScalarVolume, xs, ys, zs) -> np.ndarray:
-    """Trilinear interpolation at arrays of positions (voxel units, clamped), in the volume's float32."""
+    """Trilinear interpolation at three flat position arrays of one length (voxel units, clamped), in float32."""
     return _trilinear(vol.data, *_check_points(xs, ys, zs))
 
 
@@ -329,14 +306,10 @@ def trilinear_sample(vol: ScalarVolume, p: tuple[float, float, float]) -> float:
 
 
 def nearest_sample_many(lm: LabelMap, xs, ys, zs) -> np.ndarray:
-    """Nearest-voxel label lookup; half-way ties go to the lower index per axis."""
-    xs, ys, zs = _check_points(xs, ys, zs)
-    nx, ny, nz = lm.dims
+    """Nearest-voxel label lookup at three flat position arrays of one length; half-way ties go to the lower index."""
     # ceil(x - 0.5) is the nearest integer with ties resolved downward
-    ix = np.clip(np.ceil(xs - 0.5), 0, nx - 1).astype(np.intp)
-    iy = np.clip(np.ceil(ys - 0.5), 0, ny - 1).astype(np.intp)
-    iz = np.clip(np.ceil(zs - 0.5), 0, nz - 1).astype(np.intp)
-    return lm.data[ix, iy, iz]
+    index = [np.clip(np.ceil(p - 0.5), 0, n - 1).astype(np.intp) for p, n in zip(_check_points(xs, ys, zs), lm.dims)]
+    return lm.data[tuple(index)]
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:

@@ -51,6 +51,18 @@ def _children(pid):
     return sorted(child for child, stat in stats.items() if stat is not None and int(stat[1]) == pid)
 
 
+def _write_off_grid_series(root, change):
+    """A 4-frame series with frame 2 at 10^3 voxels or the ES label at 2x1x1 mm; returns (manifest, that file)."""
+    mpath, _ = _write_cine_dir(root)
+    if change == "frame-dims":
+        bad = root / "frame_002.mvol"
+        io.write_mvol(ScalarVolume(np.ones((10, 10, 10), dtype=np.float32)), bad)
+    else:
+        bad = io.read_manifest(mpath).es_label_path
+        io.write_mvol(LabelMap(io.read_labels(bad).data, (2.0, 1.0, 1.0)), bad)
+    return mpath, bad
+
+
 class TestPhantomCommand:
     def test_generates_expected_artifacts(self, tmp_path):
         out = tmp_path / "ph"
@@ -104,6 +116,14 @@ class TestPropagateCommand:
         mpath.write_bytes(b"subject = a\xff\n")
         assert run(["propagate", "--manifest", str(mpath), "--out", str(tmp_path / "o")]) == EXIT_IO
         assert "m.txt" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("change", ["frame-dims", "label-spacing"])
+    def test_grid_mismatch_is_io_error(self, tmp_path, capsys, change):
+        # a file off the first frame's grid is a bad input file, not a bad flag: exit 3, naming the file
+        mpath, bad = _write_off_grid_series(tmp_path / "cine", change)
+        assert run(["propagate", "--manifest", str(mpath), "--out", str(tmp_path / "o")]) == EXIT_IO
+        assert str(bad) in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_non_finite_vox_offset_is_io_error(self, tmp_path):
@@ -249,6 +269,12 @@ class TestHistmatchCommand:
         assert len(list(out1.glob("matched_*.mvol"))) == 4
         assert _tree_bytes(out1) == _tree_bytes(out2)
 
+    @pytest.mark.parametrize("change", ["frame-dims", "label-spacing"])
+    def test_grid_mismatch_is_io_error(self, tmp_path, capsys, change):
+        mpath, bad = _write_off_grid_series(tmp_path / "cine", change)
+        assert run(["histmatch", "--manifest", str(mpath), "--out", str(tmp_path / "m")]) == EXIT_IO
+        assert str(bad) in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize("what", ["voxel", "pixdim"])
     def test_non_finite_nifti_is_io_error(self, tmp_path, what):

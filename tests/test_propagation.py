@@ -221,17 +221,17 @@ class TestPropagateSeries:
         assert len(calls) == 77
 
     def test_demons_target_data_built_once_per_frame(self, monkeypatch):
-        # the demons gradient images of the target (np.gradient with the level spacing): one per pyramid
+        # the demons gradient images of the target (_gradient_images with the level spacing): one per pyramid
         # level and frame, shared by ES and ED, not one per template: 2 frames x 3 levels
         calls = []
-        gradient = np.gradient
+        gradient_images = registration._gradient_images
 
-        def counting(f, *varargs, **kwargs):
-            if "axis" not in kwargs:  # the rigid/affine objectives take their moving gradients one axis at a time
-                calls.append(f.shape)
-            return gradient(f, *varargs, **kwargs)
+        def counting(data, *spacing):
+            if spacing:  # the rigid/affine objectives take their moving gradients in voxel units
+                calls.append(data.shape)
+            return gradient_images(data, *spacing)
 
-        monkeypatch.setattr(np, "gradient", counting)
+        monkeypatch.setattr(registration, "_gradient_images", counting)
         params = RegistrationParams(pyramid_levels=3, iterations_per_level=(1, 1, 1))
         assert [r.frame_index for r in propagate_series(thick_slice_series(), params, workers=1)] == [1, 2]
         assert calls == [(8, 8, 2), (16, 16, 3), (32, 32, 6)] * 2

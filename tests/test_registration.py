@@ -19,6 +19,7 @@ from cineprop.registration import (
     _affine_params_to_transform,
     _center_mm,
     _centred,
+    _d_ncc,
     _descend,
     _gradient_images,
     _level_objective,
@@ -75,12 +76,12 @@ def _smooth_random(seed, dims=(12, 12, 12)):
 class TestSimilarity:
     def test_identical_ncc_minus_one(self):
         vol = _smooth_random(1)
-        assert _ncc(_centred(vol.data))[0](vol.data) == pytest.approx(-1.0, abs=1e-12)
+        assert _ncc(_centred(vol.data), _centred(vol.data)) == pytest.approx(-1.0, abs=1e-12)
 
     def test_constant_ncc_is_zero(self):
         a = ScalarVolume(np.full((3, 3, 3), 5.0))
         b = _smooth_random(2, dims=(3, 3, 3))
-        assert _ncc(_centred(a.data))[0](b.data) == 0.0
+        assert _ncc(_centred(a.data), _centred(b.data)) == 0.0
 
 
 class TestAffineTransform:
@@ -342,12 +343,12 @@ class TestBlasFreeArithmetic:
     def test_similarity_matches_dot_forms(self):
         rng = np.random.default_rng(1)
         fixed = rng.normal(100.0, 30.0, size=self.N).astype(np.float32)
-        score_ncc = _ncc(_centred(fixed))[0]
+        fixed_ncc = _centred(fixed)
         for sign in (1.0, -1.0):  # the fixed-side terms are reused across calls
             warped = sign * fixed + rng.normal(0.0, 20.0, size=self.N)
             ref = _ncc_by_dot(fixed, warped)
             assert abs(ref) > 0.5
-            assert math.isclose(score_ncc(warped), ref, rel_tol=self.RTOL, abs_tol=0.0)
+            assert math.isclose(_ncc(fixed_ncc, _centred(warped)), ref, rel_tol=self.RTOL, abs_tol=0.0)
 
     def test_level_objective_matches_matmul_form(self):
         rng = np.random.default_rng(2)
@@ -509,11 +510,11 @@ class TestSharedPlan:
         stride = max(1, round(np.cbrt(n / registration._MAX_OBJECTIVE_SAMPLES) + 0.49999))
         grid = registration._grid_axes(fixed.dims, fixed.spacing, stride)
         fixed_sample = fixed.data[::stride, ::stride, ::stride]
-        d_score = _ncc(_centred(fixed_sample))[1]
+        fixed_ncc = _centred(fixed_sample)
         pos = registration._affine_positions(to_transform(theta), grid, moving.spacing)
         samples = _trilinear(np.stack([moving.data, *_gradient_images(moving.data)]), *pos)
         axes = [g.ravel() for g in grid]
-        dw = d_score(samples[0])
+        dw = _d_ncc(fixed_ncc, _centred(samples[0]))
         d_affine = np.empty(12)
         clamped = 0
         for r in range(3):
@@ -527,8 +528,9 @@ class TestSharedPlan:
             d_affine[9 + r] = np.sum(v_xy)
         want = np.sum(d_affine[:, None] * jacobian(theta), axis=0)
         assert clamped > 0
-        assert record.sample.tobytes() == samples[0].tobytes()
-        assert score == _ncc(_centred(fixed_sample))[0](samples[0])
+        assert record.sample.ac.tobytes() == _centred(samples[0]).ac.tobytes()
+        assert record.sample.va == _centred(samples[0]).va
+        assert score == _ncc(fixed_ncc, _centred(samples[0]))
         assert gradient(theta, record).tobytes() == want.tobytes()
 
 
@@ -581,9 +583,9 @@ class TestAffine:
         init = AffineTransform.identity()
         params = RegistrationParams()
         tf = register_affine(vol, moving, init, params)
-        score = _ncc(_centred(vol.data))[0]
-        f_init = score(resample_affine(moving, init, vol).data)
-        f_final = score(resample_affine(moving, tf, vol).data)
+        fixed_ncc = _centred(vol.data)
+        f_init = _ncc(fixed_ncc, _centred(resample_affine(moving, init, vol).data))
+        f_final = _ncc(fixed_ncc, _centred(resample_affine(moving, tf, vol).data))
         assert f_final <= f_init
 
     def test_scale_recovery(self, small_phantom):
@@ -617,11 +619,11 @@ class TestDeformable:
         rigid = register_rigid(fixed, moving, params)
         affine = register_affine(fixed, moving, rigid, params)
         field = register_deformable(fixed, moving, affine, params)
-        score = _ncc(_centred(fixed.data))[0]
-        f_before = score(resample_affine(moving, AffineTransform.identity(), fixed).data)
-        f_rigid = score(resample_affine(moving, rigid, fixed).data)
-        f_affine = score(resample_affine(moving, affine, fixed).data)
-        f_deform = score(warp_image(moving, field).data)
+        fixed_ncc = _centred(fixed.data)
+        f_before = _ncc(fixed_ncc, _centred(resample_affine(moving, AffineTransform.identity(), fixed).data))
+        f_rigid = _ncc(fixed_ncc, _centred(resample_affine(moving, rigid, fixed).data))
+        f_affine = _ncc(fixed_ncc, _centred(resample_affine(moving, affine, fixed).data))
+        f_deform = _ncc(fixed_ncc, _centred(warp_image(moving, field).data))
         assert f_rigid <= f_before
         assert f_affine <= f_rigid
         assert f_deform <= f_affine
@@ -690,17 +692,11 @@ class TestDeformable:
             finally:
                 levels.append((n_iter, open_levels.pop()))
 
-        def recording_ncc(fixed_data):
-            score, d_score = ncc(fixed_data)
-            if not open_levels:
-                return score, d_score
-            scores = open_levels[-1]
-
-            def recording(warped):
-                scores.append(score(warped))
-                return scores[-1]
-
-            return recording, d_score
+        def recording_ncc(fixed, warped):
+            score = ncc(fixed, warped)
+            if open_levels:
+                open_levels[-1].append(score)
+            return score
 
         monkeypatch.setattr(registration, "_demons_level", recording_level)
         monkeypatch.setattr(registration, "_ncc", recording_ncc)
@@ -829,7 +825,8 @@ class TestUpsampleField:
         # axis, which lerps from cell n-2 at fraction 1, and a -0.0 that the lerp turns into 0.0
         u = np.random.default_rng(5).normal(size=(3, *coarse_dims)).astype(dtype)
         u[0, 0, 0, 0] = -0.0
-        want = _trilinear(u, *registration._grid_axes(fine_dims, (0.5, 0.5, 0.5)))
+        grid = np.broadcast_arrays(*registration._grid_axes(fine_dims, (0.5, 0.5, 0.5)))
+        want = _trilinear(u, *[g.ravel() for g in grid]).reshape(3, *fine_dims)
         got = _upsample_field(u, fine_dims)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()

@@ -112,7 +112,7 @@ class TestTrilinear:
         for _ in range(50):
             p = rng.uniform(-2, 8, size=3)
             expected = trilinear_long_hand(vol, *p)
-            assert float(_trilinear(data, *p)) == pytest.approx(expected, abs=1e-9)
+            assert float(_trilinear(data, *p[:, None])[0]) == pytest.approx(expected, abs=1e-9)
 
     def test_convex_bounds(self):
         rng = np.random.default_rng(3)
@@ -144,11 +144,11 @@ class TestTrilinear:
         data = rng.normal(0.0, 100.0, size=shape if n_channels == 1 else (n_channels, *shape)).astype(dtype)
         # inside and beyond every face, plus integers: lattice points, the faces and one voxel past them
         scattered = [np.concatenate([rng.uniform(-2.0, n + 1.0, 250), rng.integers(-1, n + 1, 50)]) for n in shape]
-        # the sparse broadcast grid of registration._upsample_field: fine index i at coarse position i/2
-        sparse = np.meshgrid(*[np.arange(2 * n + 1) * 0.5 for n in shape], indexing="ij", sparse=True)
-        # one scalar position, past the upper face along a length-1 axis
-        single = [0.75 * n + 0.5 for n in shape]
-        for pts in (scattered, sparse, single):
+        # every point of a grid at half-voxel steps, raveled: fine index i at coarse position i/2
+        dense = [g.ravel() for g in np.meshgrid(*[np.arange(2 * n + 1) * 0.5 for n in shape], indexing="ij")]
+        # one position, past the upper face along a length-1 axis
+        single = [np.array([0.75 * n + 0.5]) for n in shape]
+        for pts in (scattered, dense, single):
             out = _trilinear(data, *pts)
             expected = trilinear_oracle(data, *pts)
             assert out.shape == expected.shape and out.dtype == expected.dtype == dtype
@@ -162,14 +162,13 @@ class TestTrilinear:
         data = rng.normal(0.0, 100.0, size=shape if n_channels == 1 else (n_channels, *shape)).astype(dtype)
         n = 2 * _BLOCK_POINTS + 123
         scattered = [np.concatenate([rng.uniform(-2.0, d + 1.0, n - 50), rng.integers(-1, d + 1, 50)]) for d in shape]
-        # registration._upsample_field's sparse grid: x is split across the blocks, while y and z have
-        # leading length 1 and serve every block whole
+        # every point of a grid at half-voxel steps, raveled: the block edges fall inside its rows
         row = (2 * shape[1]) * (2 * shape[2])
         rows = _BLOCK_POINTS // row
         fine = (2 * rows + rows // 2 + 1, 2 * shape[1], 2 * shape[2])
-        sparse = np.meshgrid(*[np.arange(m) * 0.5 - 0.25 for m in fine], indexing="ij", sparse=True)
-        assert fine[0] * row > 2 * _BLOCK_POINTS and fine[0] % rows != 0  # three blocks, the last partial
-        for pts in (scattered, sparse):
+        dense = [g.ravel() for g in np.meshgrid(*[np.arange(m) * 0.5 - 0.25 for m in fine], indexing="ij")]
+        assert 2 * _BLOCK_POINTS < len(dense[0]) < 3 * _BLOCK_POINTS  # three blocks, the last partial
+        for pts in (scattered, dense):
             out = _trilinear(data, *pts)
             expected = trilinear_oracle(data, *pts)
             assert out.shape == expected.shape and out.dtype == expected.dtype == dtype
@@ -186,6 +185,24 @@ class TestTrilinear:
         _trilinear(data, *pts)
         for p, b in zip(pts, before):
             assert np.array_equal(p, b)
+
+    @pytest.mark.parametrize("sampler", ["trilinear", "nearest"])
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            ([0.0, 1.0], [0.0, 1.0], [0.0]),  # unequal lengths
+            ([[0.0, 1.0]], [[0.0, 1.0]], [[0.0, 1.0]]),  # 2-D arrays
+            (0.5, 0.5, 0.5),  # scalars
+        ],
+        ids=["unequal-lengths", "2d", "scalars"],
+    )
+    def test_rejects_positions_that_are_not_flat_arrays_of_one_length(self, sampler, pts):
+        if sampler == "trilinear":
+            sample, grid = trilinear_sample_many, ScalarVolume(np.zeros((2, 2, 2)))
+        else:
+            sample, grid = nearest_sample_many, LabelMap(np.zeros((2, 2, 2), dtype=np.uint8))
+        with pytest.raises(InvalidParameterError, match="1-D arrays of one length"):
+            sample(grid, *pts)
 
     def test_rejects_non_finite_point(self):
         vol = ScalarVolume(np.zeros((2, 2, 2)))
