@@ -71,6 +71,23 @@ def _integer_at_least(raw, minimum: int, source: str) -> int:
     return value
 
 
+def _out_dir(path) -> Path:
+    """The output directory ``path``, made with its parents if it is missing."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _emit(text: str, out, name: str, summary: dict) -> None:
+    """Write ``text`` as ``out/name`` and ``summary`` as ``out/summary.txt``; without ``out``, ``text`` to stdout."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    out = _out_dir(out)
+    io.write_text(text, out / name)
+    io.write_summary(summary, out / "summary.txt")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cineprop", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -123,8 +140,7 @@ def _cmd_phantom(args) -> int:
         seed=seed,
         noise_sigma=10.0,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     cine = generate_cine(spec)
     frame_paths = []
     for t, frame in enumerate(cine.series.frames):
@@ -176,8 +192,7 @@ def _cmd_propagate(args) -> int:
     manifest = io.read_manifest(args.manifest)
     series = io.load_series(manifest)
     results = propagate_series(series, params, workers=workers)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     for res in results:
         io.write_mvol(res.pseudo_label, out / f"pseudo_label_{res.frame_index:03d}.mvol")
     info = {
@@ -207,8 +222,7 @@ def _cmd_histmatch(args) -> int:
     corpus = list(series.frames)
     n = min(n_ref, len(corpus))
     ref = build_reference(corpus, n, seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     degenerate = 0
     for t, frame in enumerate(series.frames):
         matched, flag = histogram_match(frame, ref)
@@ -256,8 +270,7 @@ def _cmd_transfer(args) -> int:
             if manifest.vendor == args.from_vendor:
                 sources.append((manifest.subject_id, t))
     transferred = vendor_transfer(volumes, args.from_vendor, args.to_vendor, seed, n_ref=n_ref)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     for (subject, t), vol in zip(sources, transferred):
         io.write_mvol(vol, out / f"transfer_{subject}_{t:03d}.mvol")
     io.write_summary(
@@ -294,13 +307,9 @@ def _pair_label_files(pred_dir: Path, gt_dir: Path) -> list[tuple[str, Path, Pat
                 raise FormatError("payload", f"{found[idx].name} and {p.name} in {p.parent} share the index {idx}")
         return found
 
-    def holds_scalars(path: Path) -> bool:  # an intensity frame (MVOL kind 0), as beside the labels of a series
-        with path.open("rb") as f:
-            head = f.read(len(io.MVOL_MAGIC) + 1)
-        return head == io.MVOL_MAGIC + bytes([io.KIND_SCALAR])
-
     by_index(pred_files)
-    gt_by_index = by_index([p for p in gt_files if not holds_scalars(p)])
+    # an intensity frame, as beside the labels of a series, is no ground truth
+    gt_by_index = by_index([p for p in gt_files if not io.holds_scalars(p)])
     pairs = []
     for p in pred_files:
         idx = index_of(p)
@@ -322,17 +331,8 @@ def _cmd_evaluate(args) -> int:
                 f"{gt_path} has dims {gt.dims} and spacing {gt.spacing}",
             )
         cases.append((name, evaluate_case(pred, gt)))
-    text = io.evaluation_report(cases)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        io.write_text(text, out / "evaluation_report.txt")
-        io.write_summary(
-            {"command": "evaluate", "cases": len(cases), "report": "evaluation_report.txt"},
-            out / "summary.txt",
-        )
-    else:
-        sys.stdout.write(text)
+    summary = {"command": "evaluate", "cases": len(cases), "report": "evaluation_report.txt"}
+    _emit(io.evaluation_report(cases), args.out, "evaluation_report.txt", summary)
     return EXIT_OK
 
 
@@ -343,18 +343,8 @@ def _cmd_report(args) -> int:
         manifest = io.read_manifest(mpath)
         series = io.load_series(manifest)
         groups.setdefault(manifest.vendor, []).extend(series.frames)
-    report = histogram_report(groups, bins)
-    text = report.to_text()
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        io.write_text(text, out / "histogram_report.txt")
-        io.write_summary(
-            {"command": "report", "groups": len(groups), "bins": bins},
-            out / "summary.txt",
-        )
-    else:
-        sys.stdout.write(text)
+    summary = {"command": "report", "groups": len(groups), "bins": bins}
+    _emit(histogram_report(groups, bins).to_text(), args.out, "histogram_report.txt", summary)
     return EXIT_OK
 
 
@@ -377,19 +367,15 @@ def run(argv: list[str]) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.subcommand](args)
-    except (DegenerateInputError, EmptyMaskError) as exc:
+    except (CinepropError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except SeriesPropagationError as exc:
-        degenerate = all(isinstance(e, DegenerateInputError) for _, e in exc.failures)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE if degenerate else EXIT_IO
-    except (InvalidParameterError, InvalidTargetError, MissingVendorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CinepropError, OSError) as exc:  # FormatError and any other package error: I/O exit
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(exc, SeriesPropagationError):
+            return EXIT_DEGENERATE if all(isinstance(e, DegenerateInputError) for _, e in exc.failures) else EXIT_IO
+        if isinstance(exc, (DegenerateInputError, EmptyMaskError)):
+            return EXIT_DEGENERATE
+        if isinstance(exc, (InvalidParameterError, InvalidTargetError, MissingVendorError)):
+            return EXIT_USAGE
+        return EXIT_IO  # FormatError and any other package error
 
 
 def main() -> None:

@@ -12,8 +12,9 @@ MVOL is the canonical interchange format of this package::
 NIfTI-1 is ingestion-only: uncompressed single-file ``.nii`` with the standard
 348-byte header.  There is deliberately no NIfTI writer.
 
-Cine manifests are line-oriented ``key = value`` text; ``#`` starts a comment.
-Required keys: ``subject``, ``vendor``, ``center``, ``es_index``, ``ed_index``,
+Manifests, reports and summaries are line-oriented ``key = value`` text,
+written by ``_text`` and read by ``_pairs``; ``#`` starts a comment.  Manifest
+keys: ``subject``, ``vendor``, ``center``, ``es_index``, ``ed_index``,
 ``es_label``, ``ed_label``, and one ``frame`` line per timeframe (in temporal
 order).  Paths are taken relative to the manifest's directory.
 """
@@ -24,7 +25,7 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -188,27 +189,56 @@ def read_nifti1(path, *, as_labels: bool = False) -> ScalarVolume | LabelMap:
     return LabelMap(rounded.astype(np.uint8), spacing)
 
 
-def read_volume(path) -> ScalarVolume:
-    """Read a scalar volume, dispatching on extension (.mvol or .nii)."""
+def _read_grid(path, kind: type, mismatch: str) -> ScalarVolume | LabelMap:
+    """Read a ``kind`` grid by extension (.mvol or .nii); an MVOL of the other kind ``holds {mismatch}``."""
     path = Path(path)
     if path.suffix == ".nii":
-        vol = read_nifti1(path)
-    else:
-        vol = read_mvol(path)
-    if not isinstance(vol, ScalarVolume):
-        raise FormatError("kind", f"{path.name} holds labels, expected a scalar volume")
-    return vol
+        return read_nifti1(path, as_labels=kind is LabelMap)
+    grid = read_mvol(path)
+    if not isinstance(grid, kind):
+        raise FormatError("kind", f"{path.name} holds {mismatch}")
+    return grid
+
+
+def read_volume(path) -> ScalarVolume:
+    """Read a scalar volume, dispatching on extension (.mvol or .nii)."""
+    return _read_grid(path, ScalarVolume, "labels, expected a scalar volume")
 
 
 def read_labels(path) -> LabelMap:
     """Read a label map, dispatching on extension (.mvol or .nii)."""
-    path = Path(path)
-    if path.suffix == ".nii":
-        return read_nifti1(path, as_labels=True)
-    lm = read_mvol(path)
-    if not isinstance(lm, LabelMap):
-        raise FormatError("kind", f"{path.name} holds scalars, expected a label map")
-    return lm
+    return _read_grid(path, LabelMap, "scalars, expected a label map")
+
+
+def holds_scalars(path) -> bool:
+    """Whether ``path`` begins as an MVOL scalar volume (kind 0) does; only its first five bytes are read."""
+    with open(path, "rb") as f:
+        return f.read(len(MVOL_MAGIC) + 1) == MVOL_MAGIC + bytes([KIND_SCALAR])
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return "absent"
+    if isinstance(value, float):
+        return repr(float(value))  # plain-float repr even for numpy scalars
+    return str(value)
+
+
+def _text(pairs) -> str:
+    """One ``key = value`` line per ``(key, value)`` pair; ``None`` is written ``absent``."""
+    return "".join(f"{key} = {_fmt(value)}\n" for key, value in pairs)
+
+
+def _pairs(path: Path, text: str, error: type = FormatError):
+    """``(lineno, key, value)`` per ``key = value`` line of ``text`` (read from ``path``); ``#`` starts a comment."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise error("syntax", f"{path.name}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        yield lineno, key, value
 
 
 @dataclass(frozen=True)
@@ -237,13 +267,7 @@ def read_manifest(path) -> CineManifest:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ManifestError("encoding", f"{path}: not valid UTF-8 (byte {exc.start})") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ManifestError("syntax", f"{path.name}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for lineno, key, value in _pairs(path, text, ManifestError):
         if key == "frame":
             frames.append(value)
         elif key in _MANIFEST_KEYS:
@@ -303,17 +327,9 @@ def write_manifest(manifest: CineManifest, path) -> None:
         except ValueError:
             return str(p)
 
-    lines = [
-        f"subject = {manifest.subject_id}",
-        f"vendor = {manifest.vendor}",
-        f"center = {manifest.center}",
-        f"es_index = {manifest.es_index}",
-        f"ed_index = {manifest.ed_index}",
-        f"es_label = {rel(manifest.es_label_path)}",
-        f"ed_label = {rel(manifest.ed_label_path)}",
-    ]
-    lines += [f"frame = {rel(p)}" for p in manifest.frame_paths]
-    write_text("\n".join(lines) + "\n", path)
+    m = manifest
+    values = (m.subject_id, m.vendor, m.center, m.es_index, m.ed_index, rel(m.es_label_path), rel(m.ed_label_path))
+    write_text(_text([*zip(_MANIFEST_KEYS, values), *(("frame", rel(p)) for p in m.frame_paths)]), path)
 
 
 def load_series(manifest: CineManifest) -> CineSeries:
@@ -337,71 +353,47 @@ def load_series(manifest: CineManifest) -> CineSeries:
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))  # plain-float repr even for numpy scalars
-    return str(value)
-
-
 def evaluation_report(cases) -> str:
     """The text of ``evaluation_report.txt``: per-case metric reports as ``key = value`` lines, then per-class means.
 
-    ``cases`` is a sequence of ``(name, CaseReport)`` pairs.
+    ``cases`` is a sequence of ``(name, CaseReport)`` pairs.  A class's keys are
+    the ``ClassReport`` field names, in field order; ``absent`` is a Hausdorff
+    distance that is undefined.
     """
-    lines: list[str] = [f"cases = {len(cases)}"]
+    pairs: list = [("cases", len(cases))]
     for name, report in cases:
-        lines += [f"case = {name}", f"classes = {','.join(report.class_names())}"]
-        for cls in report.class_names():
-            entry = report.entries[cls]
-            hd = "absent" if entry.hausdorff_mm is None else _fmt(entry.hausdorff_mm)
-            lines.append(f"{cls}.dice = {_fmt(entry.dice)}")
-            lines.append(f"{cls}.hausdorff_mm = {hd}")
-            lines.append(f"{cls}.pred_voxels = {entry.pred_voxels}")
-            lines.append(f"{cls}.gt_voxels = {entry.gt_voxels}")
-    if cases:
-        class_names = cases[0][1].class_names()
-        for cls in class_names:
-            dices = [rep.entries[cls].dice for _, rep in cases]
-            lines.append(f"mean.{cls}.dice = {_fmt(sum(dices) / len(dices))}")
-            hds = [rep.entries[cls].hausdorff_mm for _, rep in cases]
-            defined = [h for h in hds if h is not None]
-            mean_hd = repr(sum(defined) / len(defined)) if defined else "absent"
-            lines.append(f"mean.{cls}.hausdorff_mm = {mean_hd}")
-    return "\n".join(lines) + "\n"
+        pairs += [("case", name), ("classes", ",".join(report.class_names()))]
+        for cls, entry in report.entries.items():
+            pairs += [(f"{cls}.{f.name}", getattr(entry, f.name)) for f in fields(entry)]
+    for cls in cases[0][1].class_names() if cases else ():
+        dices = [rep.entries[cls].dice for _, rep in cases]
+        defined = [rep.entries[cls].hausdorff_mm for _, rep in cases if rep.entries[cls].hausdorff_mm is not None]
+        pairs.append((f"mean.{cls}.dice", sum(dices) / len(dices)))
+        pairs.append((f"mean.{cls}.hausdorff_mm", sum(defined) / len(defined) if defined else None))
+    return _text(pairs)
 
 
 def write_propagation_report(results, series_info: dict, path) -> None:
     """Write one record per propagated frame: chosen template and both norms."""
-    lines = [f"{k} = {_fmt(v)}" for k, v in series_info.items()]
-    lines.append(f"propagated_frames = {len(results)}")
+    pairs = [*series_info.items(), ("propagated_frames", len(results))]
     for res in results:
-        lines.append(f"frame = {res.frame_index}")
-        lines.append(f"chosen = {res.chosen_template.value}")
-        lines.append(f"es_norm_mm = {_fmt(float(res.es_norm))}")
-        lines.append(f"ed_norm_mm = {_fmt(float(res.ed_norm))}")
-    write_text("\n".join(lines) + "\n", path)
+        pairs += [("frame", res.frame_index), ("chosen", res.chosen_template.value)]
+        pairs += [("es_norm_mm", float(res.es_norm)), ("ed_norm_mm", float(res.ed_norm))]
+    write_text(_text(pairs), path)
 
 
 def read_propagation_report(path) -> list[dict]:
-    """Parse a propagation report back into per-frame records (for tooling/tests)."""
+    """Per-frame records of a report, one per ``frame`` key: ``frame`` an int, ``*_mm`` a float, others strings."""
+    path = Path(path)
     records: list[dict] = []
-    current: dict | None = None
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or "=" not in line:
-            continue
-        key, value = (part.strip() for part in line.split("=", 1))
+    for _, key, value in _pairs(path, path.read_text(encoding="utf-8")):
         if key == "frame":
-            current = {"frame": int(value)}
-            records.append(current)
-        elif current is not None and key == "chosen":
-            current["chosen"] = value
-        elif current is not None and key in ("es_norm_mm", "ed_norm_mm"):
-            current[key] = float(value)
+            records.append({})
+        if records:
+            records[-1][key] = int(value) if key == "frame" else float(value) if key.endswith("_mm") else value
     return records
 
 
 def write_summary(info: dict, path) -> None:
     """Write the machine-readable run summary (``key = value`` lines)."""
-    lines = [f"{k} = {_fmt(v)}" for k, v in info.items()]
-    write_text("\n".join(lines) + "\n", path)
+    write_text(_text(info.items()), path)
