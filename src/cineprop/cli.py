@@ -25,7 +25,11 @@ subject, which names its output files, is in two manifests or contains a path
 separator; ``evaluate``, pairing by trailing index, exits 3 when two label
 files of one directory share an index, and exits 3 naming both files when a
 pair differs in dims or spacing; a series whose frames or labels differ from
-its first frame in dims or spacing exits 3 too, naming both files.
+its first frame in dims or spacing exits 3 too, naming both files.  When some
+frames of a series fail to propagate, ``propagate`` still writes the frames
+that succeeded, an ``error`` record per failed frame in its report and
+``failed = <n>`` in its summary, then exits 4 if every failure is a
+degeneracy, else 3.
 """
 
 from __future__ import annotations
@@ -191,7 +195,12 @@ def _cmd_propagate(args) -> int:
     params = _registration_params(args)
     manifest = io.read_manifest(args.manifest)
     series = io.load_series(manifest)
-    results = propagate_series(series, params, workers=workers)
+    failed = None
+    try:
+        results = propagate_series(series, params, workers=workers)
+    except SeriesPropagationError as exc:  # the frames that succeeded are written, then it is raised
+        failed, results = exc, exc.results
+    failures = [] if failed is None else failed.failures
     out = _out_dir(args.out)
     for res in results:
         io.write_mvol(res.pseudo_label, out / f"pseudo_label_{res.frame_index:03d}.mvol")
@@ -201,16 +210,18 @@ def _cmd_propagate(args) -> int:
         "es_index": series.es_index,
         "ed_index": series.ed_index,
     }
-    io.write_propagation_report(results, info, out / "propagation_report.txt")
-    io.write_summary(
-        {
-            "command": "propagate",
-            "subject": manifest.subject_id,
-            "propagated": len(results),
-            "report": "propagation_report.txt",
-        },
-        out / "summary.txt",
-    )
+    io.write_propagation_report(results, info, out / "propagation_report.txt", failures)
+    summary = {
+        "command": "propagate",
+        "subject": manifest.subject_id,
+        "propagated": len(results),
+        "report": "propagation_report.txt",
+    }
+    if failures:
+        summary["failed"] = len(failures)
+    io.write_summary(summary, out / "summary.txt")
+    if failed is not None:
+        raise failed
     return EXIT_OK
 
 

@@ -47,13 +47,15 @@ class MissingVendorError(CinepropError):
 class SeriesPropagationError(CinepropError):
     """One or more frames of a series failed to propagate.
 
-    ``failures`` is a list of ``(frame_index, exception)`` pairs.
+    ``failures`` is a list of ``(frame_index, exception)`` pairs and
+    ``results`` the propagation results of the frames that succeeded.
     """
 
-    def __init__(self, failures):
+    def __init__(self, failures, results=()):
         self.failures = list(failures)
+        self.results = list(results)
         parts = ", ".join(f"frame {i}: {e}" for i, e in self.failures)
         super().__init__(f"propagation failed for {len(self.failures)} frame(s): {parts}")
 
     def __reduce__(self):
-        return type(self), (self.failures,)
+        return type(self), (self.failures, self.results)

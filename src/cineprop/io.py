@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -52,9 +51,14 @@ NIFTI_DTYPES = {
 
 
 def _atomic_write(path, payload: bytes) -> None:
-    """Write bytes via a temp file + rename so no partial file is ever visible."""
+    """Write bytes via a temp file + rename so no partial file is ever visible.
+
+    The file gets mode 0666 less the process umask, as ``open`` would give it:
+    0644 under the usual umask 0022.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"  # a sibling, so the rename stays on one file system
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
@@ -373,12 +377,19 @@ def evaluation_report(cases) -> str:
     return _text(pairs)
 
 
-def write_propagation_report(results, series_info: dict, path) -> None:
-    """Write one record per propagated frame: chosen template and both norms."""
-    pairs = [*series_info.items(), ("propagated_frames", len(results))]
+def write_propagation_report(results, series_info: dict, path, failures=()) -> None:
+    """Write one record per frame, in frame order.
+
+    A propagated frame's record holds the chosen template and both norms; a failed frame's, given as a
+    ``(frame_index, exception)`` of ``failures``, holds its message on one line as ``error``.
+    """
+    records = [(t, [("error", " ".join(str(exc).split()))]) for t, exc in failures]
     for res in results:
-        pairs += [("frame", res.frame_index), ("chosen", res.chosen_template.value)]
-        pairs += [("es_norm_mm", float(res.es_norm)), ("ed_norm_mm", float(res.ed_norm))]
+        norms = [("es_norm_mm", float(res.es_norm)), ("ed_norm_mm", float(res.ed_norm))]
+        records.append((res.frame_index, [("chosen", res.chosen_template.value), *norms]))
+    pairs = [*series_info.items(), ("propagated_frames", len(results))]
+    for t, record in sorted(records, key=lambda r: r[0]):
+        pairs += [("frame", t), *record]
     write_text(_text(pairs), path)
 
 

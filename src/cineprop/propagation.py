@@ -104,8 +104,9 @@ def propagate_series(
     once for all the frames it runs, and sends back only its results, so
     memory is per worker.  Because it forks, a caller that runs threads of its
     own should use ``workers=1`` or call this from a single-threaded process.
-    Per-frame failures are collected and raised together with their indices;
-    a worker that dies fails every frame still without a result.
+    Per-frame failures are collected and raised together with their indices
+    and the results of the frames that succeeded; a worker that dies fails
+    every frame still without a result.
     """
     params = params or RegistrationParams()
     if workers < 1:
@@ -127,7 +128,7 @@ def propagate_series(
 
 
 def _collect(targets: list[int], outcome) -> list[PropagationResult]:
-    """``outcome(t)`` for every target, in order; every failure is raised together with its frame index."""
+    """``outcome(t)`` for every target, in order; the failures are raised with their frame indices and the results."""
     results, failures = [], []
     for t in targets:
         try:
@@ -135,5 +136,5 @@ def _collect(targets: list[int], outcome) -> list[PropagationResult]:
         except Exception as exc:  # noqa: BLE001 - aggregated and re-raised below
             failures.append((t, exc))
     if failures:
-        raise SeriesPropagationError(failures)
+        raise SeriesPropagationError(failures, results)
     return results

@@ -240,6 +240,26 @@ class TestPropagateCommand:
             for w in filter(_running, workers):
                 os.kill(w, signal.SIGKILL)
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_constant_frame_fails_alone(self, tmp_path, workers):
+        # frame 1 is written as in a clean run; frame 2, constant, is an error record, and the exit code is 4
+        mpath, _ = _write_cine_dir(tmp_path / "cine")
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        argv = ["propagate", "--manifest", str(mpath), "--iters", "5,5", "--workers", workers, "--out"]
+        assert run([*argv, str(clean)]) == EXIT_OK
+        frame_path = tmp_path / "cine" / "frame_002.mvol"
+        frame = io.read_volume(frame_path)
+        io.write_mvol(ScalarVolume(np.full(frame.dims, 5.0, np.float32), frame.spacing), frame_path)
+        assert run([*argv, str(out)]) == EXIT_DEGENERATE
+        assert (out / "pseudo_label_001.mvol").read_bytes() == (clean / "pseudo_label_001.mvol").read_bytes()
+        assert not (out / "pseudo_label_002.mvol").exists()
+        first, second = io.read_propagation_report(out / "propagation_report.txt")
+        assert first == io.read_propagation_report(clean / "propagation_report.txt")[0]
+        assert first["chosen"] in ("ES", "ED") and first["es_norm_mm"] >= 0 and first["ed_norm_mm"] >= 0
+        assert second["frame"] == 2 and set(second) == {"frame", "error"} and "constant" in second["error"]
+        assert "propagated = 1\nreport = propagation_report.txt\nfailed = 1\n" in (out / "summary.txt").read_text()
+        assert "failed" not in (clean / "summary.txt").read_text()
+
     def test_constant_frames_degenerate(self, tmp_path):
         out = tmp_path / "flat"
         out.mkdir()

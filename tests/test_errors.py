@@ -14,7 +14,8 @@ def _example(cls):
     if issubclass(cls, errors.FormatError):
         return cls("dims", "expected 3 positive values")
     if cls is errors.SeriesPropagationError:
-        return cls([(2, errors.DegenerateInputError("constant frame")), (5, errors.FormatError("spacing", "nan"))])
+        failures = [(2, errors.DegenerateInputError("constant frame")), (5, errors.FormatError("spacing", "nan"))]
+        return cls(failures, results=[3, 4])
     return cls("something went wrong")
 
 
@@ -32,3 +33,4 @@ def test_round_trip_keeps_type_message_and_fields(cls):
     if cls is errors.SeriesPropagationError:
         assert [(i, type(e), str(e)) for i, e in back.failures] == [(i, type(e), str(e)) for i, e in exc.failures]
         assert back.failures[1][1].field == "spacing"
+        assert back.results == exc.results

@@ -1,12 +1,14 @@
 """MVOL round trips, NIfTI-1 ingestion, manifests, and report formats."""
 
+import os
+import stat
 import struct
 
 import numpy as np
 import pytest
 
 from cineprop import io
-from cineprop.errors import FormatError, ManifestError
+from cineprop.errors import DegenerateInputError, FormatError, ManifestError
 from cineprop.volume import LabelMap, ScalarVolume
 from helpers import build_nifti_bytes, random_volume
 
@@ -324,6 +326,19 @@ class TestManifest:
         assert series.es_index == 0 and series.ed_index == 3
 
 
+class TestFileModes:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+    def test_outputs_follow_the_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            io.write_mvol(LabelMap(np.zeros((2, 2, 2), dtype=np.uint8)), tmp_path / "a.mvol")
+            io.write_text("key = value\n", tmp_path / "a.txt")
+        finally:
+            os.umask(old)
+        # and no temporary file is left beside them
+        assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()} == {"a.mvol": mode, "a.txt": mode}
+
+
 class TestReports:
     def test_propagation_report_round_trip(self, tmp_path):
         from cineprop.propagation import PropagationResult
@@ -333,13 +348,21 @@ class TestReports:
             PropagationResult(1, lab, 0.25, 0.75),
             PropagationResult(2, lab, 0.8, 0.3),
         ]
+        failures = [(3, DegenerateInputError("moving image\nis constant"))]
         path = tmp_path / "prop.txt"
-        io.write_propagation_report(results, {"subject": "s", "frames": 4}, path)
+        io.write_propagation_report(results, {"subject": "s", "frames": 5}, path, failures)
         records = io.read_propagation_report(path)
-        assert [r["frame"] for r in records] == [1, 2]
+        assert [r["frame"] for r in records] == [1, 2, 3]
         assert records[0]["chosen"] == "ES" and records[1]["chosen"] == "ED"
         assert records[0]["es_norm_mm"] == 0.25
         assert records[1]["ed_norm_mm"] == 0.3
+        assert records[2] == {"frame": 3, "error": "moving image is constant"}
+
+    def test_report_line_without_equals_is_format_error(self, tmp_path):
+        path = tmp_path / "prop.txt"
+        path.write_text("frame = 1\nchosen ES\n")
+        with pytest.raises(FormatError, match="prop.txt:2"):
+            io.read_propagation_report(path)
 
     def test_case_report_format(self):
         from cineprop.metrics import CaseReport, ClassReport

@@ -330,6 +330,7 @@ class TestWorkerFailures:
             propagate_series(series, FAST, workers=2)
         ((frame, exc),) = info.value.failures
         assert frame == 2
+        assert [res.frame_index for res in info.value.results] == [1, 3, 4]
         assert type(exc) is DegenerateInputError
         assert str(exc) == "frame 2 is constant"
         argv = ["propagate", "--manifest", str(mpath), "--out", str(tmp_path / "out"), "--workers", "2"]
