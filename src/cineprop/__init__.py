@@ -9,12 +9,8 @@ distributions across scanner vendors via histogram matching.
 from .errors import (
     CinepropError,
     DegenerateInputError,
-    EmptyMaskError,
     FormatError,
     InvalidParameterError,
-    InvalidTargetError,
-    ManifestError,
-    MissingVendorError,
     SeriesPropagationError,
 )
 from .metrics import evaluate_case

@@ -44,11 +44,8 @@ from . import io
 from .errors import (
     CinepropError,
     DegenerateInputError,
-    EmptyMaskError,
     FormatError,
     InvalidParameterError,
-    InvalidTargetError,
-    MissingVendorError,
     SeriesPropagationError,
 )
 from .metrics import evaluate_case
@@ -380,13 +377,10 @@ def run(argv: list[str]) -> int:
         return _HANDLERS[args.subcommand](args)
     except (CinepropError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, SeriesPropagationError):
-            return EXIT_DEGENERATE if all(isinstance(e, DegenerateInputError) for _, e in exc.failures) else EXIT_IO
-        if isinstance(exc, (DegenerateInputError, EmptyMaskError)):
+        causes = [e for _, e in exc.failures] if isinstance(exc, SeriesPropagationError) else [exc]
+        if all(isinstance(e, DegenerateInputError) for e in causes):
             return EXIT_DEGENERATE
-        if isinstance(exc, (InvalidParameterError, InvalidTargetError, MissingVendorError)):
-            return EXIT_USAGE
-        return EXIT_IO  # FormatError and any other package error
+        return EXIT_USAGE if isinstance(exc, InvalidParameterError) else EXIT_IO  # FormatError, OSError and the rest
 
 
 def main() -> None:

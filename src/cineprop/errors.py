@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one class per CLI exit code, and the series error."""
 
 
 class CinepropError(Exception):
@@ -6,17 +6,17 @@ class CinepropError(Exception):
 
 
 class InvalidParameterError(CinepropError, ValueError):
-    """A parameter or constructed object violates a documented precondition."""
+    """A parameter, flag or constructed object violates a documented precondition (exit code 2)."""
 
 
 class DegenerateInputError(CinepropError):
-    """Input carries no usable signal (e.g. a constant image fed to registration)."""
+    """Input carries no usable signal (exit code 4): a constant image fed to registration, an empty mask."""
 
 
 class FormatError(CinepropError):
-    """A file violates its on-disk format contract.
+    """A file violates its on-disk format contract (exit code 3); a malformed manifest is one.
 
-    ``field`` names the offending header field or payload property.
+    ``field`` names the offending header field, manifest key or payload property.
     """
 
     def __init__(self, field: str, message: str):
@@ -28,27 +28,12 @@ class FormatError(CinepropError):
         return type(self), (self.field, self.message)
 
 
-class ManifestError(FormatError):
-    """A cine manifest is malformed or references missing files."""
-
-
-class InvalidTargetError(CinepropError, ValueError):
-    """Propagation was requested for a frame that already has a manual label."""
-
-
-class EmptyMaskError(CinepropError):
-    """A metric that requires non-empty masks was given an empty one."""
-
-
-class MissingVendorError(CinepropError):
-    """A vendor tag was requested that is absent from the dataset."""
-
-
 class SeriesPropagationError(CinepropError):
     """One or more frames of a series failed to propagate.
 
     ``failures`` is a list of ``(frame_index, exception)`` pairs and
-    ``results`` the propagation results of the frames that succeeded.
+    ``results`` the propagation results of the frames that succeeded.  The
+    CLI exits 4 when every failure is a ``DegenerateInputError``, else 3.
     """
 
     def __init__(self, failures, results=()):

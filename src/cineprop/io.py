@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ManifestError
+from .errors import FormatError
 from .volume import CineSeries, LabelMap, ScalarVolume
 
 MVOL_MAGIC = b"MVL1"
@@ -233,14 +233,14 @@ def _text(pairs) -> str:
     return "".join(f"{key} = {_fmt(value)}\n" for key, value in pairs)
 
 
-def _pairs(path: Path, text: str, error: type = FormatError):
+def _pairs(path: Path, text: str):
     """``(lineno, key, value)`` per ``key = value`` line of ``text`` (read from ``path``); ``#`` starts a comment."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise error("syntax", f"{path.name}:{lineno}: expected 'key = value'")
+            raise FormatError("syntax", f"{path.name}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         yield lineno, key, value
 
@@ -270,35 +270,35 @@ def read_manifest(path) -> CineManifest:
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ManifestError("encoding", f"{path}: not valid UTF-8 (byte {exc.start})") from None
-    for lineno, key, value in _pairs(path, text, ManifestError):
+        raise FormatError("encoding", f"{path}: not valid UTF-8 (byte {exc.start})") from None
+    for lineno, key, value in _pairs(path, text):
         if key == "frame":
             frames.append(value)
         elif key in _MANIFEST_KEYS:
             if key in values:
-                raise ManifestError(key, f"{path.name}:{lineno}: duplicate key")
+                raise FormatError(key, f"{path.name}:{lineno}: duplicate key")
             values[key] = value
         else:
-            raise ManifestError(key, f"{path.name}:{lineno}: unknown key")
+            raise FormatError(key, f"{path.name}:{lineno}: unknown key")
 
     for key in _MANIFEST_KEYS:
         if key not in values:
-            raise ManifestError(key, f"{path.name}: missing key")
+            raise FormatError(key, f"{path.name}: missing key")
     if not frames:
-        raise ManifestError("frame", f"{path.name}: no frames listed")
+        raise FormatError("frame", f"{path.name}: no frames listed")
 
     indices = []
     for key in ("es_index", "ed_index"):
         try:
             indices.append(int(values[key]))
         except ValueError as exc:
-            raise ManifestError(key, f"{path.name}: {key} must be an integer, got {values[key]!r}") from exc
+            raise FormatError(key, f"{path.name}: {key} must be an integer, got {values[key]!r}") from exc
     es_index, ed_index = indices
     if es_index == ed_index:
-        raise ManifestError("es_index", f"{path.name}: es_index and ed_index are both {es_index}")
+        raise FormatError("es_index", f"{path.name}: es_index and ed_index are both {es_index}")
     for name, idx in (("es_index", es_index), ("ed_index", ed_index)):
         if not 0 <= idx < len(frames):
-            raise ManifestError(name, f"{path.name}: frame index {idx} out of range for {len(frames)} frames")
+            raise FormatError(name, f"{path.name}: frame index {idx} out of range for {len(frames)} frames")
 
     base = path.parent
     frame_paths = tuple(base / f for f in frames)
@@ -306,7 +306,7 @@ def read_manifest(path) -> CineManifest:
     ed_label = base / values["ed_label"]
     for p in (*frame_paths, es_label, ed_label):
         if not p.is_file():
-            raise ManifestError("frame" if p in frame_paths else "label", f"referenced file missing: {p}")
+            raise FormatError("frame" if p in frame_paths else "label", f"referenced file missing: {p}")
 
     return CineManifest(
         subject_id=values["subject"],

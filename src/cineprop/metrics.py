@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMaskError, InvalidParameterError
+from .errors import DegenerateInputError, InvalidParameterError
 from .volume import CLASS_NAMES, FOREGROUND_CLASSES, LabelMap
 
 _BLOCK = 1 << 18  # float64 elements in one min-plus temporary (2 MiB)
@@ -145,7 +145,7 @@ def hausdorff(pred: LabelMap, gt: LabelMap, label: int) -> float:
     p = pred.data == label
     g = gt.data == label
     if not p.any() or not g.any():
-        raise EmptyMaskError(f"class {label} empty in {'pred' if not p.any() else 'gt'}")
+        raise DegenerateInputError(f"class {label} empty in {'pred' if not p.any() else 'gt'}")
     both = p | g
     held = (np.flatnonzero(both.reshape(len(both), -1).any(axis=1)), *_held(both))
     box = tuple(slice(hit[0], hit[-1] + 1) for hit in held)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidTargetError, SeriesPropagationError
+from .errors import InvalidParameterError, SeriesPropagationError
 from .registration import DisplacementField, RegistrationParams, _register_stages, _target, warp_label
 from .volume import CineSeries, LabelMap
 
@@ -58,7 +58,7 @@ def propagate_frame(series: CineSeries, target: int, params: RegistrationParams 
     if not 0 <= target < series.n_frames:
         raise InvalidParameterError(f"frame index {target} out of range for {series.n_frames} frames")
     if target in (series.es_index, series.ed_index):
-        raise InvalidTargetError(f"frame {target} is a template frame and already has a manual label")
+        raise InvalidParameterError(f"frame {target} is a template frame and already has a manual label")
 
     shared = _target(series.frames[target], params)
     es_field = _register_stages(shared, series.frames[series.es_index], params)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, MissingVendorError
+from .errors import InvalidParameterError
 from .volume import ScalarVolume
 
 SOURCE_BINS = 256
@@ -110,7 +110,7 @@ def vendor_transfer(
     tags = {tag for _, tag in dataset}
     for tag in (from_vendor, to_vendor):
         if tag not in tags:
-            raise MissingVendorError(f"vendor {tag!r} absent from dataset (present: {sorted(tags)})")
+            raise InvalidParameterError(f"vendor {tag!r} absent from dataset (present: {sorted(tags)})")
     target_corpus = [vol for vol, tag in dataset if tag == to_vendor]
     ref = build_reference(target_corpus, min(n_ref, len(target_corpus)), seed)
     return [histogram_match(vol, ref).volume for vol, tag in dataset if tag == from_vendor]

@@ -20,7 +20,7 @@ def _example(cls):
 
 
 def test_every_class_is_covered():
-    assert len(CLASSES) == 9
+    assert len(CLASSES) == 5
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cineprop import io
-from cineprop.errors import DegenerateInputError, FormatError, ManifestError
+from cineprop.errors import DegenerateInputError, FormatError
 from cineprop.volume import LabelMap, ScalarVolume
 from helpers import build_nifti_bytes, random_volume
 
@@ -274,7 +274,7 @@ class TestManifest:
 
     def test_equal_indices_rejected(self, tmp_path):
         mpath = _write_series(tmp_path, es=3, ed=3)
-        with pytest.raises(ManifestError, match="es_index"):
+        with pytest.raises(FormatError, match="es_index"):
             io.read_manifest(mpath)
 
     @pytest.mark.parametrize("key", ["es_index", "ed_index"])
@@ -282,32 +282,32 @@ class TestManifest:
         mpath = _write_series(tmp_path)
         text = "\n".join(f"{key} = two" if l.startswith(key) else l for l in mpath.read_text().splitlines())
         mpath.write_text(text + "\n")
-        with pytest.raises(ManifestError) as excinfo:
+        with pytest.raises(FormatError) as excinfo:
             io.read_manifest(mpath)
         assert excinfo.value.field == key
 
     def test_out_of_range_index(self, tmp_path):
         mpath = _write_series(tmp_path, n_frames=10, es=3, ed=12)
-        with pytest.raises(ManifestError, match="out of range"):
+        with pytest.raises(FormatError, match="out of range"):
             io.read_manifest(mpath)
 
     def test_missing_key(self, tmp_path):
         mpath = _write_series(tmp_path)
         text = "\n".join(l for l in mpath.read_text().splitlines() if not l.startswith("vendor"))
         mpath.write_text(text)
-        with pytest.raises(ManifestError, match="vendor"):
+        with pytest.raises(FormatError, match="vendor"):
             io.read_manifest(mpath)
 
     def test_missing_file(self, tmp_path):
         mpath = _write_series(tmp_path)
         (tmp_path / "frame_002.mvol").unlink()
-        with pytest.raises(ManifestError, match="missing"):
+        with pytest.raises(FormatError, match="missing"):
             io.read_manifest(mpath)
 
     def test_unknown_key_rejected(self, tmp_path):
         mpath = _write_series(tmp_path)
         mpath.write_text(mpath.read_text() + "bogus = 1\n")
-        with pytest.raises(ManifestError, match="bogus"):
+        with pytest.raises(FormatError, match="bogus"):
             io.read_manifest(mpath)
 
     def test_write_read_round_trip(self, tmp_path):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cineprop.errors import EmptyMaskError, InvalidParameterError
+from cineprop.errors import DegenerateInputError, InvalidParameterError
 from cineprop.metrics import dice, evaluate_case, hausdorff
 from cineprop.volume import LV, MYO, RV, LabelMap
 from helpers import dice_oracle, hausdorff_oracle, random_label_map
@@ -85,9 +85,9 @@ class TestHausdorff:
     def test_empty_mask_raises(self):
         empty = _mask_map(np.zeros((3, 3, 3), dtype=bool))
         full = _mask_map(np.ones((3, 3, 3), dtype=bool))
-        with pytest.raises(EmptyMaskError):
+        with pytest.raises(DegenerateInputError, match="empty in pred"):
             hausdorff(empty, full, 1)
-        with pytest.raises(EmptyMaskError):
+        with pytest.raises(DegenerateInputError, match="empty in gt"):
             hausdorff(full, empty, 1)
 
     def test_matches_brute_force_exactly(self):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cineprop import cli, propagation, registration, volume
-from cineprop.errors import DegenerateInputError, InvalidParameterError, InvalidTargetError, SeriesPropagationError
+from cineprop.errors import DegenerateInputError, InvalidParameterError, SeriesPropagationError
 from cineprop.metrics import dice
 from cineprop.phantom import PhantomSpec, generate_cine, generate_frame
 from cineprop.propagation import (
@@ -81,9 +81,9 @@ class TestCandidateInvariants:
 
 class TestPropagateFrame:
     def test_template_frame_rejected(self, tiny_cine):
-        with pytest.raises(InvalidTargetError):
+        with pytest.raises(InvalidParameterError, match="template frame"):
             propagate_frame(tiny_cine.series, 0, FAST)
-        with pytest.raises(InvalidTargetError):
+        with pytest.raises(InvalidParameterError, match="template frame"):
             propagate_frame(tiny_cine.series, 3, FAST)
 
     def test_out_of_range_rejected(self, tiny_cine):

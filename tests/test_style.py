@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cineprop import style
-from cineprop.errors import InvalidParameterError, MissingVendorError
+from cineprop.errors import InvalidParameterError
 from cineprop.style import (
     SOURCE_BINS,
     build_reference,
@@ -172,7 +172,7 @@ class TestVendorTransfer:
 
     def test_missing_vendor(self):
         dataset = self._dataset(seed=23)
-        with pytest.raises(MissingVendorError):
+        with pytest.raises(InvalidParameterError, match="vendor 'C' absent"):
             vendor_transfer(dataset, "A", "C", seed=24)
 
     def test_inputs_untouched(self):
