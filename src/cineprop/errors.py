@@ -2,7 +2,7 @@
 
 
 class CinepropError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package (CLI exit code 3 unless a subclass below says otherwise)."""
 
 
 class InvalidParameterError(CinepropError, ValueError):

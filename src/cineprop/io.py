@@ -13,10 +13,15 @@ NIfTI-1 is ingestion-only: uncompressed single-file ``.nii`` with the standard
 348-byte header.  There is deliberately no NIfTI writer.
 
 Manifests, reports and summaries are line-oriented ``key = value`` text,
-written by ``_text`` and read by ``_pairs``; ``#`` starts a comment.  Manifest
-keys: ``subject``, ``vendor``, ``center``, ``es_index``, ``ed_index``,
-``es_label``, ``ed_label``, and one ``frame`` line per timeframe (in temporal
-order).  Paths are taken relative to the manifest's directory.
+written by ``_text`` and read by ``_pairs``; ``#`` starts a comment.  So that
+every line reads back as written, ``_text`` refuses, with an
+``InvalidParameterError`` and before anything is written, a key or value that
+holds a ``#`` or a line break (any that ``str.splitlines`` splits at, carriage
+return and NEL included) or that begins or ends with a blank, and a key that
+holds ``=``.  Manifest keys: ``subject``, ``vendor``, ``center``,
+``es_index``, ``ed_index``, ``es_label``, ``ed_label``, and one ``frame`` line
+per timeframe (in temporal order).  Paths are taken relative to the
+manifest's directory.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InvalidParameterError
 from .volume import CineSeries, LabelMap, ScalarVolume
 
 MVOL_MAGIC = b"MVL1"
@@ -186,7 +191,11 @@ def read_nifti1(path, *, as_labels: bool = False) -> ScalarVolume | LabelMap:
         raise FormatError("pixdim", f"voxel spacing must be positive and finite, got {spacing}")
 
     if not as_labels:
-        return ScalarVolume(grid.astype(np.float32), spacing)
+        with np.errstate(over="ignore"):  # a value past the float32 range becomes inf, rejected below
+            voxels = grid.astype(np.float32)
+        if not np.all(np.isfinite(voxels)):
+            raise FormatError("payload", "voxel values beyond the float32 range")
+        return ScalarVolume(voxels, spacing)
     rounded = np.rint(grid)
     if not np.array_equal(rounded, grid) or grid.min() < 0 or grid.max() > 3:
         raise FormatError("label range", "values are not label codes in {0,1,2,3}")
@@ -229,8 +238,17 @@ def _fmt(value) -> str:
 
 
 def _text(pairs) -> str:
-    """One ``key = value`` line per ``(key, value)`` pair; ``None`` is written ``absent``."""
-    return "".join(f"{key} = {_fmt(value)}\n" for key, value in pairs)
+    """One ``key = value`` line per ``(key, value)`` pair; ``None`` is written ``absent``.
+
+    A pair that ``_pairs`` would not read back as itself is an ``InvalidParameterError`` naming it.
+    """
+    lines = []
+    for key, value in pairs:
+        text = _fmt(value)
+        if "=" in key or any("#" in s or s != s.strip() or len(s.splitlines()) > 1 for s in (key, text)):
+            raise InvalidParameterError(f"{key!r} = {text!r} would not read back from a 'key = value' line")
+        lines.append(f"{key} = {text}\n")
+    return "".join(lines)
 
 
 def _pairs(path: Path, text: str):
@@ -381,9 +399,10 @@ def write_propagation_report(results, series_info: dict, path, failures=()) -> N
     """Write one record per frame, in frame order.
 
     A propagated frame's record holds the chosen template and both norms; a failed frame's, given as a
-    ``(frame_index, exception)`` of ``failures``, holds its message on one line as ``error``.
+    ``(frame_index, exception)`` of ``failures``, holds its message on one line as ``error``, each ``#``
+    written ``%23``.
     """
-    records = [(t, [("error", " ".join(str(exc).split()))]) for t, exc in failures]
+    records = [(t, [("error", " ".join(str(exc).split()).replace("#", "%23"))]) for t, exc in failures]
     for res in results:
         norms = [("es_norm_mm", float(res.es_norm)), ("ed_norm_mm", float(res.ed_norm))]
         records.append((res.frame_index, [("chosen", res.chosen_template.value), *norms]))

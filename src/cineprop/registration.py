@@ -274,9 +274,10 @@ def _pyramid(vol: ScalarVolume, params: RegistrationParams) -> list[ScalarVolume
 
 
 def _pyramid_levels(fixed: ScalarVolume, moving: ScalarVolume, params: RegistrationParams) -> list:
-    """Coarse-to-fine (fixed, moving, iterations) levels of the two ``_pyramid``s."""
-    pyramids = [_pyramid(fixed, params), _pyramid(moving, params)]
-    return list(zip(*pyramids, params.iterations_per_level[-len(pyramids[0]) :]))
+    """Coarse-to-fine (fixed, moving, iterations) levels of the two ``_pyramid``s, paired from the fine end."""
+    fixed_pyramid, moving_pyramid = _pyramid(fixed, params), _pyramid(moving, params)
+    n = min(len(fixed_pyramid), len(moving_pyramid))
+    return list(zip(fixed_pyramid[-n:], moving_pyramid[-n:], params.iterations_per_level[-n:]))
 
 
 def _line_search(objective, theta, direction, f_cur: float, lam: float, slope: float):

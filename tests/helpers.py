@@ -92,8 +92,9 @@ def build_nifti_bytes(
     magic: bytes = b"n+1\x00",
     vox_offset: float = 352.0,
     ndim: int = 3,
+    endian: str = "<",
 ) -> bytes:
-    """Hand-assemble a single-file NIfTI-1 byte stream at the standard offsets."""
+    """Hand-assemble a single-file NIfTI-1 byte stream at the standard offsets, in byte order ``endian``."""
     codes = {np.uint8: 2, np.int16: 4, np.float32: 16, np.float64: 64, np.uint16: 512}
     data = np.asarray(data)
     if datatype is None:
@@ -101,19 +102,19 @@ def build_nifti_bytes(
     bitpix = data.dtype.itemsize * 8
 
     header = bytearray(348)
-    struct.pack_into("<i", header, 0, 348)
+    struct.pack_into(endian + "i", header, 0, 348)
     dim = [ndim, *data.shape] + [1] * (7 - data.ndim)
-    struct.pack_into("<8h", header, 40, *dim)
-    struct.pack_into("<h", header, 70, datatype)
-    struct.pack_into("<h", header, 72, bitpix)
+    struct.pack_into(endian + "8h", header, 40, *dim)
+    struct.pack_into(endian + "h", header, 70, datatype)
+    struct.pack_into(endian + "h", header, 72, bitpix)
     pixdim = [1.0, *spacing] + [0.0] * (7 - len(spacing))
-    struct.pack_into("<8f", header, 76, *pixdim)
-    struct.pack_into("<f", header, 108, vox_offset)
-    struct.pack_into("<2f", header, 112, scl_slope, scl_inter)
+    struct.pack_into(endian + "8f", header, 76, *pixdim)
+    struct.pack_into(endian + "f", header, 108, vox_offset)
+    struct.pack_into(endian + "2f", header, 112, scl_slope, scl_inter)
     header[344:348] = magic
 
     offset = int(vox_offset)
-    payload = data.ravel(order="F").tobytes()
+    payload = data.astype(data.dtype.newbyteorder(endian)).ravel(order="F").tobytes()
     return bytes(header) + b"\x00" * (offset - 348) + payload
 
 

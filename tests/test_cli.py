@@ -308,6 +308,18 @@ class TestHistmatchCommand:
         mpath.write_text(mpath.read_text().replace("frame_001.mvol", "frame_bad.nii"))
         assert run(["histmatch", "--manifest", str(mpath), "--out", str(tmp_path / "m")]) == EXIT_IO
 
+    @pytest.mark.parametrize("dtype, big, slope", [(np.float64, 1e300, 0.0), (np.float32, 2.0, 3e38)])
+    def test_voxel_beyond_float32_is_io_error(self, tmp_path, capsys, dtype, big, slope):
+        # frame 1 is a NIfTI file with one voxel, as stored or once scaled, past the float32 range
+        mpath, _ = _write_cine_dir(tmp_path / "cine")
+        data = np.ones((20, 20, 20), dtype=dtype)
+        data[3, 4, 5] = big
+        (tmp_path / "cine" / "frame_big.nii").write_bytes(build_nifti_bytes(data, scl_slope=slope))
+        mpath.write_text(mpath.read_text().replace("frame_001.mvol", "frame_big.nii"))
+        assert run(["histmatch", "--manifest", str(mpath), "--out", str(tmp_path / "m")]) == EXIT_IO
+        assert "payload: voxel values beyond the float32 range" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
 
 class TestTransferCommand:
     def test_transfer_between_vendors(self, tmp_path):
@@ -398,6 +410,17 @@ class TestEvaluateCommand:
         for line in text.splitlines():
             if ".dice = " in line and not line.startswith("mean"):
                 assert line.endswith("= 1.0")
+
+    @pytest.mark.parametrize("out", [True, False], ids=["out", "stdout"])
+    def test_case_name_that_would_not_read_back_is_usage_error(self, tmp_path, capsys, out):
+        labels = tmp_path / "labels"
+        labels.mkdir()
+        io.write_mvol(LabelMap(np.ones((3, 3, 3), dtype=np.uint8)), labels / "a#1.mvol")
+        args = ["evaluate", "--pred", str(labels), "--gt", str(labels)] + (["--out", str(tmp_path / "e")] if out else [])
+        assert run(args) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "'a#1'" in captured.err and captured.out == ""
+        assert not (tmp_path / "e").exists()
 
     def test_stdout_is_the_written_report(self, tmp_path, capsys):
         _, cine = _write_cine_dir(tmp_path / "cine")

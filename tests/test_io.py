@@ -1,14 +1,17 @@
 """MVOL round trips, NIfTI-1 ingestion, manifests, and report formats."""
 
+import dataclasses
 import os
+import random
 import stat
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cineprop import io
-from cineprop.errors import DegenerateInputError, FormatError
+from cineprop.errors import DegenerateInputError, FormatError, InvalidParameterError
 from cineprop.volume import LabelMap, ScalarVolume
 from helpers import build_nifti_bytes, random_volume
 
@@ -160,6 +163,16 @@ class TestNifti:
         path.write_bytes(build_nifti_bytes(data))
         with pytest.raises(FormatError, match="non-finite"):
             io.read_nifti1(path)
+
+    @pytest.mark.parametrize("dtype, big, slope", [(np.float64, 1e300, 0.0), (np.float32, 2.0, 3e38)])
+    def test_voxels_beyond_float32_are_format_error(self, tmp_path, dtype, big, slope):
+        data = np.ones((2, 2, 2), dtype=dtype)
+        data[1, 0, 1] = big
+        path = tmp_path / "v.nii"
+        path.write_bytes(build_nifti_bytes(data, scl_slope=slope))
+        with pytest.raises(FormatError, match="float32 range") as excinfo:  # and no overflow warning
+            io.read_nifti1(path)
+        assert excinfo.value.field == "payload"
 
     def test_rgb_datatype_rejected(self, tmp_path):
         data = np.zeros((2, 2, 2), dtype=np.uint8)
@@ -380,3 +393,77 @@ class TestReports:
         assert "RV.hausdorff_mm = absent" in lines
         assert "mean.LV.dice = 1.0" in lines
         assert "mean.RV.hausdorff_mm = absent" in lines
+
+
+# blanks, comment and separator characters and line breaks as str.splitlines sees them, among plain letters
+_TEXT_ALPHABET = "abcdefgh7_.-é  =#\t\n\r\x0b\x0c\x1c\x85\u2028"
+
+
+def _random_text(rng: random.Random, max_len: int = 5) -> str:
+    return "".join(rng.choice(_TEXT_ALPHABET) for _ in range(rng.randrange(max_len + 1)))
+
+
+class TestTextRoundTrip:
+    def test_text_refuses_exactly_what_pairs_cannot_read_back(self):
+        rng = random.Random(26)
+        path = Path("t.txt")
+        written = refused = 0
+        for _ in range(3000):
+            key, value = _random_text(rng), _random_text(rng)
+            try:  # the oracle: the reader's view of the line written as is
+                readable = list(io._pairs(path, f"{key} = {value}\n")) == [(1, key, value)]
+            except FormatError:
+                readable = False
+            if readable:
+                assert list(io._pairs(path, io._text([(key, value)]))) == [(1, key, value)]
+                written += 1
+            else:
+                with pytest.raises(InvalidParameterError, match="would not read back"):
+                    io._text([("k", 1), (key, value)])
+                refused += 1
+        assert written > 200 and refused > 200
+
+    def test_manifest_reads_back_or_is_refused(self, tmp_path):
+        rng = random.Random(27)
+        base = io.read_manifest(_write_series(tmp_path))
+        out = tmp_path / "copy.txt"
+        written = 0
+        for _ in range(300):
+            m = dataclasses.replace(base, **{rng.choice(["subject_id", "vendor", "center"]): _random_text(rng)})
+            try:
+                io.write_manifest(m, out)
+            except InvalidParameterError:
+                assert not out.exists()
+                continue
+            assert io.read_manifest(out) == m
+            out.unlink()
+            written += 1
+        assert written > 30
+
+    def test_propagation_report_reads_back_or_is_refused(self, tmp_path):
+        from cineprop.propagation import PropagationResult
+
+        rng = random.Random(28)
+        result = PropagationResult(1, LabelMap(np.zeros((2, 2, 2), dtype=np.uint8)), 0.5, 1.5)
+        path = tmp_path / "prop.txt"
+        written = 0
+        for _ in range(300):
+            subject, message = _random_text(rng), _random_text(rng, max_len=12)
+            try:
+                io.write_propagation_report([result], {"subject": subject}, path, [(2, DegenerateInputError(message))])
+            except InvalidParameterError:  # only the subject can be refused: error messages are made safe
+                assert not path.exists()
+                with pytest.raises(InvalidParameterError):
+                    io._text([("subject", subject)])
+                continue
+            assert next(io._pairs(path, path.read_text(encoding="utf-8")))[1:] == ("subject", subject)
+            records = io.read_propagation_report(path)
+            assert records[1] == {"frame": 2, "error": " ".join(message.split()).replace("#", "%23")}
+            path.unlink()
+            written += 1
+        assert written > 30
+
+    def test_error_message_hash_is_written_escaped(self, tmp_path):
+        path = tmp_path / "prop.txt"
+        io.write_propagation_report([], {"subject": "s"}, path, [(2, DegenerateInputError("bad # thing"))])
+        assert io.read_propagation_report(path) == [{"frame": 2, "error": "bad %23 thing"}]

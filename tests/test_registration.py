@@ -555,6 +555,25 @@ class TestRigid:
         with pytest.raises(InvalidParameterError):
             register_rigid(a, b, RegistrationParams())
 
+    def test_pyramids_of_different_depth_pair_from_the_fine_end(self, monkeypatch):
+        # a 16^3 fixed image halves twice and a 6^3 moving image once: the two finest levels pair up
+        levels = []
+        level_objective, descend = registration._level_objective, registration._descend
+
+        def spy_objective(fixed_level, moving_level, *args):
+            levels.append((fixed_level.dims, moving_level.dims))
+            return level_objective(fixed_level, moving_level, *args)
+
+        def spy_descend(*args):
+            levels[-1] += (args[-1],)  # the iteration count
+            return descend(*args)
+
+        monkeypatch.setattr(registration, "_level_objective", spy_objective)
+        monkeypatch.setattr(registration, "_descend", spy_descend)
+        params = RegistrationParams(pyramid_levels=3, iterations_per_level=(50, 50, 30))
+        register_rigid(_smooth_random(12, dims=(16, 16, 16)), _smooth_random(13, dims=(6, 6, 6)), params)
+        assert levels == [((8, 8, 8), (3, 3, 3), 50), ((16, 16, 16), (6, 6, 6), 30)]
+
     def test_translation_recovery(self, small_phantom):
         vol, _ = small_phantom
         moving = shift_volume(vol, (2, -1, 1))
