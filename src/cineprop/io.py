@@ -384,10 +384,10 @@ def evaluation_report(cases) -> str:
     """
     pairs: list = [("cases", len(cases))]
     for name, report in cases:
-        pairs += [("case", name), ("classes", ",".join(report.class_names()))]
+        pairs += [("case", name), ("classes", ",".join(report.entries))]
         for cls, entry in report.entries.items():
             pairs += [(f"{cls}.{f.name}", getattr(entry, f.name)) for f in fields(entry)]
-    for cls in cases[0][1].class_names() if cases else ():
+    for cls in cases[0][1].entries if cases else ():
         dices = [rep.entries[cls].dice for _, rep in cases]
         defined = [rep.entries[cls].hausdorff_mm for _, rep in cases if rep.entries[cls].hausdorff_mm is not None]
         pairs.append((f"mean.{cls}.dice", sum(dices) / len(dices)))

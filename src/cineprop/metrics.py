@@ -174,9 +174,6 @@ class CaseReport:
 
     entries: dict[str, ClassReport]
 
-    def class_names(self) -> tuple[str, ...]:
-        return tuple(self.entries.keys())
-
 
 def evaluate_case(pred: LabelMap, gt: LabelMap) -> CaseReport:
     """Dice and Hausdorff for each foreground class (LV, MYO, RV)."""

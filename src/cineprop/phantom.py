@@ -68,7 +68,7 @@ class PhantomSpec:
                 )
 
 
-def blend_weight(spec: PhantomSpec, t: int) -> float:
+def _blend_weight(spec: PhantomSpec, t: int) -> float:
     """Cosine ramp alpha(t): 0 at ES, 1 at ED, clamped outside the span."""
     es, ed = spec.es_index, spec.ed_index
     lo, hi = (es, ed) if es < ed else (ed, es)
@@ -101,24 +101,6 @@ def _label_grid(spec: PhantomSpec, lv_radius: float) -> np.ndarray:
     return labels
 
 
-def generate_frame(spec: PhantomSpec, t: int) -> tuple[ScalarVolume, LabelMap]:
-    """One timeframe: noisy intensity volume plus exact noiseless labels."""
-    if not 0 <= t < spec.frames:
-        raise InvalidParameterError(f"frame index {t} out of range for {spec.frames} frames")
-    alpha = blend_weight(spec, t)
-    lv_radius = spec.lv_radius_es + alpha * (spec.lv_radius_ed - spec.lv_radius_es)
-    labels = _label_grid(spec, lv_radius)
-    levels = np.asarray(spec.intensities, dtype=np.float64)
-    values = levels[labels]
-    if spec.noise_sigma > 0:
-        rng = np.random.default_rng([spec.seed, t])
-        values = values + rng.normal(0.0, spec.noise_sigma, size=spec.dims)
-    return (
-        ScalarVolume(values.astype(np.float32), spec.spacing),
-        LabelMap(labels, spec.spacing),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class PhantomCine:
     """A generated series plus the full ground-truth label set for oracle use."""
@@ -128,13 +110,17 @@ class PhantomCine:
 
 
 def generate_cine(spec: PhantomSpec) -> PhantomCine:
-    """Generate all frames of a phantom cine; ES/ED labels act as the manual ones."""
-    volumes = []
-    labels = []
+    """Every frame of a phantom cine: noisy intensities and exact noiseless labels; the ES/ED labels act as manual ones."""
+    levels = np.asarray(spec.intensities, dtype=np.float64)
+    volumes, labels = [], []
     for t in range(spec.frames):
-        vol, lab = generate_frame(spec, t)
-        volumes.append(vol)
-        labels.append(lab)
+        alpha = _blend_weight(spec, t)
+        grid = _label_grid(spec, spec.lv_radius_es + alpha * (spec.lv_radius_ed - spec.lv_radius_es))
+        values = levels[grid]
+        if spec.noise_sigma > 0:
+            values = values + np.random.default_rng([spec.seed, t]).normal(0.0, spec.noise_sigma, size=spec.dims)
+        volumes.append(ScalarVolume(values.astype(np.float32), spec.spacing))
+        labels.append(LabelMap(grid, spec.spacing))
     series = CineSeries(
         frames=tuple(volumes),
         es_index=spec.es_index,

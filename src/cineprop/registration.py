@@ -239,20 +239,14 @@ def _warp_positions(u, spacing) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple((g + u[c] / spacing[c]).ravel() for c, g in enumerate(grid))
 
 
-def warp_image(moving: ScalarVolume, field: DisplacementField) -> ScalarVolume:
-    """Sample the moving image at each fixed-grid point offset by the field."""
-    vals = trilinear_sample_many(moving, *_warp_positions(field.vectors, moving.spacing))
-    return ScalarVolume(vals.reshape(field.dims), field.spacing)
-
-
 def warp_label(moving: LabelMap, field: DisplacementField) -> LabelMap:
-    """As warp_image but with nearest-neighbor lookup, so class codes never blend."""
+    """The moving labels at each fixed-grid point offset by the field, nearest-neighbor, so codes never blend."""
     labels = nearest_sample_many(moving, *_warp_positions(field.vectors, moving.spacing))
     return LabelMap(labels.reshape(field.dims), field.spacing)
 
 
 def _warp_data(moving_data: np.ndarray, u: np.ndarray, spacing) -> np.ndarray:
-    """warp_image on a raw moving array and a channel-major ``(3, nx, ny, nz)`` field, in the moving array's dtype."""
+    """``moving_data`` sampled at each grid point offset by a channel-major ``(3, nx, ny, nz)`` field, in its dtype."""
     return _trilinear(moving_data, *_warp_positions(u, spacing)).reshape(u.shape[1:])
 
 
@@ -651,15 +645,6 @@ def register_rigid(fixed: ScalarVolume, moving: ScalarVolume, params: Registrati
     return _rigid(_target(fixed, params), moving, params).transform
 
 
-def register_affine(
-    fixed: ScalarVolume, moving: ScalarVolume, init: AffineTransform, params: RegistrationParams
-) -> AffineTransform:
-    """12-DOF refinement of an initial transform; where the refinement scores worse, ``init`` itself is returned."""
-    _check_pair(fixed, moving)
-    target = _target(fixed, params)
-    return _affine(target, moving, _judge(target, moving, init), params).transform
-
-
 def _upsample_field(u: np.ndarray, new_dims) -> np.ndarray:
     """Resample a channel-major ``(3, nx, ny, nz)`` mm field onto a finer grid (fine = coarse*2), in its dtype.
 
@@ -725,7 +710,7 @@ def _deformable(target: _Target, moving: ScalarVolume, init: _Stage, params: Reg
             u = _demons_level(level, m_l, u, n_iter)
 
     total_field = _composed_field(affine, u, fixed.dims, fixed.spacing)
-    if _ncc(target.ncc, _centred(warp_image(moving, total_field).data)) > init.score:
+    if _ncc(target.ncc, _centred(_warp_data(moving.data, total_field.vectors, moving.spacing))) > init.score:
         return affine_to_field(affine, fixed.dims, fixed.spacing)  # the affine's own sample scored better
     return total_field
 
@@ -747,7 +732,7 @@ def register_deformable(
 
 
 def _register_stages(target: _Target, moving: ScalarVolume, params: RegistrationParams) -> DisplacementField:
-    """``register_rigid``, ``register_affine`` and ``register_deformable`` chained, each stage's sample passed on.
+    """The rigid, affine and deformable stages chained, each stage's sample passed on.
 
     ``target`` is ``_target(fixed, params)``, which a caller registering
     several templates to one fixed image builds once and shares.

@@ -312,7 +312,7 @@ def nearest_sample_many(lm: LabelMap, xs, ys, zs) -> np.ndarray:
     return lm.data[tuple(index)]
 
 
-def gaussian_kernel(sigma: float) -> np.ndarray:
+def _gaussian_kernel(sigma: float) -> np.ndarray:
     """Normalized sampled Gaussian with radius ceil(3*sigma); the one sigma check of the smoothing.
 
     Sigma 0, and any sigma so small that ``2*sigma*sigma`` underflows to 0
@@ -370,7 +370,7 @@ def _separable_smooth(arr: np.ndarray, sigma_vox: float, dtype) -> np.ndarray:
     the deviation from the first element, which the first pass subtracts and
     the final copy adds back: a constant comes back exactly, at no extra pass.
     """
-    kernel = gaussian_kernel(sigma_vox).astype(dtype)
+    kernel = _gaussian_kernel(sigma_vox).astype(dtype)
     axes = [axis for axis in range(3) if arr.shape[axis] > 1] if len(kernel) > 1 and arr.size else []
     if not axes:
         return np.array(arr, dtype=dtype, order="C")

@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 
-from cineprop import io
+from cineprop import io, registration
 from cineprop.phantom import PhantomSpec, generate_cine
 from cineprop.registration import AffineTransform, _grid_axes, _sample_affine
 from cineprop.volume import CineSeries, LabelMap, ScalarVolume
@@ -25,6 +25,18 @@ TINY_CINE_SPEC = PhantomSpec(
     noise_sigma=4.0,
     seed=11,
 )
+
+
+def phantom_frame(spec: PhantomSpec, t: int) -> tuple[ScalarVolume, LabelMap]:
+    """Frame ``t`` of the phantom cine of ``spec``: its intensity volume and its exact labels."""
+    cine = generate_cine(spec)
+    return cine.series.frames[t], cine.ground_truth[t]
+
+
+def affine_stage(fixed, moving, init: AffineTransform, params) -> AffineTransform:
+    """The pipeline's affine stage from ``init``: the refined transform, or ``init`` itself where that scores better."""
+    target = registration._target(fixed, params)
+    return registration._affine(target, moving, registration._judge(target, moving, init), params).transform
 
 
 def thick_slice_series() -> CineSeries:

@@ -14,22 +14,23 @@ import pytest
 from cineprop import io
 from cineprop.cli import EXIT_OK, run
 from cineprop.metrics import dice, hausdorff
-from cineprop.phantom import PhantomSpec, generate_cine, generate_frame
+from cineprop.phantom import PhantomSpec, generate_cine
 from cineprop.propagation import Template, propagate_frame, propagate_series
 from cineprop.registration import (
     AffineTransform,
     RegistrationParams,
     _center_mm,
-    register_affine,
     register_rigid,
     _rotation_matrix,
 )
 from cineprop.style import SOURCE_BINS, build_reference, histogram_match, ks_statistic, vendor_transfer
 from cineprop.volume import CineSeries, LabelMap, ScalarVolume
 from helpers import (
+    affine_stage,
     build_nifti_bytes,
     dice_oracle,
     hausdorff_oracle,
+    phantom_frame,
     random_volume,
     resample_affine,
     shift_volume,
@@ -62,7 +63,7 @@ def _passed(number: int, name: str) -> None:
 
 @pytest.fixture(scope="module")
 def phantom64():
-    vol, _ = generate_frame(PhantomSpec(), 0)  # 64^3, noiseless
+    vol, _ = phantom_frame(PhantomSpec(), 0)  # 64^3, noiseless
     return vol
 
 
@@ -107,7 +108,7 @@ class TestCriterion1RegistrationRecovery:
             phantom64, AffineTransform(np.eye(3) * s, center - s * center), phantom64
         )
         t0 = time.perf_counter()
-        tf = register_affine(phantom64, scaled, AffineTransform.identity(), params)
+        tf = affine_stage(phantom64, scaled, AffineTransform.identity(), params)
         t_scale = time.perf_counter() - t0
         recovered_scale = float(np.linalg.det(tf.matrix)) ** (1.0 / 3.0)
         assert abs(recovered_scale - 1.10) <= 0.02, f"scale recovered {recovered_scale}"

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from cineprop.errors import InvalidParameterError
-from cineprop.phantom import PhantomCine, PhantomSpec, blend_weight, generate_cine, generate_frame
+from cineprop.phantom import PhantomCine, PhantomSpec, _blend_weight, generate_cine
 from cineprop.volume import BACKGROUND, LV, MYO, RV
+from helpers import phantom_frame
 
 SMALL = PhantomSpec(
     dims=(32, 32, 32),
@@ -46,27 +47,27 @@ class TestSpecValidation:
 class TestBlendWeight:
     def test_endpoints_and_clamp(self):
         spec = PhantomSpec(frames=11, es_index=2, ed_index=8)
-        assert blend_weight(spec, 2) == 0.0
-        assert blend_weight(spec, 8) == 1.0
-        assert blend_weight(spec, 0) == 0.0
-        assert blend_weight(spec, 10) == 1.0
+        assert _blend_weight(spec, 2) == 0.0
+        assert _blend_weight(spec, 8) == 1.0
+        assert _blend_weight(spec, 0) == 0.0
+        assert _blend_weight(spec, 10) == 1.0
 
     def test_monotone_between_templates(self):
         spec = PhantomSpec(frames=11, es_index=0, ed_index=10)
-        alphas = [blend_weight(spec, t) for t in range(11)]
+        alphas = [_blend_weight(spec, t) for t in range(11)]
         assert all(b >= a for a, b in zip(alphas, alphas[1:]))
         assert alphas[5] == pytest.approx(0.5, abs=1e-12)
 
     def test_reversed_template_order(self):
         spec = PhantomSpec(frames=11, es_index=10, ed_index=0)
-        assert blend_weight(spec, 10) == 0.0
-        assert blend_weight(spec, 0) == 1.0
+        assert _blend_weight(spec, 10) == 0.0
+        assert _blend_weight(spec, 0) == 1.0
 
 
 class TestGenerateFrame:
     def test_labels_match_analytic_oracle(self):
-        vol, lab = generate_frame(SMALL, 2)
-        alpha = blend_weight(SMALL, 2)
+        vol, lab = phantom_frame(SMALL, 2)
+        alpha = _blend_weight(SMALL, 2)
         lv_r = SMALL.lv_radius_es + alpha * (SMALL.lv_radius_ed - SMALL.lv_radius_es)
         outer = lv_r + SMALL.myo_thickness
         c = (np.asarray(SMALL.dims) - 1) / 2
@@ -87,16 +88,16 @@ class TestGenerateFrame:
                     assert lab.data[i, j, k] == expected
 
     def test_endpoint_radii(self):
-        _, lab_es = generate_frame(SMALL, SMALL.es_index)
-        _, lab_mid = generate_frame(SMALL, 2)
-        _, lab_ed = generate_frame(SMALL, SMALL.ed_index)
+        _, lab_es = phantom_frame(SMALL, SMALL.es_index)
+        _, lab_mid = phantom_frame(SMALL, 2)
+        _, lab_ed = phantom_frame(SMALL, SMALL.ed_index)
         n_es = int((lab_es.data == LV).sum())
         n_mid = int((lab_mid.data == LV).sum())
         n_ed = int((lab_ed.data == LV).sum())
         assert n_es > n_mid > n_ed  # radius shrinks ES -> ED
 
     def test_class_means_exact_when_noiseless(self):
-        vol, lab = generate_frame(SMALL, 1)
+        vol, lab = phantom_frame(SMALL, 1)
         for code, level in zip((BACKGROUND, LV, MYO, RV), SMALL.intensities):
             values = vol.data[lab.data == code]
             assert values.size > 0
@@ -116,8 +117,8 @@ class TestGenerateFrame:
             noise_sigma=10.0,
             seed=42,
         )
-        v1, l1 = generate_frame(spec, 2)
-        v2, l2 = generate_frame(spec, 2)
+        v1, l1 = phantom_frame(spec, 2)
+        v2, l2 = phantom_frame(spec, 2)
         assert v1.data.tobytes() == v2.data.tobytes()
         assert np.array_equal(l1.data, l2.data)
 
@@ -134,13 +135,9 @@ class TestGenerateFrame:
             ed_index=4,
             noise_sigma=25.0,
         )
-        _, lab_noisy = generate_frame(noisy, 2)
-        _, lab_clean = generate_frame(SMALL, 2)
+        _, lab_noisy = phantom_frame(noisy, 2)
+        _, lab_clean = phantom_frame(SMALL, 2)
         assert np.array_equal(lab_noisy.data, lab_clean.data)
-
-    def test_frame_index_out_of_range(self):
-        with pytest.raises(InvalidParameterError):
-            generate_frame(SMALL, 5)
 
 
 class TestGenerateCine:
@@ -157,7 +154,7 @@ class TestGenerateCine:
         counts = [int((g.data == LV).sum()) for g in cine.ground_truth]
         assert all(b <= a for a, b in zip(counts, counts[1:]))  # shrinking LV
         for t, count in enumerate(counts):
-            alpha = blend_weight(SMALL, t)
+            alpha = _blend_weight(SMALL, t)
             r = SMALL.lv_radius_es + alpha * (SMALL.lv_radius_ed - SMALL.lv_radius_es)
             volume = 4.0 / 3.0 * math.pi * r**3
             surface = 4.0 * math.pi * r**2

@@ -12,7 +12,7 @@ import pytest
 from cineprop import cli, propagation, registration, volume
 from cineprop.errors import DegenerateInputError, InvalidParameterError, SeriesPropagationError
 from cineprop.metrics import dice
-from cineprop.phantom import PhantomSpec, generate_cine, generate_frame
+from cineprop.phantom import PhantomSpec, generate_cine
 from cineprop.propagation import (
     PropagationResult,
     Template,
@@ -22,7 +22,7 @@ from cineprop.propagation import (
 )
 from cineprop.registration import DisplacementField, RegistrationParams
 from cineprop.volume import CineSeries, LabelMap, ScalarVolume
-from helpers import convolve1d_pad_oracle, thick_slice_series, write_cine_dir
+from helpers import convolve1d_pad_oracle, phantom_frame, thick_slice_series, write_cine_dir
 
 TINY_SPEC = PhantomSpec(
     dims=(20, 20, 20),
@@ -144,7 +144,7 @@ class TestPropagateSeries:
             assert labels <= set(np.unique(template_label.data))
 
     def test_identical_frames_degenerate_series(self):
-        vol, lab = generate_frame(TINY_SPEC, 0)
+        vol, lab = phantom_frame(TINY_SPEC, 0)
         series = CineSeries(frames=(vol, vol, vol, vol), es_index=0, ed_index=3, es_label=lab, ed_label=lab)
         results = propagate_series(series, FAST)
         assert len(results) == 2

@@ -9,7 +9,7 @@ import pytest
 
 from cineprop import registration
 from cineprop.errors import DegenerateInputError, InvalidParameterError
-from cineprop.phantom import PhantomSpec, generate_cine, generate_frame
+from cineprop.phantom import PhantomSpec, generate_cine
 from cineprop.registration import (
     AffineTransform,
     DisplacementField,
@@ -27,15 +27,22 @@ from cineprop.registration import (
     _pose_jacobian,
     _pose_to_transform,
     _upsample_field,
+    _warp_data,
     affine_to_field,
-    register_affine,
     register_deformable,
     register_rigid,
-    warp_image,
     warp_label,
 )
 from cineprop.volume import LV, LabelMap, ScalarVolume, _trilinear, gaussian_smooth_array, trilinear_sample_many
-from helpers import fd_gradient, resample_affine, shift_volume, thick_slice_series, trilinear_long_hand
+from helpers import (
+    affine_stage,
+    fd_gradient,
+    phantom_frame,
+    resample_affine,
+    shift_volume,
+    thick_slice_series,
+    trilinear_long_hand,
+)
 
 SMALL_SPEC = PhantomSpec(
     dims=(32, 32, 32),
@@ -64,7 +71,7 @@ TINY_SPEC = PhantomSpec(
 
 @pytest.fixture(scope="module")
 def small_phantom():
-    vol, lab = generate_frame(SMALL_SPEC, 0)
+    vol, lab = phantom_frame(SMALL_SPEC, 0)
     return vol, lab
 
 
@@ -145,22 +152,21 @@ class TestParams:
 class TestWarpImage:
     def test_zero_field_identity(self):
         vol = _smooth_random(3, dims=(7, 6, 5))
-        field = DisplacementField(np.zeros((3, *vol.dims)), vol.spacing)
-        out = warp_image(vol, field)
-        assert np.array_equal(out.data, vol.data)
+        out = _warp_data(vol.data, np.zeros((3, *vol.dims)), vol.spacing)
+        assert np.array_equal(out, vol.data)
 
     def test_uniform_shift_one_voxel(self):
         vol = _smooth_random(4, dims=(7, 6, 5))
         u = np.zeros((3, *vol.dims))
         u[0] = vol.spacing[0]  # +1 voxel along x in mm
-        out = warp_image(vol, DisplacementField(u, vol.spacing))
-        assert np.array_equal(out.data[:-1], vol.data[1:])
+        out = _warp_data(vol.data, u, vol.spacing)
+        assert np.array_equal(out[:-1], vol.data[1:])
 
     def test_matches_per_voxel_oracle(self):
         vol = _smooth_random(5, dims=(7, 6, 5))
         rng = np.random.default_rng(6)
         u = rng.normal(0, 0.8, size=(3, *vol.dims))
-        out = warp_image(vol, DisplacementField(u, vol.spacing))
+        out = _warp_data(vol.data, u, vol.spacing)
         for _ in range(60):
             i, j, k = (int(rng.integers(0, n)) for n in vol.dims)
             expected = trilinear_long_hand(
@@ -169,7 +175,7 @@ class TestWarpImage:
                 j + u[1, i, j, k] / vol.spacing[1],
                 k + u[2, i, j, k] / vol.spacing[2],
             )
-            assert float(out.data[i, j, k]) == pytest.approx(expected, abs=1e-5)
+            assert float(out[i, j, k]) == pytest.approx(expected, abs=1e-5)
 
 
 class TestWarpLabel:
@@ -592,7 +598,7 @@ class TestRigid:
 class TestAffine:
     def test_self_with_identity_init(self, small_phantom):
         vol, _ = small_phantom
-        tf = register_affine(vol, vol, AffineTransform.identity(), RegistrationParams())
+        tf = affine_stage(vol, vol, AffineTransform.identity(), RegistrationParams())
         assert np.abs(tf.matrix - np.eye(3)).max() < 1e-3
         assert np.abs(tf.translation).max() < 1e-3
 
@@ -601,7 +607,7 @@ class TestAffine:
         moving = shift_volume(vol, (1, 1, 0))
         init = AffineTransform.identity()
         params = RegistrationParams()
-        tf = register_affine(vol, moving, init, params)
+        tf = affine_stage(vol, moving, init, params)
         fixed_ncc = _centred(vol.data)
         f_init = _ncc(fixed_ncc, _centred(resample_affine(moving, init, vol).data))
         f_final = _ncc(fixed_ncc, _centred(resample_affine(moving, tf, vol).data))
@@ -613,7 +619,7 @@ class TestAffine:
         s = 1.0 / 1.08
         pullback = AffineTransform(np.eye(3) * s, center - s * center)
         moving = resample_affine(vol, pullback, vol)
-        tf = register_affine(vol, moving, AffineTransform.identity(), RegistrationParams())
+        tf = affine_stage(vol, moving, AffineTransform.identity(), RegistrationParams())
         scale = np.linalg.det(tf.matrix) ** (1.0 / 3.0)
         assert 1.05 < scale < 1.11
 
@@ -636,13 +642,13 @@ class TestDeformable:
         fixed, moving = cine.series.frames[2], cine.series.frames[0]
         params = RegistrationParams()
         rigid = register_rigid(fixed, moving, params)
-        affine = register_affine(fixed, moving, rigid, params)
+        affine = affine_stage(fixed, moving, rigid, params)
         field = register_deformable(fixed, moving, affine, params)
         fixed_ncc = _centred(fixed.data)
         f_before = _ncc(fixed_ncc, _centred(resample_affine(moving, AffineTransform.identity(), fixed).data))
         f_rigid = _ncc(fixed_ncc, _centred(resample_affine(moving, rigid, fixed).data))
         f_affine = _ncc(fixed_ncc, _centred(resample_affine(moving, affine, fixed).data))
-        f_deform = _ncc(fixed_ncc, _centred(warp_image(moving, field).data))
+        f_deform = _ncc(fixed_ncc, _centred(_warp_data(moving.data, field.vectors, moving.spacing)))
         assert f_rigid <= f_before
         assert f_affine <= f_rigid
         assert f_deform <= f_affine
@@ -747,7 +753,7 @@ class TestDeformable:
         fixed, moving = cine.series.frames[2], cine.series.frames[0]
         params = RegistrationParams()
         rigid = register_rigid(fixed, moving, params)
-        affine = register_affine(fixed, moving, rigid, params)
+        affine = affine_stage(fixed, moving, rigid, params)
         field = register_deformable(fixed, moving, affine, params)
         pseudo = warp_label(cine.series.es_label, field)
         gt = cine.ground_truth[2]
@@ -774,7 +780,7 @@ class TestStageRecord:
         series = thick_slice_series()
         fixed, moving = series.frames[1], series.frames[0]
         rigid = register_rigid(fixed, moving, self.PARAMS)
-        affine = register_affine(fixed, moving, rigid, self.PARAMS)
+        affine = affine_stage(fixed, moving, rigid, self.PARAMS)
         want = register_deformable(fixed, moving, affine, self.PARAMS)
         got = registration._register_stages(registration._target(fixed, self.PARAMS), moving, self.PARAMS)
         assert got.vectors.tobytes() == want.vectors.tobytes()
@@ -786,7 +792,7 @@ class TestStageRecord:
         # a descent that ends far off scores worse than init at full resolution
         descend = registration._descend
         monkeypatch.setattr(registration, "_descend", lambda *a: (descend(*a)[0] + 0.5, None))
-        assert register_affine(fixed, moving, init, self.PARAMS) is init
+        assert affine_stage(fixed, moving, init, self.PARAMS) is init
 
 
 @pytest.mark.parametrize(

@@ -13,9 +13,9 @@ from cineprop.volume import (
     LabelMap,
     ScalarVolume,
     _BLOCK_POINTS,
+    _gaussian_kernel,
     _trilinear,
     downsample2x,
-    gaussian_kernel,
     gaussian_smooth_array,
     nearest_sample_many,
     trilinear_sample,
@@ -244,7 +244,7 @@ class TestGaussianSmooth:
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_sigma_rejected(self, sigma):
         with pytest.raises(InvalidParameterError):
-            gaussian_kernel(sigma)
+            _gaussian_kernel(sigma)
         with pytest.raises(InvalidParameterError):
             gaussian_smooth_array(np.zeros((3, 3, 3)), sigma)
 
@@ -255,31 +255,31 @@ class TestGaussianSmooth:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for sigma in (1e-200, 5e-324):
-                assert gaussian_kernel(sigma).tolist() == [1.0]
+                assert _gaussian_kernel(sigma).tolist() == [1.0]
                 assert gaussian_smooth_array(data, sigma).tobytes() == gaussian_smooth_array(data, 0.0).tobytes()
             for sigma in (1.6e-162, 1e-155):  # 2*sigma*sigma > 0: off-centre samples are exp(-inf) = 0
-                assert gaussian_kernel(sigma).tolist() == [0.0, 1.0, 0.0]
+                assert _gaussian_kernel(sigma).tolist() == [0.0, 1.0, 0.0]
 
     def test_kernel_weights_unchanged(self):
         for sigma in (1e-150, 1e-3, 0.4, 1.0, 1.5, 3.0, 7.3):
-            assert gaussian_kernel(sigma).tobytes() == sampled_gaussian_oracle(sigma).tobytes()
+            assert _gaussian_kernel(sigma).tobytes() == sampled_gaussian_oracle(sigma).tobytes()
 
     def test_constant_preserved_exactly(self):
         data = np.full((6, 6, 6), 42.0, dtype=np.float32)
         assert np.array_equal(gaussian_smooth_array(data, 2.0), data)
 
     def test_kernel_radius_and_normalization(self):
-        k = gaussian_kernel(1.0)
+        k = _gaussian_kernel(1.0)
         assert len(k) == 2 * 3 + 1
         assert k.sum() == pytest.approx(1.0, abs=1e-12)
-        k = gaussian_kernel(0.4)  # ceil(1.2) = 2
+        k = _gaussian_kernel(0.4)  # ceil(1.2) = 2
         assert len(k) == 2 * 2 + 1
 
     def test_impulse_matches_sampled_kernel(self):
         data = np.zeros((9, 9, 9), dtype=np.float32)
         data[4, 4, 4] = 1.0
         out = gaussian_smooth_array(data, 1.0)
-        k = gaussian_kernel(1.0)
+        k = _gaussian_kernel(1.0)
         expected = k[:, None, None] * k[None, :, None] * k[None, None, :]
         assert np.allclose(out[1:8, 1:8, 1:8], expected, atol=1e-6)
 
@@ -394,7 +394,7 @@ class TestDownsample2x:
     def test_ramp_matches_dense_oracle(self):
         ramp = np.arange(8, dtype=np.float32).reshape(8, 1, 1)
         out = downsample2x(ScalarVolume(ramp))
-        k = gaussian_kernel(1.0)
+        k = _gaussian_kernel(1.0)
         radius = len(k) // 2
         padded = np.pad(ramp[:, 0, 0].astype(np.float64), radius, mode="edge")
         smoothed = np.array([float(np.dot(k, padded[i : i + len(k)])) for i in range(8)])
