@@ -17,10 +17,12 @@ Every stage scores with NCC.  The ``CINEPROP_WORKERS`` environment variable
 sets the default worker count; the ``--workers`` flag overrides it.  A worker
 count from either that is not an integer >= 1, an ``--iters`` that is empty,
 malformed, has an empty entry or has a count below 1, an ``--n-ref-volumes``
-below 1, a ``--seed`` below 0 and a ``--bins`` below 2 are usage errors (exit
-code 2) that name the flag, found before any input is read or any directory
-made.  ``--n-ref-volumes`` above the number of reference volumes is capped to
-it.  ``transfer`` exits 3 before reading any volume when a from-vendor
+below 1, a ``--seed`` below 0 and a ``--bins`` outside [2, 65536] are usage
+errors (exit code 2) that name the flag, found before any input is read or any
+directory made.  A ``report`` vendor tag that is empty or holds whitespace,
+which would not split back out of its ``hist`` and ``ks`` lines, is a usage
+error too, found before anything is written.  ``--n-ref-volumes`` above the
+number of reference volumes is capped to it.  ``transfer`` exits 3 before reading any volume when a from-vendor
 subject, which names its output files, is in two manifests or contains a path
 separator; ``evaluate``, pairing by trailing index, exits 3 when two label
 files of one directory share an index, and exits 3 naming both files when a
@@ -52,7 +54,7 @@ from .metrics import evaluate_case
 from .phantom import PhantomSpec, generate_cine
 from .propagation import propagate_series
 from .registration import RegistrationParams
-from .style import build_reference, histogram_match, histogram_report, vendor_transfer
+from .style import MAX_BINS, build_reference, histogram_match, histogram_report, vendor_transfer
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -60,14 +62,15 @@ EXIT_IO = 3
 EXIT_DEGENERATE = 4
 
 
-def _integer_at_least(raw, minimum: int, source: str) -> int:
-    """``raw`` as an integer >= ``minimum``; ``source`` names the flag or variable it came from."""
-    invalid = InvalidParameterError(f"{source} must be an integer >= {minimum}, got {raw!r}")
+def _bounded_integer(raw, minimum: int, source: str, maximum: int | None = None) -> int:
+    """``raw`` as an integer >= ``minimum`` and, if given, <= ``maximum``; ``source`` names its flag or variable."""
+    bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+    invalid = InvalidParameterError(f"{source} must be an integer {bounds}, got {raw!r}")
     try:
         value = int(raw)
     except ValueError:
         raise invalid from None
-    if value < minimum:
+    if value < minimum or (maximum is not None and value > maximum):
         raise invalid
     return value
 
@@ -133,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_phantom(args) -> int:
-    seed = _integer_at_least(args.seed, 0, "--seed")
+    seed = _bounded_integer(args.seed, 0, "--seed")
     spec = PhantomSpec(  # validated before the output directory is made
         frames=args.frames,
         es_index=0,
@@ -186,9 +189,9 @@ def _registration_params(args) -> RegistrationParams:
 
 def _cmd_propagate(args) -> int:
     if args.workers is not None:
-        workers = _integer_at_least(args.workers, 1, "--workers")
+        workers = _bounded_integer(args.workers, 1, "--workers")
     else:
-        workers = _integer_at_least(os.environ.get("CINEPROP_WORKERS", "1"), 1, "CINEPROP_WORKERS")
+        workers = _bounded_integer(os.environ.get("CINEPROP_WORKERS", "1"), 1, "CINEPROP_WORKERS")
     params = _registration_params(args)
     manifest = io.read_manifest(args.manifest)
     series = io.load_series(manifest)
@@ -223,8 +226,8 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_histmatch(args) -> int:
-    n_ref = _integer_at_least(args.n_ref_volumes, 1, "--n-ref-volumes")
-    seed = _integer_at_least(args.seed, 0, "--seed")
+    n_ref = _bounded_integer(args.n_ref_volumes, 1, "--n-ref-volumes")
+    seed = _bounded_integer(args.seed, 0, "--seed")
     manifest = io.read_manifest(args.manifest)
     series = io.load_series(manifest)
     corpus = list(series.frames)
@@ -265,8 +268,8 @@ def _check_transfer_subjects(manifests, from_vendor: str) -> None:
 
 
 def _cmd_transfer(args) -> int:
-    n_ref = _integer_at_least(args.n_ref_volumes, 1, "--n-ref-volumes")
-    seed = _integer_at_least(args.seed, 0, "--seed")
+    n_ref = _bounded_integer(args.n_ref_volumes, 1, "--n-ref-volumes")
+    seed = _bounded_integer(args.seed, 0, "--seed")
     manifests = [io.read_manifest(mpath) for mpath in args.manifest]
     _check_transfer_subjects(manifests, args.from_vendor)  # before any volume is read
     volumes = []
@@ -345,7 +348,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    bins = _integer_at_least(args.bins, 2, "--bins")
+    bins = _bounded_integer(args.bins, 2, "--bins", MAX_BINS)
     groups: dict[str, list] = {}
     for mpath in args.manifest:
         manifest = io.read_manifest(mpath)

@@ -323,8 +323,13 @@ def read_manifest(path) -> CineManifest:
     es_label = base / values["es_label"]
     ed_label = base / values["ed_label"]
     for p in (*frame_paths, es_label, ed_label):
-        if not p.is_file():
-            raise FormatError("frame" if p in frame_paths else "label", f"referenced file missing: {p}")
+        key = "frame" if p in frame_paths else "label"
+        try:
+            found = p.is_file()
+        except OSError as exc:  # is_file reports only a missing file as False: a name too long, say, raises
+            raise FormatError(key, f"referenced file unreadable: {p}: {exc.strerror}") from None
+        if not found:
+            raise FormatError(key, f"referenced file missing: {p}")
 
     return CineManifest(
         subject_id=values["subject"],

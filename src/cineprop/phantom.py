@@ -110,7 +110,7 @@ class PhantomCine:
 
 
 def generate_cine(spec: PhantomSpec) -> PhantomCine:
-    """Every frame of a phantom cine: noisy intensities and exact noiseless labels; the ES/ED labels act as manual ones."""
+    """Every frame of a phantom cine, noisy intensities and exact noiseless labels; ES/ED labels act as manual ones."""
     levels = np.asarray(spec.intensities, dtype=np.float64)
     volumes, labels = [], []
     for t in range(spec.frames):

@@ -19,6 +19,7 @@ from .errors import InvalidParameterError
 from .volume import ScalarVolume
 
 SOURCE_BINS = 256
+MAX_BINS = 65_536  # histogram_report's largest bin count: its text holds one line per bin per tag
 _KS_BLOCK = 1 << 16  # pool values per ECDF evaluation in ks_statistic
 
 
@@ -177,11 +178,19 @@ class HistogramReport:
 
 
 def histogram_report(groups: dict[str, list[ScalarVolume]], bins: int) -> HistogramReport:
-    """Compare intensity distributions across tagged groups of volumes."""
-    if bins < 2:
-        raise InvalidParameterError("bins must be >= 2")
+    """Compare intensity distributions across tagged groups of volumes.
+
+    ``bins`` is in [2, ``MAX_BINS``].  Each tag is a non-empty string without
+    whitespace, so that the ``hist`` and ``ks`` lines of ``to_text`` split
+    back into their fields.
+    """
+    if not 2 <= bins <= MAX_BINS:
+        raise InvalidParameterError(f"bins must be in [2, {MAX_BINS}], got {bins}")
     if not groups:
         raise InvalidParameterError("no groups given")
+    for tag in groups:
+        if tag.split() != [tag]:
+            raise InvalidParameterError(f"tag {tag!r} is empty or holds whitespace: its lines would not split back")
     pooled: dict[str, np.ndarray] = {}
     for tag, vols in groups.items():
         if not vols:

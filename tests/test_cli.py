@@ -110,6 +110,15 @@ class TestPropagateCommand:
         code = run(["propagate", "--manifest", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o")])
         assert code == EXIT_IO
 
+    def test_frame_name_too_long_is_io_error(self, tmp_path, capsys):
+        mpath, _ = _write_cine_dir(tmp_path / "cine")
+        name = "x" * 300 + ".mvol"
+        mpath.write_text(mpath.read_text().replace("frame = frame_002.mvol", f"frame = {name}"))
+        assert run(["propagate", "--manifest", str(mpath), "--out", str(tmp_path / "o")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: frame: ") and name in err
+        assert not (tmp_path / "o").exists()
+
     def test_undecodable_manifest_is_io_error(self, tmp_path, capsys):
         # a byte that is not UTF-8, whatever the locale's encoding: an error naming the file, not a traceback
         mpath = tmp_path / "m.txt"
@@ -518,6 +527,16 @@ class TestReportCommand:
         assert code == EXIT_OK
         assert (out / "histogram_report.txt").read_text().startswith("bins = 4")
 
+    @pytest.mark.parametrize("vendor", ["GE Medical", ""])
+    def test_vendor_that_would_not_split_back_is_usage_error(self, tmp_path, capsys, vendor):
+        m_a, _ = _write_cine_dir(tmp_path / "a", vendor="A")
+        m_b, _ = _write_cine_dir(tmp_path / "b", vendor="B", subject="sb")
+        m_b.write_text(m_b.read_text().replace("vendor = B\n", f"vendor = {vendor}\n"))
+        out = tmp_path / "rep"
+        assert run(["report", "--manifest", str(m_a), "--manifest", str(m_b), "--out", str(out)]) == EXIT_USAGE
+        assert repr(vendor) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_written_atomically(self, tmp_path, monkeypatch):
         m_a, _ = _write_cine_dir(tmp_path / "a", vendor="A")
         out = tmp_path / "rep"
@@ -551,6 +570,7 @@ class TestUsageErrors:
             ("transfer", "--n-ref-volumes", "0"),
             ("report", "--bins", "0"),
             ("report", "--bins", "1"),
+            ("report", "--bins", "1000000000000"),
             ("phantom", "--seed", "-1"),
             ("histmatch", "--seed", "-1"),
             ("transfer", "--seed", "-1"),
@@ -561,6 +581,7 @@ class TestUsageErrors:
             "transfer-n-ref-0",
             "report-bins-0",
             "report-bins-1",
+            "report-bins-1e12",
             "phantom-seed--1",
             "histmatch-seed--1",
             "transfer-seed--1",

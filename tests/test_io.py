@@ -317,6 +317,19 @@ class TestManifest:
         with pytest.raises(FormatError, match="missing"):
             io.read_manifest(mpath)
 
+    @pytest.mark.parametrize("key, field", [("frame", "frame"), ("es_label", "label")])
+    def test_file_name_too_long_names_its_key(self, tmp_path, key, field):
+        # Path.is_file returns False only for a missing file: a name past the file system's limit raises OSError
+        mpath = _write_series(tmp_path)
+        name = "x" * 300 + ".mvol"
+        lines = mpath.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
+        lines[at] = f"{key} = {name}"
+        mpath.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=name) as excinfo:
+            io.read_manifest(mpath)
+        assert excinfo.value.field == field
+
     def test_unknown_key_rejected(self, tmp_path):
         mpath = _write_series(tmp_path)
         mpath.write_text(mpath.read_text() + "bogus = 1\n")

@@ -735,6 +735,17 @@ class TestDeformable:
             accepted += sum(improved)
         assert accepted > 0
 
+    def test_worse_field_falls_back_to_the_affine(self, monkeypatch):
+        # a field 4 mm off everywhere scores worse than the affine's own sample, so the affine's field is returned
+        series = thick_slice_series()
+        fixed, moving = series.frames[1], series.frames[0]
+        params = RegistrationParams(pyramid_levels=2, iterations_per_level=(3, 3))
+        init = AffineTransform.identity()
+        fallback = affine_to_field(init, fixed.dims, fixed.spacing).vectors.tobytes()
+        assert register_deformable(fixed, moving, init, params).vectors.tobytes() != fallback
+        monkeypatch.setattr(registration, "_demons_level", lambda fixed_level, moving_level, u, n_iter: u + 4.0)
+        assert register_deformable(fixed, moving, init, params).vectors.tobytes() == fallback
+
     def test_contraction_boundary_accuracy(self):
         # LV radius 12 -> 10 contraction: the propagated contour must stay
         # within 1 voxel of the analytic boundary for at least 95% of points

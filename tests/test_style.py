@@ -6,6 +6,7 @@ import pytest
 from cineprop import style
 from cineprop.errors import InvalidParameterError
 from cineprop.style import (
+    MAX_BINS,
     SOURCE_BINS,
     build_reference,
     histogram_match,
@@ -294,3 +295,17 @@ class TestHistogramReport:
         vol = ScalarVolume(np.zeros((2, 2, 2)))
         with pytest.raises(InvalidParameterError):
             histogram_report({"a": [vol]}, bins=1)
+
+    def test_bins_bounded_above_before_any_allocation(self):
+        vol = ScalarVolume(np.zeros((2, 2, 2)))
+        assert histogram_report({"a": [vol]}, bins=MAX_BINS).bins == MAX_BINS
+        for bins in (MAX_BINS + 1, 10**12):  # 10**12 edges would not fit in memory: the check comes first
+            with pytest.raises(InvalidParameterError, match=str(MAX_BINS)):
+                histogram_report({"a": [vol]}, bins=bins)
+
+    @pytest.mark.parametrize("tag", ["GE Medical", "", "B x", "tab\there", " lead", "trail\n"])
+    def test_tag_that_would_not_split_back_rejected(self, tag):
+        vol = ScalarVolume(np.arange(8, dtype=np.float32).reshape(2, 2, 2))
+        with pytest.raises(InvalidParameterError) as excinfo:
+            histogram_report({"A": [vol], tag: [vol]}, bins=4)
+        assert repr(tag) in str(excinfo.value)
