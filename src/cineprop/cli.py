@@ -22,16 +22,16 @@ errors (exit code 2) that name the flag, found before any input is read or any
 directory made.  A ``report`` vendor tag that is empty or holds whitespace,
 which would not split back out of its ``hist`` and ``ks`` lines, is a usage
 error too, found before anything is written.  ``--n-ref-volumes`` above the
-number of reference volumes is capped to it.  ``transfer`` exits 3 before reading any volume when a from-vendor
-subject, which names its output files, is in two manifests or contains a path
-separator; ``evaluate``, pairing by trailing index, exits 3 when two label
-files of one directory share an index, and exits 3 naming both files when a
-pair differs in dims or spacing; a series whose frames or labels differ from
-its first frame in dims or spacing exits 3 too, naming both files.  When some
-frames of a series fail to propagate, ``propagate`` still writes the frames
-that succeeded, an ``error`` record per failed frame in its report and
-``failed = <n>`` in its summary, then exits 4 if every failure is a
-degeneracy, else 3.
+number of reference volumes is capped to it.  ``transfer`` exits 3 before
+reading any volume when a from-vendor subject, which names its output files,
+is in two manifests or contains a path separator; ``evaluate``, pairing by
+trailing index, exits 3 when two label files of one directory share an index,
+and exits 3 naming both files when a pair differs in dims or spacing; a series
+whose frames or labels differ from its first frame in dims or spacing exits 3
+too, naming both files.  When some frames of a series fail to propagate,
+``propagate`` still writes the frames that succeeded, an ``error`` record per
+failed frame in its report and ``failed = <n>`` in its summary, then exits 4
+if every failure is a degeneracy, else 3.
 """
 
 from __future__ import annotations

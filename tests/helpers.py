@@ -7,9 +7,9 @@ import struct
 
 import numpy as np
 
-from cineprop import io, registration
+from cineprop import io
 from cineprop.phantom import PhantomSpec, generate_cine
-from cineprop.registration import AffineTransform, _grid_axes, _sample_affine
+from cineprop.registration import AffineTransform, _affine, _grid_axes, _judge, _sample_affine, _target
 from cineprop.volume import CineSeries, LabelMap, ScalarVolume
 
 TINY_CINE_SPEC = PhantomSpec(
@@ -35,8 +35,8 @@ def phantom_frame(spec: PhantomSpec, t: int) -> tuple[ScalarVolume, LabelMap]:
 
 def affine_stage(fixed, moving, init: AffineTransform, params) -> AffineTransform:
     """The pipeline's affine stage from ``init``: the refined transform, or ``init`` itself where that scores better."""
-    target = registration._target(fixed, params)
-    return registration._affine(target, moving, registration._judge(target, moving, init), params).transform
+    target = _target(fixed, params)
+    return _affine(target, moving, _judge(target, moving, init), params).transform
 
 
 def thick_slice_series() -> CineSeries:
