@@ -31,7 +31,12 @@ whose frames or labels differ from its first frame in dims or spacing exits 3
 too, naming both files.  When some frames of a series fail to propagate,
 ``propagate`` still writes the frames that succeeded, an ``error`` record per
 failed frame in its report and ``failed = <n>`` in its summary, then exits 4
-if every failure is a degeneracy, else 3.
+if every failure is a degeneracy, else 3.  An ``--out`` that is a file, or
+lies under one, exits 3 naming ``--out`` before any input is read.
+
+The console script runs BLAS on one thread unless ``OMP_NUM_THREADS``,
+``OPENBLAS_NUM_THREADS`` or ``MKL_NUM_THREADS`` is set; a value the user sets
+is kept, and no output byte depends on it.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import io
+# each command imports the modules it runs, so a command, or a usage error, loads no numpy it does not need
 from .errors import (
     CinepropError,
     DegenerateInputError,
@@ -50,16 +55,12 @@ from .errors import (
     InvalidParameterError,
     SeriesPropagationError,
 )
-from .metrics import evaluate_case
-from .phantom import PhantomSpec, generate_cine
-from .propagation import propagate_series
-from .registration import RegistrationParams
-from .style import MAX_BINS, build_reference, histogram_match, histogram_report, vendor_transfer
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_DEGENERATE = 4
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _bounded_integer(raw, minimum: int, source: str, maximum: int | None = None) -> int:
@@ -75,6 +76,20 @@ def _bounded_integer(raw, minimum: int, source: str, maximum: int | None = None)
     return value
 
 
+def _check_out(path) -> None:
+    """Raise ``OSError`` naming ``--out`` unless ``path``, or its nearest existing ancestor, is a directory.
+
+    Commands call it before reading any input, so a bad ``--out`` costs no work and makes nothing.
+    """
+    if path is None:  # evaluate and report print to stdout
+        return
+    for part in (Path(path), *Path(path).parents):
+        if os.path.lexists(part):
+            if not part.is_dir():
+                raise NotADirectoryError(f"--out {path}: {part} is not a directory")
+            return
+
+
 def _out_dir(path) -> Path:
     """The output directory ``path``, made with its parents if it is missing."""
     out = Path(path)
@@ -87,6 +102,8 @@ def _emit(text: str, out, name: str, summary: dict) -> None:
     if not out:
         sys.stdout.write(text)
         return
+    from . import io
+
     out = _out_dir(out)
     io.write_text(text, out / name)
     io.write_summary(summary, out / "summary.txt")
@@ -105,8 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prop.add_argument("--manifest", required=True)
     p_prop.add_argument("--out", required=True)
     p_prop.add_argument("--workers", type=int, default=None)
-    default_iters = ",".join(map(str, RegistrationParams().iterations_per_level))
-    p_prop.add_argument("--iters", default=default_iters, help="comma list, coarse to fine")
+    p_prop.add_argument("--iters", default=None, help="comma list, coarse to fine")
 
     p_match = sub.add_parser("histmatch", help="match each frame to the series' pooled reference")
     p_match.add_argument("--manifest", required=True)
@@ -136,6 +152,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_phantom(args) -> int:
+    from . import io
+    from .phantom import PhantomSpec, generate_cine
+
     seed = _bounded_integer(args.seed, 0, "--seed")
     spec = PhantomSpec(  # validated before the output directory is made
         frames=args.frames,
@@ -144,6 +163,7 @@ def _cmd_phantom(args) -> int:
         seed=seed,
         noise_sigma=10.0,
     )
+    _check_out(args.out)
     out = _out_dir(args.out)
     cine = generate_cine(spec)
     frame_paths = []
@@ -177,14 +197,20 @@ def _cmd_phantom(args) -> int:
     return EXIT_OK
 
 
-def _registration_params(args) -> RegistrationParams:
-    try:
-        iters = tuple(int(x) for x in str(args.iters).split(","))
-    except ValueError:  # also an empty entry, as in "5,,5" or "5,5,"
-        iters = ()
-    if not iters or min(iters) < 1:
-        raise InvalidParameterError(f"--iters must be a non-empty comma list of integers >= 1, got {args.iters!r}")
-    return RegistrationParams(pyramid_levels=len(iters), iterations_per_level=iters)
+def _registration_params(args):
+    """``RegistrationParams`` with the ``--iters`` schedule; the defaults without ``--iters``."""
+    schedule = {}
+    if args.iters is not None:
+        try:
+            iters = tuple(int(x) for x in args.iters.split(","))
+        except ValueError:  # also an empty entry, as in "5,,5" or "5,5,"
+            iters = ()
+        if not iters or min(iters) < 1:
+            raise InvalidParameterError(f"--iters must be a non-empty comma list of integers >= 1, got {args.iters!r}")
+        schedule = {"pyramid_levels": len(iters), "iterations_per_level": iters}
+    from .registration import RegistrationParams
+
+    return RegistrationParams(**schedule)
 
 
 def _cmd_propagate(args) -> int:
@@ -193,6 +219,10 @@ def _cmd_propagate(args) -> int:
     else:
         workers = _bounded_integer(os.environ.get("CINEPROP_WORKERS", "1"), 1, "CINEPROP_WORKERS")
     params = _registration_params(args)
+    _check_out(args.out)
+    from . import io
+    from .propagation import propagate_series
+
     manifest = io.read_manifest(args.manifest)
     series = io.load_series(manifest)
     failed = None
@@ -228,6 +258,10 @@ def _cmd_propagate(args) -> int:
 def _cmd_histmatch(args) -> int:
     n_ref = _bounded_integer(args.n_ref_volumes, 1, "--n-ref-volumes")
     seed = _bounded_integer(args.seed, 0, "--seed")
+    _check_out(args.out)
+    from . import io
+    from .style import build_reference, histogram_match
+
     manifest = io.read_manifest(args.manifest)
     series = io.load_series(manifest)
     corpus = list(series.frames)
@@ -270,6 +304,10 @@ def _check_transfer_subjects(manifests, from_vendor: str) -> None:
 def _cmd_transfer(args) -> int:
     n_ref = _bounded_integer(args.n_ref_volumes, 1, "--n-ref-volumes")
     seed = _bounded_integer(args.seed, 0, "--seed")
+    _check_out(args.out)
+    from . import io
+    from .style import vendor_transfer
+
     manifests = [io.read_manifest(mpath) for mpath in args.manifest]
     _check_transfer_subjects(manifests, args.from_vendor)  # before any volume is read
     volumes = []
@@ -298,6 +336,8 @@ def _cmd_transfer(args) -> int:
 
 
 def _pair_label_files(pred_dir: Path, gt_dir: Path) -> list[tuple[str, Path, Path]]:
+    from . import io
+
     pred_files = sorted(pred_dir.glob("*.mvol"))
     gt_files = sorted(gt_dir.glob("*.mvol"))
     if not pred_files or not gt_files:
@@ -331,6 +371,10 @@ def _pair_label_files(pred_dir: Path, gt_dir: Path) -> list[tuple[str, Path, Pat
 
 
 def _cmd_evaluate(args) -> int:
+    _check_out(args.out)
+    from . import io
+    from .metrics import evaluate_case
+
     pairs = _pair_label_files(Path(args.pred), Path(args.gt))
     cases = []
     for name, pred_path, gt_path in pairs:
@@ -348,7 +392,11 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from . import io
+    from .style import MAX_BINS, histogram_report
+
     bins = _bounded_integer(args.bins, 2, "--bins", MAX_BINS)
+    _check_out(args.out)
     groups: dict[str, list] = {}
     for mpath in args.manifest:
         manifest = io.read_manifest(mpath)
@@ -387,6 +435,14 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    """The console script: BLAS on one thread unless the environment says otherwise, then ``run``.
+
+    cineprop's largest BLAS calls are 3x3 products and 12-element dot products, too small to thread,
+    while an idle OpenBLAS pool costs about 0.17 s of CPU per command.  The defaults are set here, before
+    a command first imports numpy, and not in ``run``, which callers share with their own processes.
+    """
+    for var in _BLAS_THREAD_VARS:
+        os.environ.setdefault(var, "1")
     sys.exit(run(sys.argv[1:]))
 
 

@@ -1,7 +1,9 @@
 """CLI subcommands: artifacts on disk, exit codes, determinism."""
 
 import dataclasses
+import json
 import os
+import re
 import signal
 import struct
 import subprocess
@@ -14,7 +16,7 @@ import pytest
 
 import cineprop
 from cineprop import io
-from cineprop import cli
+from cineprop import cli, propagation
 from cineprop.cli import EXIT_DEGENERATE, EXIT_IO, EXIT_OK, EXIT_USAGE, run
 from cineprop.phantom import PhantomSpec
 from cineprop.registration import RegistrationParams
@@ -151,7 +153,7 @@ class TestPropagateCommand:
             seen.append(params)
             return []
 
-        monkeypatch.setattr(cli, "propagate_series", capture)
+        monkeypatch.setattr(propagation, "propagate_series", capture)
         assert run(["propagate", "--manifest", str(mpath), "--out", str(tmp_path / "prop")]) == EXIT_OK
         assert seen == [RegistrationParams()]
 
@@ -207,10 +209,11 @@ class TestPropagateCommand:
     def test_outputs_independent_of_blas_threads(self, tmp_path):
         # 24^3 voxels: NCC sums run over 13.8k samples, above the size where BLAS dot products thread
         mpath, _ = _write_cine_dir(tmp_path / "cine", dataclasses.replace(TINY_CINE_SPEC, dims=(24, 24, 24)))
-        inherited = _src_env()
-        pinned = dict(inherited, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        # set explicitly: the CLI runs BLAS on one thread only where none of the three variables is set
+        threaded = dict(_src_env(), OMP_NUM_THREADS="2", OPENBLAS_NUM_THREADS="2", MKL_NUM_THREADS="2")
+        pinned = dict(threaded, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
         trees = []
-        for name, env in (("inherited", inherited), ("pinned", pinned)):
+        for name, env in (("threaded", threaded), ("pinned", pinned)):
             out = tmp_path / name
             argv = ["propagate", "--manifest", str(mpath), "--out", str(out), "--workers", "2"]
             argv += ["--iters", "2,2"]
@@ -552,6 +555,35 @@ class TestReportCommand:
         assert written == ["histogram_report.txt", "summary.txt"]
 
 
+def _no_input(*args, **kwargs):
+    raise AssertionError("an input was read before --out was checked")
+
+
+class TestOutChecked:
+    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["propagate", "evaluate"])
+    def test_out_at_or_under_a_file_is_io_error_before_input(self, tmp_path, capsys, monkeypatch, command, under_file):
+        # a bad --out used to surface only after all the work, as "[Errno 17] File exists" without the flag
+        mpath, cine = _write_cine_dir(tmp_path / "cine")
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for t, label in enumerate(cine.ground_truth):
+            io.write_mvol(label, pred / f"label_{t:03d}.mvol")
+        taken = tmp_path / "taken"
+        taken.write_text("a file")
+        out = taken / "sub" if under_file else taken
+        if command == "propagate":
+            argv = ["propagate", "--manifest", str(mpath), "--out", str(out)]
+        else:
+            argv = ["evaluate", "--pred", str(pred), "--gt", str(tmp_path / "cine"), "--out", str(out)]
+        monkeypatch.setattr(io, "read_manifest", _no_input)
+        monkeypatch.setattr(io, "read_labels", _no_input)
+        assert run(argv) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out ") and f"{taken} is not a directory" in err
+        assert taken.read_text() == "a file"
+
+
 class TestUsageErrors:
     def test_unknown_flag(self, tmp_path):
         assert run(["phantom", "--bogus", "1", "--out", str(tmp_path)]) == EXIT_USAGE
@@ -598,3 +630,54 @@ class TestUsageErrors:
         assert run(argv) == EXIT_USAGE
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+
+_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _python(script, env):
+    """Run ``script`` in a fresh interpreter with ``env``; its stdout parsed as JSON."""
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestStartup:
+    def test_startup_and_usage_errors_load_no_numpy(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        library = readme.split("## Library", 1)[1]
+        example = re.search(r"from cineprop import \((.*?)\)", library, flags=re.S).group(1)
+        listed = re.search(r"`import cineprop` provides(.*?)Everything else", library, flags=re.S).group(1)
+        names = re.findall(r"\w+", example) + re.findall(r"`([A-Z]\w*)`", listed)
+        assert {"evaluate_case", "ScalarVolume", "SeriesPropagationError"} <= set(names)
+        script = f"""
+import json, sys
+import cineprop, cineprop.cli
+at_import = "numpy" in sys.modules
+code = cineprop.cli.run(["propagate", "--manifest", "m", "--out", "o", "--workers", "0"])
+after_usage_error = "numpy" in sys.modules
+missing = [n for n in {names!r} if not hasattr(cineprop, n)]
+print(json.dumps([at_import, code, after_usage_error, missing]))
+"""
+        assert _python(script, _src_env()) == [False, EXIT_USAGE, False, []]
+
+    @pytest.mark.parametrize("preset", _BLAS_VARS)
+    def test_main_pins_unset_blas_threads_and_run_does_not(self, preset):
+        script = f"""
+import json, os, sys
+from cineprop import cli
+cli.run([])
+after_run = [os.environ.get(v) for v in {_BLAS_VARS!r}]
+sys.argv = ["cineprop"]
+try:
+    cli.main()
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([after_run, code, [os.environ.get(v) for v in {_BLAS_VARS!r}]]))
+"""
+        env = {k: v for k, v in _src_env().items() if k not in _BLAS_VARS}
+        env[preset] = "3"
+        after_run, code, after_main = _python(script, env)
+        assert after_run == [("3" if v == preset else None) for v in _BLAS_VARS]
+        assert code == EXIT_USAGE
+        assert after_main == [("3" if v == preset else "1") for v in _BLAS_VARS]
