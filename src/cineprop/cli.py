@@ -14,25 +14,28 @@ Exit codes: 0 success, 2 usage error, 3 I/O or file-format error,
 ``propagate --iters``, its one registration flag, gives the iterations of
 each pyramid level, coarse to fine, so its length sets the number of levels.
 Every stage scores with NCC.  The ``CINEPROP_WORKERS`` environment variable
-sets the default worker count; the ``--workers`` flag overrides it.  A worker
-count from either that is not an integer >= 1, an ``--iters`` that is empty,
-malformed, has an empty entry or has a count below 1, an ``--n-ref-volumes``
-below 1, a ``--seed`` below 0 and a ``--bins`` outside [2, 65536] are usage
-errors (exit code 2) that name the flag, found before any input is read or any
-directory made.  A ``report`` vendor tag that is empty or holds whitespace,
-which would not split back out of its ``hist`` and ``ks`` lines, is a usage
-error too, found before anything is written.  ``--n-ref-volumes`` above the
-number of reference volumes is capped to it.  ``transfer`` exits 3 before
-reading any volume when a from-vendor subject, which names its output files,
-is in two manifests or contains a path separator; ``evaluate``, pairing by
-trailing index, exits 3 when two label files of one directory share an index,
-and exits 3 naming both files when a pair differs in dims or spacing; a series
-whose frames or labels differ from its first frame in dims or spacing exits 3
-too, naming both files.  When some frames of a series fail to propagate,
-``propagate`` still writes the frames that succeeded, an ``error`` record per
-failed frame in its report and ``failed = <n>`` in its summary, then exits 4
-if every failure is a degeneracy, else 3.  An ``--out`` that is a file, or
-lies under one, exits 3 naming ``--out`` before any input is read.
+sets the default worker count; the ``--workers`` flag overrides it.  argparse
+checks every flag, and ``CINEPROP_WORKERS`` as the default of ``--workers``: a
+missing or unknown flag, a worker count below 1, an ``--iters`` that is not a
+comma list of integers >= 1, an ``--n-ref-volumes`` below 1, a ``--seed``
+below 0, a ``--bins`` outside [2, 65536] and an empty ``--out`` are usage
+errors (exit code 2), printed as the usage and ``error: argument <flag>``.  An
+``--out`` that is a file, or lies under one, then exits 3 naming ``--out``.
+Both come before any input is read or any directory made.  A ``report`` vendor
+tag that is empty or holds whitespace, which would not split back out of its
+``hist`` and ``ks`` lines, is a usage error found before anything is written.
+``phantom`` writes the subject ``phantom``, vendor and center ``synthetic``
+into its manifest.  ``--n-ref-volumes`` above the number of reference volumes
+is capped to it.  ``transfer`` exits 3 before reading any volume when a
+from-vendor subject, which names its output files, is in two manifests or
+contains a path separator; ``evaluate``, pairing by trailing index, exits 3
+when two label files of one directory share an index, and exits 3 naming both
+files when a pair differs in dims or spacing; a series whose frames or labels
+differ from its first frame in dims or spacing exits 3 too, naming both files.
+When some frames of a series fail to propagate, ``propagate`` still writes the
+frames that succeeded, an ``error`` record per failed frame in its report and
+``failed = <n>`` in its summary, then exits 4 if every failure is a
+degeneracy, else 3.
 
 The console script runs BLAS on one thread unless ``OMP_NUM_THREADS``,
 ``OPENBLAS_NUM_THREADS`` or ``MKL_NUM_THREADS`` is set; a value the user sets
@@ -63,24 +66,55 @@ EXIT_DEGENERATE = 4
 _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _bounded_integer(raw, minimum: int, source: str, maximum: int | None = None) -> int:
-    """``raw`` as an integer >= ``minimum`` and, if given, <= ``maximum``; ``source`` names its flag or variable."""
-    bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
-    invalid = InvalidParameterError(f"{source} must be an integer {bounds}, got {raw!r}")
+class _EnvDefault(str):
+    """A flag's default read from the environment variable ``var``, which its type's error then names."""
+
+    def __new__(cls, var: str, fallback: str):
+        self = super().__new__(cls, os.environ.get(var, fallback))
+        self.var = var
+        return self
+
+
+def _bounded_integer(minimum: int, maximum: int | None = None):
+    """An argparse type: an integer >= ``minimum`` and, if given, <= ``maximum``."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            value = minimum - 1
+        if value >= minimum and (maximum is None or value <= maximum):
+            return value
+        bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        source = f" from {raw.var}" if isinstance(raw, _EnvDefault) else ""
+        raise argparse.ArgumentTypeError(f"must be an integer {bounds}, got {raw!r}{source}")
+
+    return parse
+
+
+def _bins(raw: str) -> int:
+    from .style import MAX_BINS  # the bound's one owner, which loads numpy: imported only to parse a --bins
+
+    return _bounded_integer(2, MAX_BINS)(raw)
+
+
+def _iteration_schedule(raw: str) -> tuple[int, ...]:
+    """The argparse type of ``--iters``: a comma list of integers >= 1, coarse to fine."""
     try:
-        value = int(raw)
-    except ValueError:
-        raise invalid from None
-    if value < minimum or (maximum is not None and value > maximum):
-        raise invalid
-    return value
+        return tuple(map(_bounded_integer(1), raw.split(",")))
+    except argparse.ArgumentTypeError:  # also an empty entry, as in "", ",", "5,,5" or "5,5,"
+        raise argparse.ArgumentTypeError(f"must be a non-empty comma list of integers >= 1, got {raw!r}") from None
+
+
+def _nonempty(raw: str) -> str:
+    """The argparse type of ``--out``; an empty one would write into the current directory, or to stdout."""
+    if not raw:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return raw
 
 
 def _check_out(path) -> None:
-    """Raise ``OSError`` naming ``--out`` unless ``path``, or its nearest existing ancestor, is a directory.
-
-    Commands call it before reading any input, so a bad ``--out`` costs no work and makes nothing.
-    """
+    """Raise ``OSError`` naming ``--out`` unless ``path``, or its nearest existing ancestor, is a directory."""
     if path is None:  # evaluate and report print to stdout
         return
     for part in (Path(path), *Path(path).parents):
@@ -99,7 +133,7 @@ def _out_dir(path) -> Path:
 
 def _emit(text: str, out, name: str, summary: dict) -> None:
     """Write ``text`` as ``out/name`` and ``summary`` as ``out/summary.txt``; without ``out``, ``text`` to stdout."""
-    if not out:
+    if out is None:
         sys.stdout.write(text)
         return
     from . import io
@@ -111,43 +145,41 @@ def _emit(text: str, out, name: str, summary: dict) -> None:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cineprop", description=__doc__.splitlines()[0])
+    count, seed = _bounded_integer(1), _bounded_integer(0)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_phantom = sub.add_parser("phantom", help="generate a synthetic cine series")
     p_phantom.add_argument("--frames", type=int, default=11)
-    p_phantom.add_argument("--out", required=True)
-    p_phantom.add_argument("--seed", type=int, default=0)
+    p_phantom.add_argument("--seed", type=seed, default=0)
 
     p_prop = sub.add_parser("propagate", help="propagate template labels to unlabeled frames")
     p_prop.add_argument("--manifest", required=True)
-    p_prop.add_argument("--out", required=True)
-    p_prop.add_argument("--workers", type=int, default=None)
-    p_prop.add_argument("--iters", default=None, help="comma list, coarse to fine")
+    # a string default runs through the type too, so CINEPROP_WORKERS is checked as the flag is
+    p_prop.add_argument("--workers", type=count, default=_EnvDefault("CINEPROP_WORKERS", "1"))
+    p_prop.add_argument("--iters", type=_iteration_schedule, default=None, help="comma list, coarse to fine")
 
     p_match = sub.add_parser("histmatch", help="match each frame to the series' pooled reference")
     p_match.add_argument("--manifest", required=True)
-    p_match.add_argument("--out", required=True)
-    p_match.add_argument("--n-ref-volumes", type=int, default=100)
-    p_match.add_argument("--seed", type=int, default=0)
+    p_match.add_argument("--n-ref-volumes", type=count, default=100)
+    p_match.add_argument("--seed", type=seed, default=0)
 
     p_transfer = sub.add_parser("transfer", help="re-style one vendor's volumes to another's")
     p_transfer.add_argument("--manifest", action="append", required=True)
     p_transfer.add_argument("--from-vendor", required=True)
     p_transfer.add_argument("--to-vendor", required=True)
-    p_transfer.add_argument("--out", required=True)
-    p_transfer.add_argument("--n-ref-volumes", type=int, default=100)
-    p_transfer.add_argument("--seed", type=int, default=0)
+    p_transfer.add_argument("--n-ref-volumes", type=count, default=100)
+    p_transfer.add_argument("--seed", type=seed, default=0)
 
     p_eval = sub.add_parser("evaluate", help="Dice/Hausdorff between two label directories")
     p_eval.add_argument("--pred", required=True)
     p_eval.add_argument("--gt", required=True)
-    p_eval.add_argument("--out", default=None)
 
     p_report = sub.add_parser("report", help="histogram report across manifests")
     p_report.add_argument("--manifest", action="append", required=True)
-    p_report.add_argument("--bins", type=int, default=64)
-    p_report.add_argument("--out", default=None)
+    p_report.add_argument("--bins", type=_bins, default=64)
 
+    for name, command in sub.choices.items():  # evaluate and report print to stdout without --out
+        command.add_argument("--out", type=_nonempty, required=name not in ("evaluate", "report"))
     return parser
 
 
@@ -155,15 +187,13 @@ def _cmd_phantom(args) -> int:
     from . import io
     from .phantom import PhantomSpec, generate_cine
 
-    seed = _bounded_integer(args.seed, 0, "--seed")
     spec = PhantomSpec(  # validated before the output directory is made
         frames=args.frames,
         es_index=0,
         ed_index=args.frames - 1,
-        seed=seed,
+        seed=args.seed,
         noise_sigma=10.0,
     )
-    _check_out(args.out)
     out = _out_dir(args.out)
     cine = generate_cine(spec)
     frame_paths = []
@@ -174,21 +204,21 @@ def _cmd_phantom(args) -> int:
     for t, label in enumerate(cine.ground_truth):
         io.write_mvol(label, out / f"label_{t:03d}.mvol")
     manifest = io.CineManifest(
-        subject_id=cine.series.subject,
+        subject_id="phantom",
         frame_paths=tuple(frame_paths),
         es_index=spec.es_index,
         ed_index=spec.ed_index,
         es_label_path=out / f"label_{spec.es_index:03d}.mvol",
         ed_label_path=out / f"label_{spec.ed_index:03d}.mvol",
-        vendor=cine.series.vendor,
-        center=cine.series.center,
+        vendor="synthetic",
+        center="synthetic",
     )
     io.write_manifest(manifest, out / "manifest.txt")
     io.write_summary(
         {
             "command": "phantom",
             "frames": spec.frames,
-            "seed": seed,
+            "seed": spec.seed,
             "dims": "x".join(str(d) for d in spec.dims),
             "manifest": "manifest.txt",
         },
@@ -197,37 +227,17 @@ def _cmd_phantom(args) -> int:
     return EXIT_OK
 
 
-def _registration_params(args):
-    """``RegistrationParams`` with the ``--iters`` schedule; the defaults without ``--iters``."""
-    schedule = {}
-    if args.iters is not None:
-        try:
-            iters = tuple(int(x) for x in args.iters.split(","))
-        except ValueError:  # also an empty entry, as in "5,,5" or "5,5,"
-            iters = ()
-        if not iters or min(iters) < 1:
-            raise InvalidParameterError(f"--iters must be a non-empty comma list of integers >= 1, got {args.iters!r}")
-        schedule = {"pyramid_levels": len(iters), "iterations_per_level": iters}
-    from .registration import RegistrationParams
-
-    return RegistrationParams(**schedule)
-
-
 def _cmd_propagate(args) -> int:
-    if args.workers is not None:
-        workers = _bounded_integer(args.workers, 1, "--workers")
-    else:
-        workers = _bounded_integer(os.environ.get("CINEPROP_WORKERS", "1"), 1, "CINEPROP_WORKERS")
-    params = _registration_params(args)
-    _check_out(args.out)
     from . import io
     from .propagation import propagate_series
+    from .registration import RegistrationParams
 
+    schedule = {} if args.iters is None else {"pyramid_levels": len(args.iters), "iterations_per_level": args.iters}
     manifest = io.read_manifest(args.manifest)
     series = io.load_series(manifest)
     failed = None
     try:
-        results = propagate_series(series, params, workers=workers)
+        results = propagate_series(series, RegistrationParams(**schedule), workers=args.workers)
     except SeriesPropagationError as exc:  # the frames that succeeded are written, then it is raised
         failed, results = exc, exc.results
     failures = [] if failed is None else failed.failures
@@ -256,17 +266,14 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_histmatch(args) -> int:
-    n_ref = _bounded_integer(args.n_ref_volumes, 1, "--n-ref-volumes")
-    seed = _bounded_integer(args.seed, 0, "--seed")
-    _check_out(args.out)
     from . import io
     from .style import build_reference, histogram_match
 
     manifest = io.read_manifest(args.manifest)
     series = io.load_series(manifest)
     corpus = list(series.frames)
-    n = min(n_ref, len(corpus))
-    ref = build_reference(corpus, n, seed)
+    n = min(args.n_ref_volumes, len(corpus))
+    ref = build_reference(corpus, n, args.seed)
     out = _out_dir(args.out)
     degenerate = 0
     for t, frame in enumerate(series.frames):
@@ -279,7 +286,7 @@ def _cmd_histmatch(args) -> int:
             "subject": manifest.subject_id,
             "matched": len(series.frames),
             "n_ref_volumes": n,
-            "seed": seed,
+            "seed": args.seed,
             "degenerate": degenerate,
         },
         out / "summary.txt",
@@ -302,9 +309,6 @@ def _check_transfer_subjects(manifests, from_vendor: str) -> None:
 
 
 def _cmd_transfer(args) -> int:
-    n_ref = _bounded_integer(args.n_ref_volumes, 1, "--n-ref-volumes")
-    seed = _bounded_integer(args.seed, 0, "--seed")
-    _check_out(args.out)
     from . import io
     from .style import vendor_transfer
 
@@ -318,7 +322,7 @@ def _cmd_transfer(args) -> int:
             volumes.append((frame, manifest.vendor))
             if manifest.vendor == args.from_vendor:
                 sources.append((manifest.subject_id, t))
-    transferred = vendor_transfer(volumes, args.from_vendor, args.to_vendor, seed, n_ref=n_ref)
+    transferred = vendor_transfer(volumes, args.from_vendor, args.to_vendor, args.seed, n_ref=args.n_ref_volumes)
     out = _out_dir(args.out)
     for (subject, t), vol in zip(sources, transferred):
         io.write_mvol(vol, out / f"transfer_{subject}_{t:03d}.mvol")
@@ -328,7 +332,7 @@ def _cmd_transfer(args) -> int:
             "from_vendor": args.from_vendor,
             "to_vendor": args.to_vendor,
             "transferred": len(transferred),
-            "seed": seed,
+            "seed": args.seed,
         },
         out / "summary.txt",
     )
@@ -371,7 +375,6 @@ def _pair_label_files(pred_dir: Path, gt_dir: Path) -> list[tuple[str, Path, Pat
 
 
 def _cmd_evaluate(args) -> int:
-    _check_out(args.out)
     from . import io
     from .metrics import evaluate_case
 
@@ -393,17 +396,15 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_report(args) -> int:
     from . import io
-    from .style import MAX_BINS, histogram_report
+    from .style import histogram_report
 
-    bins = _bounded_integer(args.bins, 2, "--bins", MAX_BINS)
-    _check_out(args.out)
     groups: dict[str, list] = {}
     for mpath in args.manifest:
         manifest = io.read_manifest(mpath)
         series = io.load_series(manifest)
         groups.setdefault(manifest.vendor, []).extend(series.frames)
-    summary = {"command": "report", "groups": len(groups), "bins": bins}
-    _emit(histogram_report(groups, bins).to_text(), args.out, "histogram_report.txt", summary)
+    summary = {"command": "report", "groups": len(groups), "bins": args.bins}
+    _emit(histogram_report(groups, args.bins).to_text(), args.out, "histogram_report.txt", summary)
     return EXIT_OK
 
 
@@ -425,6 +426,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
+        _check_out(args.out)  # after the flags, before any command reads input: a bad --out costs no work
         return _HANDLERS[args.subcommand](args)
     except (CinepropError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -374,9 +374,6 @@ def load_series(manifest: CineManifest) -> CineSeries:
         ed_index=manifest.ed_index,
         es_label=labels[0],
         ed_label=labels[1],
-        subject=manifest.subject_id,
-        vendor=manifest.vendor,
-        center=manifest.center,
     )
 
 

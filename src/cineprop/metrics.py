@@ -57,12 +57,13 @@ def dice(pred: LabelMap, gt: LabelMap, label: int) -> float:
     Both masks empty -> 1.0; exactly one empty -> 0.0.
     """
     _check_grids(pred, gt)
-    p = pred.data == label
-    g = gt.data == label
-    np_, ng = int(np.count_nonzero(p)), int(np.count_nonzero(g))
-    if np_ + ng == 0:
-        return 1.0
-    return 2.0 * int(np.count_nonzero(p & g)) / (np_ + ng)
+    p, g = pred.data == label, gt.data == label
+    return _dice(p, g, int(np.count_nonzero(p)) + int(np.count_nonzero(g)))
+
+
+def _dice(p: np.ndarray, g: np.ndarray, total: int) -> float:
+    """Dice of the masks ``p`` and ``g``, which hold ``total`` voxels between them."""
+    return 1.0 if total == 0 else 2.0 * int(np.count_nonzero(p & g)) / total
 
 
 def _nearest_along_first(sites: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -142,16 +143,20 @@ def hausdorff(pred: LabelMap, gt: LabelMap, label: int) -> float:
     bounding box of P∪G.
     """
     _check_grids(pred, gt)
-    p = pred.data == label
-    g = gt.data == label
+    p, g = pred.data == label, gt.data == label
     if not p.any() or not g.any():
         raise DegenerateInputError(f"class {label} empty in {'pred' if not p.any() else 'gt'}")
+    return _hausdorff(p, g, pred.spacing)
+
+
+def _hausdorff(p: np.ndarray, g: np.ndarray, spacing) -> float:
+    """``hausdorff`` of two non-empty masks on one grid of ``spacing``."""
     both = p | g
     held = (np.flatnonzero(both.reshape(len(both), -1).any(axis=1)), *_held(both))
     box = tuple(slice(hit[0], hit[-1] + 1) for hit in held)
     p, g = p[box], g[box]
-    base = min(pred.spacing)
-    ratio = np.asarray(pred.spacing, dtype=np.float64) / base
+    base = min(spacing)
+    ratio = np.asarray(spacing, dtype=np.float64) / base
     coords = [np.arange(b.start, b.stop, dtype=np.float64) * r for b, r in zip(box, ratio)]
     worst_sq = 0.0
     for queries, sites in ((p & ~g, g), (g & ~p, p)):
@@ -176,13 +181,12 @@ class CaseReport:
 
 
 def evaluate_case(pred: LabelMap, gt: LabelMap) -> CaseReport:
-    """Dice and Hausdorff for each foreground class (LV, MYO, RV)."""
+    """Dice and Hausdorff for each foreground class (LV, MYO, RV); each class mask is built once."""
     _check_grids(pred, gt)
     entries: dict[str, ClassReport] = {}
     for label in FOREGROUND_CLASSES:
-        n_pred = int(np.count_nonzero(pred.data == label))
-        n_gt = int(np.count_nonzero(gt.data == label))
-        d = dice(pred, gt, label)
-        hd = None if n_pred == 0 or n_gt == 0 else hausdorff(pred, gt, label)
-        entries[CLASS_NAMES[label]] = ClassReport(d, hd, n_pred, n_gt)
+        p, g = pred.data == label, gt.data == label
+        n_pred, n_gt = int(np.count_nonzero(p)), int(np.count_nonzero(g))
+        hd = None if n_pred == 0 or n_gt == 0 else _hausdorff(p, g, pred.spacing)
+        entries[CLASS_NAMES[label]] = ClassReport(_dice(p, g, n_pred + n_gt), hd, n_pred, n_gt)
     return CaseReport(entries)

@@ -127,8 +127,5 @@ def generate_cine(spec: PhantomSpec) -> PhantomCine:
         ed_index=spec.ed_index,
         es_label=labels[spec.es_index],
         ed_label=labels[spec.ed_index],
-        subject="phantom",
-        vendor="synthetic",
-        center="synthetic",
     )
     return PhantomCine(series=series, ground_truth=tuple(labels))

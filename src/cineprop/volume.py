@@ -148,9 +148,6 @@ class CineSeries:
     ed_index: int
     es_label: LabelMap
     ed_label: LabelMap
-    subject: str = ""
-    vendor: str = ""
-    center: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "frames", tuple(self.frames))

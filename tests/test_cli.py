@@ -53,6 +53,12 @@ def _children(pid):
     return sorted(child for child, stat in stats.items() if stat is not None and int(stat[1]) == pid)
 
 
+def _assert_usage_error(err, message):
+    """``err`` is argparse's usage error: the usage, then ``cineprop <command>: error: <message>...``."""
+    assert err.startswith("usage: cineprop"), err
+    assert re.search(rf"^cineprop( \w+)?: error: {re.escape(message)}", err, flags=re.M), err
+
+
 def _write_off_grid_series(root, change):
     """A 4-frame series with frame 2 at 10^3 voxels or the ES label at 2x1x1 mm; returns (manifest, that file)."""
     mpath, _ = _write_cine_dir(root)
@@ -190,7 +196,9 @@ class TestPropagateCommand:
             argv = ["propagate", "--manifest", str(tmp_path / "nope.txt"), "--out", str(out), "--workers", flag]
         code = run(argv)
         assert code == EXIT_USAGE
-        assert ("CINEPROP_WORKERS" if flag is None else "--workers") in capsys.readouterr().err
+        err = capsys.readouterr().err
+        _assert_usage_error(err, "argument --workers: must be an integer >= 1")
+        assert ("CINEPROP_WORKERS" in err) == (flag is None)
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -203,7 +211,8 @@ class TestPropagateCommand:
         out = tmp_path / "prop_bad_flag"
         code = run(["propagate", "--manifest", str(tmp_path / "nope.txt"), "--out", str(out), "--iters", iters])
         assert code == EXIT_USAGE
-        assert "--iters" in capsys.readouterr().err
+        message = f"argument --iters: must be a non-empty comma list of integers >= 1, got {iters!r}"
+        _assert_usage_error(capsys.readouterr().err, message)
         assert not out.exists()
 
     def test_outputs_independent_of_blas_threads(self, tmp_path):
@@ -583,16 +592,43 @@ class TestOutChecked:
         assert err.startswith("error: --out ") and f"{taken} is not a directory" in err
         assert taken.read_text() == "a file"
 
+    @pytest.mark.parametrize("command", ["phantom", "propagate", "histmatch", "transfer", "evaluate", "report"])
+    def test_empty_out_is_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        # taken as given, it would write into the current directory, or (evaluate, report) print to stdout
+        mpath, _ = _write_cine_dir(tmp_path / "cine")
+        inputs = {
+            "phantom": ["--frames", "3"],
+            "propagate": ["--manifest", str(mpath)],
+            "histmatch": ["--manifest", str(mpath)],
+            "transfer": ["--manifest", str(mpath), "--from-vendor", "A", "--to-vendor", "A"],
+            "evaluate": ["--pred", str(mpath.parent), "--gt", str(mpath.parent)],
+            "report": ["--manifest", str(mpath)],
+        }[command]
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.setattr(io, "read_manifest", _no_input)
+        monkeypatch.setattr(io, "read_labels", _no_input)
+        assert run([command, *inputs, "--out", ""]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        _assert_usage_error(err, "argument --out: must not be empty")
+        assert out == ""
+        assert list(cwd.iterdir()) == []
+
 
 class TestUsageErrors:
-    def test_unknown_flag(self, tmp_path):
-        assert run(["phantom", "--bogus", "1", "--out", str(tmp_path)]) == EXIT_USAGE
+    def test_unknown_flag(self, tmp_path, capsys):
+        assert run(["phantom", "--bogus", "1", "--out", str(tmp_path / "ph")]) == EXIT_USAGE
+        _assert_usage_error(capsys.readouterr().err, "unrecognized arguments: --bogus 1")
+        assert not (tmp_path / "ph").exists()
 
-    def test_unknown_subcommand(self):
+    def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == EXIT_USAGE
+        _assert_usage_error(capsys.readouterr().err, "argument subcommand: invalid choice: 'frobnicate'")
 
-    def test_missing_required_flag(self):
+    def test_missing_required_flag(self, capsys):
         assert run(["propagate"]) == EXIT_USAGE
+        _assert_usage_error(capsys.readouterr().err, "the following arguments are required: --manifest, --out")
 
     @pytest.mark.parametrize(
         "command, flag, value",
@@ -606,6 +642,9 @@ class TestUsageErrors:
             ("phantom", "--seed", "-1"),
             ("histmatch", "--seed", "-1"),
             ("transfer", "--seed", "-1"),
+            ("transfer", "--n-ref-volumes", "x"),
+            ("report", "--bins", "2.5"),
+            ("phantom", "--seed", ""),
         ],
         ids=[
             "histmatch-n-ref-0",
@@ -617,6 +656,9 @@ class TestUsageErrors:
             "phantom-seed--1",
             "histmatch-seed--1",
             "transfer-seed--1",
+            "transfer-n-ref-x",
+            "report-bins-2.5",
+            "phantom-seed-empty",
         ],
     )
     def test_reference_and_bin_counts_checked_before_input(self, tmp_path, capsys, command, flag, value):
@@ -628,7 +670,8 @@ class TestUsageErrors:
         if command == "transfer":
             argv += ["--from-vendor", "A", "--to-vendor", "B"]
         assert run(argv) == EXIT_USAGE
-        assert flag in capsys.readouterr().err
+        bounds = {"--n-ref-volumes": ">= 1", "--seed": ">= 0", "--bins": "in [2, 65536]"}[flag]
+        _assert_usage_error(capsys.readouterr().err, f"argument {flag}: must be an integer {bounds}, got {value!r}")
         assert not out.exists()
 
 

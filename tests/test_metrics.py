@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cineprop import metrics
 from cineprop.errors import DegenerateInputError, InvalidParameterError
 from cineprop.metrics import dice, evaluate_case, hausdorff
 from cineprop.volume import LV, MYO, RV, LabelMap
@@ -259,3 +260,17 @@ class TestEvaluateCase:
             assert type(report.entries[name].dice) is float and type(report.entries[name].pred_voxels) is int
             if report.entries[name].hausdorff_mm is not None:
                 assert report.entries[name].hausdorff_mm == hausdorff_oracle(pred, gt, label)
+
+    def test_grids_checked_once_per_case(self, monkeypatch):
+        # each class mask is built once and handed to the private Dice and Hausdorff helpers
+        rng = np.random.default_rng(10)
+        gt = LabelMap(rng.integers(0, 4, size=(6, 6, 6)).astype(np.uint8), (1.0, 1.5, 4.0))
+        pred = LabelMap(rng.integers(0, 4, size=(6, 6, 6)).astype(np.uint8), (1.0, 1.5, 4.0))
+        expected = {label: (dice(pred, gt, label), hausdorff(pred, gt, label)) for label in (LV, MYO, RV)}
+        calls = []
+        check_grids = metrics._check_grids
+        monkeypatch.setattr(metrics, "_check_grids", lambda *grids: calls.append(1) or check_grids(*grids))
+        report = evaluate_case(pred, gt)
+        assert len(calls) == 1  # not once more in each class's Dice and Hausdorff
+        assert {label: (report.entries[name].dice, report.entries[name].hausdorff_mm)
+                for label, name in ((LV, "LV"), (MYO, "MYO"), (RV, "RV"))} == expected
