@@ -149,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_phantom = sub.add_parser("phantom", help="generate a synthetic cine series")
-    p_phantom.add_argument("--frames", type=int, default=11)
+    p_phantom.add_argument("--frames", type=_bounded_integer(3), default=11)  # PhantomSpec checks it too, for library callers
     p_phantom.add_argument("--seed", type=seed, default=0)
 
     p_prop = sub.add_parser("propagate", help="propagate template labels to unlabeled frames")

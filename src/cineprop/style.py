@@ -20,7 +20,9 @@ from .volume import ScalarVolume
 
 SOURCE_BINS = 256
 MAX_BINS = 65_536  # histogram_report's largest bin count: its text holds one line per bin per tag
-_KS_BLOCK = 1 << 16  # pool values per ECDF evaluation in ks_statistic
+_KS_STEP = 256  # pool values from one KS checkpoint to the next
+_KS_BLOCK = 1 << 16  # pool values per ECDF evaluation in a refined KS run
+_KS_JOIN = 4  # kept KS intervals this close (1: adjacent) are refined as one run
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,32 +122,78 @@ def vendor_transfer(
 def ks_statistic(sample_a, sample_b) -> float:
     """Exact Kolmogorov-Smirnov statistic between two empirical distributions.
 
-    Both right-continuous ECDFs are evaluated at the last copy of each distinct
-    value of each sorted pool, where the pool's own count is its index plus one
-    and the other pool's count is one binary search, ``_KS_BLOCK`` values at a
-    time.  The left limits at a value equal the right-side ECDFs at the previous
-    distinct value of either pool (or both zero), so they never raise the maximum.
+    The statistic is the largest gap between the two right-continuous ECDFs at
+    the distinct values of both sorted pools; the left limits at a value equal
+    the right-side ECDFs at the previous distinct value of either pool (or both
+    zero), so they never raise the maximum.  Each gap is computed as
+    ``abs(count_a / n_a - count_b / n_b)``, so the result equals evaluating
+    every distinct value, bit for bit, but only the values that can hold the
+    maximum are searched:
+
+    * **checkpoints** are every ``_KS_STEP``-th value of each pool and both
+      maxima; both ECDFs are counted there with one search per pool;
+    * **bounds**: between two neighbouring checkpoints each count lies between
+      its two end counts, which bounds ``abs(A * n_b - B * n_a)`` over the
+      interval in exact integers.  An interval whose bound falls below the best
+      checkpoint's exact value, less a margin far wider than float rounding,
+      cannot hold the maximum and is skipped;
+    * **refinement**: consecutive kept intervals form runs, and each run is
+      evaluated at the last copy of each of its distinct values, where the
+      pool's own count is its index plus one and the other pool's count is one
+      binary search, ``_KS_BLOCK`` values at a time.
+
+    Identical pools keep every interval: one run, every distinct value.
     """
     return _ks_sorted(*(np.sort(np.asarray(s, dtype=np.float64).ravel()) for s in (sample_a, sample_b)))
 
 
 def _ks_sorted(a: np.ndarray, b: np.ndarray) -> float:
-    """``ks_statistic`` of two pools already sorted as float64."""
+    """``ks_statistic`` of two pools already sorted, as float32 or float64."""
     if a.size == 0 or b.size == 0:
         raise InvalidParameterError("KS statistic needs non-empty samples")
     if np.isnan(a[-1]) or np.isnan(b[-1]):  # the sort puts NaN last
         raise InvalidParameterError("KS statistic needs samples without NaN")
+    na, nb = a.size, b.size
+    # each pool's first value is a checkpoint, so no value lies below the first one, nor above the last
+    checkpoints = np.unique(np.concatenate([a[::_KS_STEP], a[-1:], b[::_KS_STEP], b[-1:]]))
+    count_a = np.searchsorted(a, checkpoints, side="right")
+    count_b = np.searchsorted(b, checkpoints, side="right")
+    gap = float(np.max(np.abs(count_a / na - count_b / nb)))
+    if checkpoints.size == 1:  # both pools hold one value, the same one
+        return gap
+    keep = np.ones(checkpoints.size - 1, dtype=bool)
+    if na * nb < 1 << 63:  # the products below are exact in int64
+        best = int(np.max(np.abs(count_a * nb - count_b * na)))
+        bound = np.maximum(count_a[1:] * nb - count_b[:-1] * na, count_b[1:] * na - count_a[:-1] * nb)
+        keep = bound >= best - ((na * nb >> 40) + 1)  # the margin is far wider than float rounding
+    # interval k lies between checkpoints k and k + 1; kept intervals fewer than _KS_JOIN apart are refined
+    # as one run, since a short gap costs less to evaluate than a run's set-up
+    kept = np.flatnonzero(keep)
+    cuts = np.flatnonzero(np.diff(kept) > _KS_JOIN)
+    for i, j in zip(kept[np.r_[0, cuts + 1]].tolist(), (kept[np.r_[cuts, -1]] + 1).tolist()):
+        ai, aj, bi, bj = int(count_a[i]), int(count_a[j]), int(count_b[i]), int(count_b[j])
+        gap = max(gap, _ks_run(a, ai, aj, b, bi, bj), _ks_run(b, bi, bj, a, ai, aj))
+    return gap
+
+
+def _ks_run(pool: np.ndarray, start: int, stop: int, other: np.ndarray, other_start: int, other_stop: int) -> float:
+    """The largest ECDF gap at the distinct values of ``pool[start:stop]``.
+
+    Both slices hold whole runs of ties, and every value of ``pool[start:stop]``
+    lies above ``other[other_start - 1]`` and below ``other[other_stop]``, so
+    the other pool's counts are searched in ``other[other_start:other_stop]``.
+    """
     gap = 0.0
-    for pool, other in ((a, b), (b, a)):
-        for start in range(0, pool.size, _KS_BLOCK):
-            points = pool[start : start + _KS_BLOCK]
-            following = pool[start + 1 : start + 1 + points.size]  # one short at the end of the pool
-            last = np.ones(points.size, dtype=bool)
-            last[: following.size] = points[: following.size] != following
-            ends = np.flatnonzero(last)
-            f_pool = (start + 1 + ends) / pool.size
-            f_other = np.searchsorted(other, points[ends], side="right") / other.size
-            gap = max(gap, float(np.max(np.abs(f_pool - f_other), initial=0.0)))
+    window = other[other_start:other_stop]
+    for lo in range(start, stop, _KS_BLOCK):
+        points = pool[lo : min(lo + _KS_BLOCK, stop)]
+        following = pool[lo + 1 : min(lo + 1 + points.size, stop)]  # one short at the end of the run
+        last = np.ones(points.size, dtype=bool)
+        last[: following.size] = points[: following.size] != following
+        ends = np.flatnonzero(last)
+        f_pool = (lo + 1 + ends) / pool.size
+        f_other = (other_start + np.searchsorted(window, points[ends], side="right")) / other.size
+        gap = max(gap, float(np.max(np.abs(f_pool - f_other), initial=0.0)))  # a block of ties has no end
     return gap
 
 
@@ -182,7 +230,9 @@ def histogram_report(groups: dict[str, list[ScalarVolume]], bins: int) -> Histog
 
     ``bins`` is in [2, ``MAX_BINS``].  Each tag is a non-empty string without
     whitespace, so that the ``hist`` and ``ks`` lines of ``to_text`` split
-    back into their fields.
+    back into their fields.  Each tag's values are pooled and sorted once, as
+    the float32 that volumes hold; every pair of tags gets ``ks_statistic``'s
+    exact value, and a zero range end is written as ``0.0``, never ``-0.0``.
     """
     if not 2 <= bins <= MAX_BINS:
         raise InvalidParameterError(f"bins must be in [2, {MAX_BINS}], got {bins}")
@@ -195,12 +245,15 @@ def histogram_report(groups: dict[str, list[ScalarVolume]], bins: int) -> Histog
     for tag, vols in groups.items():
         if not vols:
             raise InvalidParameterError(f"group {tag!r} is empty")
-        values = np.concatenate([v.data.ravel() for v in vols], dtype=np.float64)
-        values.sort()  # private, so sorted in place: the range is its ends, each histogram two searches, KS no copy
+        # float32, as every volume holds it; private, so sorted in place: the range is its ends, each
+        # histogram two searches (the pool upcast, exactly, to the float64 edges), KS no copy
+        values = np.concatenate([v.data.ravel() for v in vols], dtype=np.float32)
+        values.sort()
         pooled[tag] = values
 
-    lo = min(float(p[0]) for p in pooled.values())
-    hi = max(float(p[-1]) for p in pooled.values())
+    # + 0.0 turns -0.0 into 0.0: the sort may put either zero at an end, and they print differently
+    lo = min(float(p[0]) for p in pooled.values()) + 0.0
+    hi = max(float(p[-1]) for p in pooled.values()) + 0.0
     if hi <= lo:
         hi = lo + 1.0  # all values identical: everything lands in bin 0
     edges = np.linspace(lo, hi, bins + 1)

@@ -645,6 +645,8 @@ class TestUsageErrors:
             ("transfer", "--n-ref-volumes", "x"),
             ("report", "--bins", "2.5"),
             ("phantom", "--seed", ""),
+            ("phantom", "--frames", "2"),
+            ("phantom", "--frames", "x"),
         ],
         ids=[
             "histmatch-n-ref-0",
@@ -659,6 +661,8 @@ class TestUsageErrors:
             "transfer-n-ref-x",
             "report-bins-2.5",
             "phantom-seed-empty",
+            "phantom-frames-2",
+            "phantom-frames-x",
         ],
     )
     def test_reference_and_bin_counts_checked_before_input(self, tmp_path, capsys, command, flag, value):
@@ -670,7 +674,7 @@ class TestUsageErrors:
         if command == "transfer":
             argv += ["--from-vendor", "A", "--to-vendor", "B"]
         assert run(argv) == EXIT_USAGE
-        bounds = {"--n-ref-volumes": ">= 1", "--seed": ">= 0", "--bins": "in [2, 65536]"}[flag]
+        bounds = {"--n-ref-volumes": ">= 1", "--seed": ">= 0", "--bins": "in [2, 65536]", "--frames": ">= 3"}[flag]
         _assert_usage_error(capsys.readouterr().err, f"argument {flag}: must be an integer {bounds}, got {value!r}")
         assert not out.exists()
 

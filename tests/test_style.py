@@ -184,6 +184,43 @@ class TestVendorTransfer:
             assert np.array_equal(vol.data, snapshot)
 
 
+def _oracle_pairs():
+    """Small pools: ties, unequal sizes, one-value pools, runs of ties across blocks, and 40 random pairs."""
+    rng = np.random.default_rng(30)
+    pairs = [
+        (np.round(rng.normal(0.0, 3.0, size=301)), np.round(rng.normal(1.0, 4.0, size=173))),  # ties, unequal sizes
+        (np.array([2.0]), np.array([-1.0])),  # single-element pools
+        (np.array([0.5]), np.round(rng.normal(0.0, 1.0, size=40))),
+        (np.array([0.0] * 5 + [1.0] * 9 + [2.0] * 3), np.array([1.0, 1.0, 3.0])),  # a run of 1.0 across block 7
+        (np.full(20, 4.0), np.array([3.0, 4.0, 4.0, 5.0])),  # blocks made only of ties
+    ]
+    for _ in range(40):
+        n_a, n_b = (int(n) for n in rng.integers(1, 60, size=2))
+        scale = float(rng.choice([0.3, 1.0, 5.0]))
+        pairs.append((np.round(rng.normal(0.0, scale, size=n_a)), np.round(rng.normal(1.0, scale, size=n_b))))
+    return pairs
+
+
+def _assert_equals_oracles(pairs):
+    for a, b in pairs:
+        want = ks_eight_search_oracle(a, b)
+        assert want == ks_brute_force(a, b)
+        assert ks_statistic(a, b) == ks_statistic(b, a) == want
+
+
+def _record_runs(monkeypatch) -> list[int]:
+    """The length of every run that ``ks_statistic`` refines, as it refines them."""
+    runs = []
+    refine = style._ks_run
+
+    def recorded(pool, start, stop, *other):
+        runs.append(stop - start)
+        return refine(pool, start, stop, *other)
+
+    monkeypatch.setattr(style, "_ks_run", recorded)
+    return runs
+
+
 class TestKsStatistic:
     def test_identical_samples_zero(self):
         rng = np.random.default_rng(27)
@@ -201,23 +238,57 @@ class TestKsStatistic:
 
     @pytest.mark.parametrize("block", [1, 7, 1 << 16])
     def test_equals_eight_search_and_brute_force_oracles(self, monkeypatch, block):
-        rng = np.random.default_rng(30)
-        pairs = [
-            (np.round(rng.normal(0.0, 3.0, size=301)), np.round(rng.normal(1.0, 4.0, size=173))),  # ties, unequal sizes
-            (np.array([2.0]), np.array([-1.0])),  # single-element pools
-            (np.array([0.5]), np.round(rng.normal(0.0, 1.0, size=40))),
-            (np.array([0.0] * 5 + [1.0] * 9 + [2.0] * 3), np.array([1.0, 1.0, 3.0])),  # a run of 1.0 across block 7
-            (np.full(20, 4.0), np.array([3.0, 4.0, 4.0, 5.0])),  # blocks made only of ties
-        ]
-        for _ in range(40):
-            n_a, n_b = (int(n) for n in rng.integers(1, 60, size=2))
-            scale = float(rng.choice([0.3, 1.0, 5.0]))
-            pairs.append((np.round(rng.normal(0.0, scale, size=n_a)), np.round(rng.normal(1.0, scale, size=n_b))))
         monkeypatch.setattr(style, "_KS_BLOCK", block)
-        for a, b in pairs:
-            want = ks_eight_search_oracle(a, b)
-            assert want == ks_brute_force(a, b)
-            assert ks_statistic(a, b) == ks_statistic(b, a) == want
+        _assert_equals_oracles(_oracle_pairs())
+
+    @pytest.mark.parametrize("step", [1, 2, 3, 7, 1 << 20])  # 1 << 20: past every pool's size
+    def test_checkpoint_steps_equal_oracles(self, monkeypatch, step):
+        monkeypatch.setattr(style, "_KS_STEP", step)
+        monkeypatch.setattr(style, "_KS_BLOCK", 7)  # runs that span blocks
+        for join in (1, style._KS_JOIN):  # every run refined on its own, then short gaps joined
+            monkeypatch.setattr(style, "_KS_JOIN", join)
+            _assert_equals_oracles(_oracle_pairs())
+
+    def test_identical_pools_refine_every_value(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        x = np.round(rng.normal(0.0, 30.0, size=5000))  # ties
+        runs = _record_runs(monkeypatch)
+        assert ks_statistic(x, x) == 0.0
+        # nothing is pruned: one run per pool, from above the first checkpoint (the minimum) to the end
+        assert runs == [x.size - np.count_nonzero(x == x.min())] * 2
+
+    def test_maximum_strictly_inside_a_checkpoint_interval(self, monkeypatch):
+        a = np.arange(4000.0)
+        b = 2000.5 + np.arange(4000.0) / 10.0  # dense from 2000.5: F_a - F_b peaks at 2000 alone
+        checkpoints = np.concatenate([a[:: style._KS_STEP], b[:: style._KS_STEP], [a[-1], b[-1]]])
+        assert 2000.0 not in checkpoints
+        runs = _record_runs(monkeypatch)
+        want = ks_eight_search_oracle(a, b)
+        assert want == 2001 / 4000
+        assert ks_statistic(a, b) == want
+        assert 0 < sum(runs) < a.size + b.size  # refined, and pruned
+
+    @pytest.mark.parametrize("n_other", [1, 1000, 100_000])
+    def test_one_value_pool(self, n_other):
+        rng = np.random.default_rng(34)
+        other = np.round(rng.normal(0.0, 2.0, size=n_other), 1)  # ties, some equal to the one value
+        for value in (float(other.min()), 0.0, float(other.max()), 9.0):
+            one = np.array([value])
+            want = ks_eight_search_oracle(one, other)
+            if n_other <= 1000:  # the brute force is quadratic
+                assert want == ks_brute_force(one, other)
+            assert ks_statistic(one, other) == ks_statistic(other, one) == want
+
+    def test_float32_against_float64(self):
+        rng = np.random.default_rng(35)
+        a32 = np.round(rng.normal(0.0, 1.0, size=3000), 2).astype(np.float32)  # ties
+        b32 = rng.normal(0.2, 1.3, size=2000).astype(np.float32)
+        b64 = rng.normal(0.2, 1.3, size=2000)
+        for b in (b32, b64):
+            want = ks_eight_search_oracle(a32.astype(np.float64), b)
+            assert ks_statistic(a32, b) == ks_statistic(b, a32) == want
+            # histogram_report's path: pools sorted as float32 are searched as they are
+            assert style._ks_sorted(np.sort(a32), np.sort(b)) == style._ks_sorted(np.sort(b), np.sort(a32)) == want
 
     @pytest.mark.parametrize(
         "a, b", [([np.nan], [1.0]), ([np.nan, 0.0], [np.nan, 0.0]), ([0.0, 1.0], [2.0, np.nan])]
@@ -250,6 +321,14 @@ class TestHistogramReport:
         want = ks_eight_search_oracle(pools["a"], pools["b"])
         assert 0.0 < want < 1.0
         assert report.ks[("a", "b")] == ks_statistic(rng.permutation(pools["a"]), rng.permutation(pools["b"])) == want
+
+    def test_zero_range_end_prints_as_positive_zero(self):
+        # -0.0 == 0.0, so which of them a sort leaves at a pool's end depends on the sort and the layout
+        for values in ([-0.0, 0.0, 1.0, 2.0], [0.0, -0.0, 1.0, 2.0], [-2.0, -1.0, -0.0, 0.0], [-2.0, -1.0, 0.0, -0.0]):
+            for n in (2, 8, 20):
+                vol = ScalarVolume(np.resize(np.array(values, dtype=np.float32), (n, n, n)))
+                lines = histogram_report({"v": [vol]}, bins=4).to_text().splitlines()
+                assert "range_min = -0.0" not in lines and "range_max = -0.0" not in lines, (values, n)
 
     def test_densities_sum_to_one(self):
         rng = np.random.default_rng(30)
